@@ -94,7 +94,6 @@ from .rejection import (
     FailedPlanBuffer,
     RejectionMetric,
     nearest_failed_distance,
-    push_failed,
     select_plan,
 )
 from .report import (

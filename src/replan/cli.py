@@ -19,11 +19,11 @@ from .datasets import build_dataset
 from .encoders import default_pca_k, encode_video, pca_fit, save_projection
 from .envs import EnvKind
 from .loop import (
-    ALL_METHODS,
     ALL_TASKS,
     SWEEP_NAMES,
     ExperimentConfig,
     ablation_sweep,
+    results_table,
     run_experiment,
 )
 from .report import (
@@ -35,7 +35,6 @@ from .report import (
     write_summary_csv,
 )
 from .retrieval import build_table, save_table
-from .loop import results_table
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:

@@ -160,29 +160,31 @@ def psnr(a: Video, b: Video) -> float:
     return min(PSNR_CAP_DB, float(10.0 * math.log10(1.0 / mse)))
 
 
-def _frame_ssim(a: np.ndarray, b: np.ndarray) -> float:
-    # Sliding 8x8 windows, stride 1, population moments per window.
+def ssim(a: Video, b: Video) -> float:
+    """Mean SSIM over 8x8 stride-1 windows: per-frame window mean, then frame mean."""
+    _check_same_shape(a, b)
     win = SSIM_WINDOW
-    if a.shape[0] < win or a.shape[1] < win:
-        raise ValueError(f"frame smaller than SSIM window: {a.shape}")
-    wa = np.lib.stride_tricks.sliding_window_view(a, (win, win))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (win, win))
-    mu_a = wa.mean(axis=(2, 3))
-    mu_b = wb.mean(axis=(2, 3))
-    var_a = (wa * wa).mean(axis=(2, 3)) - mu_a * mu_a
-    var_b = (wb * wb).mean(axis=(2, 3)) - mu_b * mu_b
-    cov = (wa * wb).mean(axis=(2, 3)) - mu_a * mu_b
+    _, h, w = a.pixels.shape
+    if h < win or w < win:
+        raise ValueError(f"frame smaller than SSIM window: {(h, w)}")
+    pa, pb = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
+    # Window moments (Wang et al. 2004) of all frames in one pass of box sums:
+    # shifted row slices first, then shifted column slices.
+    moments = np.stack([pa, pb, pa * pa, pb * pb, pa * pb])
+    rows = moments[:, :, : h - win + 1].copy()
+    for k in range(1, win):
+        rows += moments[:, :, k : h - win + 1 + k]
+    sums = rows[..., : w - win + 1].copy()
+    for k in range(1, win):
+        sums += rows[..., k : w - win + 1 + k]
+    sums /= win * win
+    mu_a, mu_b, e_aa, e_bb, e_ab = sums
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float(np.mean(num / den))
-
-
-def ssim(a: Video, b: Video) -> float:
-    """Mean structural similarity: per-frame window average, then frame average."""
-    _check_same_shape(a, b)
-    pa = a.pixels.astype(np.float64)
-    pb = b.pixels.astype(np.float64)
-    return float(np.mean([_frame_ssim(pa[t], pb[t]) for t in range(pa.shape[0])]))
+    return float(np.mean(np.mean(num / den, axis=(1, 2))))
 
 
 @dataclass(frozen=True)
@@ -226,12 +228,6 @@ class ExperienceDataset:
         return tuple(t for t in self.tuples if t.success)
 
 
-def _theta_to_json(theta: float | str) -> float | str:
-    if isinstance(theta, str):
-        return theta
-    return float(theta)
-
-
 def save_dataset(
     out_dir: str | Path,
     env: str,
@@ -256,7 +252,7 @@ def save_dataset(
                 "video": rel,
                 "object_id": item.object_id,
                 "success": bool(item.success),
-                "theta": _theta_to_json(theta),
+                "theta": theta if isinstance(theta, str) else float(theta),
             }
         )
     manifest = out / "manifest.json"

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -105,7 +107,6 @@ class TaskAssets:
     planner: KernelGenerator
     identifier: KernelGenerator
     gt_plans: dict[float | str, Video]
-    _metric_cache: dict = field(default_factory=dict, repr=False)
 
 
 def build_assets(
@@ -159,18 +160,6 @@ class EpisodeRecord:
     def mean_plan_ssim(self) -> float | None:
         vals = [r.plan_ssim for r in self.rounds if r.plan_ssim is not None]
         return float(np.mean(vals)) if vals else None
-
-
-def _plan_metrics(
-    assets: TaskAssets, plan: Video, gt: Video
-) -> tuple[float, float]:
-    key = (hashlib.blake2b(plan.pixels.tobytes(), digest_size=12).digest(),
-           hashlib.blake2b(gt.pixels.tobytes(), digest_size=12).digest())
-    hit = assets._metric_cache.get(key)
-    if hit is None:
-        hit = (psnr(plan, gt), ssim(plan, gt))
-        assets._metric_cache[key] = hit
-    return hit
 
 
 def run_episode(
@@ -249,7 +238,7 @@ def run_episode(
             plan = candidates[0]
         wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
-        plan_psnr, plan_ssim = _plan_metrics(assets, plan, gt_plan)
+        plan_psnr, plan_ssim = psnr(plan, gt_plan), ssim(plan, gt_plan)
 
         t0 = time.perf_counter()
         try:
@@ -289,6 +278,18 @@ def run_episode(
 # Experiments
 
 
+# Smallest valid value of each integer field of ExperimentConfig; pca_k may also be None.
+_INT_FLOORS = {
+    "trials": 1, "max_replans": 1, "n_candidates": 1, "master_seed": 0, "per_theta_success": 1,
+    "per_theta_fail": 0, "pca_k": 1, "refine_steps": 0, "refine_restarts": 1,
+}
+
+
+def _is_number(value: object, kind: type = numbers.Real) -> bool:
+    """A finite number of ``kind``; bools and NaN are not numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     tasks: tuple[str, ...] = ALL_TASKS
@@ -309,6 +310,33 @@ class ExperimentConfig:
     refine_restarts: int = 1
     data_root: str | None = None
 
+    def __post_init__(self) -> None:
+        """Check every field up front, so a bad config fails before any compute."""
+        def require(name: str, ok: bool, need: str) -> None:
+            if not ok:
+                value = getattr(self, name)
+                raise ValueError(f"ExperimentConfig.{name} must be {need}, got {value!r}")
+
+        for name, choices in (("tasks", ALL_TASKS), ("methods", ALL_METHODS)):
+            value = getattr(self, name)
+            ok = isinstance(value, (list, tuple)) and len(value) > 0
+            ok = ok and all(v in choices for v in value) and len(set(value)) == len(value)
+            require(name, ok, f"a non-empty list of distinct names from {choices}")
+            object.__setattr__(self, name, tuple(value))
+        for name, enum in (("rejection_metric", RejectionMetric), ("buffer_policy", BufferPolicy)):
+            choices = tuple(m.value for m in enum)
+            require(name, getattr(self, name) in choices, f"one of {choices}")
+        for name, low in _INT_FLOORS.items():
+            value = getattr(self, name)
+            ok = name == "pca_k" and value is None or _is_number(value, numbers.Integral)
+            require(name, ok and (value is None or value >= low), f"an integer >= {low}")
+        tau, fraction = self.tau, self.dataset_fraction
+        require("tau", tau is None or _is_number(tau) and tau > 0, "None or a number > 0")
+        require("noise_std", _is_number(self.noise_std) and self.noise_std >= 0, "a number >= 0")
+        require("dataset_fraction", _is_number(fraction) and 0 < fraction <= 1, "in (0, 1]")
+        require("data_root", self.data_root is None or isinstance(self.data_root, str),
+                "None or a path string")
+
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
@@ -319,18 +347,10 @@ class ExperimentConfig:
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
-        for key in ("tasks", "methods"):
-            if key in known:
-                known[key] = tuple(known[key])
         return cls(**known)
 
     def to_dict(self) -> dict:
-        out = {
-            f: getattr(self, f) for f in self.__dataclass_fields__
-        }
-        out["tasks"] = list(self.tasks)
-        out["methods"] = list(self.methods)
-        return out
+        return {**asdict(self), "tasks": list(self.tasks), "methods": list(self.methods)}
 
     def loop_config(self) -> LoopConfig:
         return LoopConfig(

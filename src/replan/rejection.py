@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,26 +37,12 @@ class FailedPlanBuffer:
 
     def push(self, plan: Video) -> "FailedPlanBuffer":
         self.plans.append(plan)
-        self._features.append(encode_video(plan))
         return self
 
-
-def push_failed(buffer: FailedPlanBuffer, plan: Video) -> FailedPlanBuffer:
-    """Append a failed plan; earlier contents are preserved."""
-    return buffer.push(plan)
-
-
-def _plan_distance(
-    metric: RejectionMetric,
-    plan: Video,
-    plan_feature: np.ndarray | None,
-    failed: Video,
-    failed_feature: np.ndarray,
-) -> float:
-    if metric is RejectionMetric.RAW_PIXEL:
-        return pixel_l2(plan, failed)
-    feature = plan_feature if plan_feature is not None else encode_video(plan)
-    return float(np.linalg.norm(feature - failed_feature))
+    def features(self) -> list[np.ndarray]:
+        """Embeddings of the buffered plans; each plan is encoded on first request only."""
+        self._features.extend(encode_video(p) for p in self.plans[len(self._features):])
+        return self._features
 
 
 def nearest_failed_distance(
@@ -67,11 +53,10 @@ def nearest_failed_distance(
     """Distance from ``plan`` to its closest buffered failure; +inf if empty."""
     if len(buffer) == 0:
         return math.inf
-    feature = encode_video(plan) if metric is RejectionMetric.EMBEDDING else None
-    return min(
-        _plan_distance(metric, plan, feature, failed, failed_feature)
-        for failed, failed_feature in zip(buffer.plans, buffer._features)
-    )
+    if metric is RejectionMetric.RAW_PIXEL:
+        return min(pixel_l2(plan, failed) for failed in buffer.plans)
+    feature = encode_video(plan)
+    return min(float(np.linalg.norm(feature - f)) for f in buffer.features())
 
 
 def select_plan(

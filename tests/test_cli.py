@@ -1,6 +1,10 @@
 """End-to-end command line workflow."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,26 @@ def test_rerun_is_bit_identical(tmp_path, capsys):
     capsys.readouterr()
     assert (out_a / "episodes.csv").read_bytes() == (out_b / "episodes.csv").read_bytes()
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+
+
+def test_episodes_identical_across_blas_threads(tmp_path):
+    # BLAS may split reductions differently with more threads; the CSV must not move.
+    exp = experiment_json(
+        tmp_path, tasks=["slidebrick", "openbox"], methods=["ours", "ours_refine"], trials=10
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-m", "replan.cli", "run", "--experiment", str(exp), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outs.append((out / "episodes.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 2 * 2 * 10
 
 
 def test_run_timing_flag(tmp_path, capsys):

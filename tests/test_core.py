@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replan import (
@@ -214,6 +214,49 @@ def test_ssim_symmetry_and_range():
 def test_ssim_rejects_small_frames():
     with pytest.raises(ValueError):
         ssim(const_video(0.1, (1, 4, 4)), const_video(0.2, (1, 4, 4)))
+
+
+def reference_ssim(a, b):
+    """Slow oracle: per-frame loop, five reductions over sliding 8x8 windows."""
+    def frame_ssim(fa, fb):
+        wa = np.lib.stride_tricks.sliding_window_view(fa, (8, 8))
+        wb = np.lib.stride_tricks.sliding_window_view(fb, (8, 8))
+        mu_a = wa.mean(axis=(2, 3))
+        mu_b = wb.mean(axis=(2, 3))
+        var_a = (wa * wa).mean(axis=(2, 3)) - mu_a * mu_a
+        var_b = (wb * wb).mean(axis=(2, 3)) - mu_b * mu_b
+        cov = (wa * wb).mean(axis=(2, 3)) - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + 1e-4) * (2.0 * cov + 9e-4)
+        den = (mu_a * mu_a + mu_b * mu_b + 1e-4) * (var_a + var_b + 9e-4)
+        return float(np.mean(num / den))
+
+    pa = a.pixels.astype(np.float64)
+    pb = b.pixels.astype(np.float64)
+    return float(np.mean([frame_ssim(pa[t], pb[t]) for t in range(pa.shape[0])]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.integers(1, 8),
+    h=st.integers(8, 40),
+    w=st.integers(8, 40),
+    noise=st.sampled_from([None, 1e-6, 1e-3]),
+    seed=st.integers(0, 2**31),
+)
+@example(t=1, h=8, w=8, noise=None, seed=0)
+@example(t=3, h=8, w=40, noise=1e-6, seed=1)
+@example(t=8, h=32, w=8, noise=1e-3, seed=2)
+@example(t=8, h=32, w=32, noise=None, seed=3)
+def test_ssim_matches_sliding_window_oracle(t, h, w, noise, seed):
+    # noise=None draws an independent pair; otherwise b is a near-copy of a.
+    rng = np.random.default_rng(seed)
+    a = rng.random((t, h, w), dtype=np.float32)
+    if noise is None:
+        b = rng.random((t, h, w), dtype=np.float32)
+    else:
+        b = np.clip(a + rng.normal(0.0, noise, a.shape), 0.0, 1.0).astype(np.float32)
+    va, vb = Video(a), Video(b)
+    assert ssim(va, vb) == pytest.approx(reference_ssim(va, vb), abs=1e-12, rel=0)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,60 @@ def test_experiment_config_io(tmp_path):
     assert lc.max_replans == 14
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tasks", "openbox"),  # a bare string is not a list of tasks
+        ("tasks", []),
+        ("tasks", ["openbox", "jenga"]),
+        ("tasks", ["openbox", "openbox"]),  # would run and count every trial twice
+        ("methods", ["ours_refine", "bogus"]),
+        ("methods", "ours"),
+        ("trials", 0),
+        ("trials", 2.5),
+        ("trials", True),
+        ("max_replans", 0),
+        ("n_candidates", 0),
+        ("tau", 0.0),
+        ("tau", "auto"),
+        ("noise_std", -0.1),
+        ("noise_std", float("nan")),
+        ("rejection_metric", "cosine"),
+        ("dataset_fraction", 0.0),
+        ("dataset_fraction", 1.5),
+        ("master_seed", -1),
+        ("per_theta_success", 0),
+        ("per_theta_fail", -1),
+        ("pca_k", 0),
+        ("buffer_policy", "oldest"),
+        ("refine_steps", -1),
+        ("refine_restarts", 0),
+        ("data_root", 3),
+    ],
+)
+def test_invalid_config_fails_before_compute(field, value, tmp_path, monkeypatch):
+    import dataclasses
+    import json
+
+    import replan.cli
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a bad config reached run_experiment")
+
+    monkeypatch.setattr(replan.cli, "run_experiment", no_compute)
+    match = rf"ExperimentConfig\.{field} "
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**{field: value})
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict({field: value})
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(ExperimentConfig(tasks=("openbox",)), **{field: value})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(ValueError, match=match):
+        replan.cli.main(["run", "--experiment", str(path), "--out", str(tmp_path / "out")])
+
+
 def test_ablation_sweep_grids():
     base = ExperimentConfig(tasks=("openbox",), trials=5)
     frac = ablation_sweep("data-fraction", base)

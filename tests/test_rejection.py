@@ -10,7 +10,6 @@ from replan import (
     RejectionMetric,
     Video,
     nearest_failed_distance,
-    push_failed,
     select_plan,
 )
 
@@ -35,20 +34,20 @@ def test_empty_buffer():
 
 def test_distance_worked_example():
     # 0.3 difference on a 4x4 patch: sqrt(16 * 0.09) = 1.2
-    buffer = push_failed(FailedPlanBuffer(), patch_vid(0.3))
+    buffer = FailedPlanBuffer().push(patch_vid(0.3))
     assert nearest_failed_distance(vid(), buffer) == pytest.approx(1.2, rel=1e-6)
 
 
 def test_nearest_is_min_over_buffer():
     buffer = FailedPlanBuffer()
-    push_failed(buffer, patch_vid(0.3))   # distance 1.2 from zeros
-    push_failed(buffer, patch_vid(0.15))  # distance 0.6 from zeros
+    buffer.push(patch_vid(0.3))   # distance 1.2 from zeros
+    buffer.push(patch_vid(0.15))  # distance 0.6 from zeros
     assert nearest_failed_distance(vid(), buffer) == pytest.approx(0.6, rel=1e-6)
     assert len(buffer) == 2
 
 
 def test_select_farthest_candidate():
-    buffer = push_failed(FailedPlanBuffer(), vid(0.0))
+    buffer = FailedPlanBuffer().push(vid(0.0))
     near = patch_vid(0.1)   # distance 0.4 from the failure
     far = patch_vid(0.9)    # distance 3.6
     idx, plan = select_plan([near, far], buffer)
@@ -57,7 +56,7 @@ def test_select_farthest_candidate():
 
 
 def test_ties_resolve_to_lowest_index():
-    buffer = push_failed(FailedPlanBuffer(), vid(0.0))
+    buffer = FailedPlanBuffer().push(vid(0.0))
     same_a = patch_vid(0.5, r0=0)
     same_b = patch_vid(0.5, r0=8)  # same distance, different video
     idx, _ = select_plan([same_a, same_b], buffer)
@@ -70,9 +69,9 @@ def test_buffer_order_irrelevant():
     probe = Video(rng.random((1, 32, 32), dtype=np.float32))
     fwd, rev = FailedPlanBuffer(), FailedPlanBuffer()
     for f in fails:
-        push_failed(fwd, f)
+        fwd.push(f)
     for f in reversed(fails):
-        push_failed(rev, f)
+        rev.push(f)
     assert nearest_failed_distance(probe, fwd) == pytest.approx(
         nearest_failed_distance(probe, rev), rel=1e-12
     )
@@ -85,7 +84,7 @@ def test_select_matches_brute_force():
         buffer = FailedPlanBuffer()
         fails = [Video(rng.random((1, 32, 32), dtype=np.float32)) for _ in range(2)]
         for f in fails:
-            push_failed(buffer, f)
+            buffer.push(f)
 
         scores = []
         for cand in candidates:
@@ -110,7 +109,7 @@ def test_embedding_metric_ignores_within_block_detail():
     b_px[0, 3, 3] = 0.8
     a, b = Video(a_px), Video(b_px)
 
-    buffer = push_failed(FailedPlanBuffer(), a)
+    buffer = FailedPlanBuffer().push(a)
     raw = nearest_failed_distance(b, buffer, RejectionMetric.RAW_PIXEL)
     emb = nearest_failed_distance(b, buffer, RejectionMetric.EMBEDDING)
     assert raw > 1.0
@@ -127,3 +126,35 @@ def test_embedding_metric_ignores_within_block_detail():
 def test_select_requires_candidates():
     with pytest.raises(ValueError):
         select_plan([], FailedPlanBuffer())
+
+
+def test_buffer_encodes_each_failure_at_most_once(monkeypatch):
+    import replan.rejection as rejection
+
+    encoded = []
+
+    def counting_encode(video):
+        encoded.append(video)
+        return real_encode(video)
+
+    real_encode = rejection.encode_video
+    monkeypatch.setattr(rejection, "encode_video", counting_encode)
+    rng = np.random.default_rng(43)
+    fails = [Video(rng.random((1, 32, 32), dtype=np.float32)) for _ in range(3)]
+    candidates = [Video(rng.random((1, 32, 32), dtype=np.float32)) for _ in range(2)]
+
+    # raw_pixel never reads an embedding, so nothing is encoded
+    buffer = FailedPlanBuffer()
+    for f in fails:
+        buffer.push(f)
+        select_plan(candidates, buffer, RejectionMetric.RAW_PIXEL)
+    assert encoded == []
+
+    # embedding: each failure is encoded once across rounds; candidates once per round
+    buffer = FailedPlanBuffer()
+    for f in fails:
+        buffer.push(f)
+        select_plan(candidates, buffer, RejectionMetric.EMBEDDING)
+    assert [sum(v is f for v in encoded) for f in fails] == [1, 1, 1]
+    assert [sum(v is c for v in encoded) for c in candidates] == [3, 3]
+    assert len(encoded) == 9
