@@ -37,10 +37,8 @@ from .encoders import (
     default_pca_k,
     encode_frame,
     encode_video,
-    load_projection,
     pca_apply,
     pca_fit,
-    save_projection,
 )
 from .envs import (
     EnvAction,
@@ -76,7 +74,6 @@ from .loop import (
     EpisodeRow,
     ExperimentConfig,
     ExperimentResult,
-    LoopConfig,
     Method,
     ResultsTable,
     TaskAssets,
@@ -113,10 +110,8 @@ from .retrieval import (
     build_table,
     default_tau,
     embedding_distance,
-    load_table,
     retrieval_probabilities,
     retrieve,
-    save_table,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Subcommands cover the full workflow: generate experience datasets,
-fit the embedding table, run an experiment grid, run ablation sweeps,
-and render reports from saved episode CSVs.
+run an experiment grid (which fits each task's assets in-process), run
+ablation sweeps, and render reports from saved episode CSVs.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import load_dataset, save_dataset
+from .core import save_dataset
 from .datasets import build_dataset
-from .encoders import default_pca_k, encode_video, pca_fit, save_projection
 from .envs import EnvKind
 from .loop import (
     ALL_TASKS,
@@ -34,7 +33,6 @@ from .report import (
     write_results_svg,
     write_summary_csv,
 )
-from .retrieval import build_table, save_table
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -51,25 +49,6 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         f"wrote {len(dataset.tuples)} rollouts ({n_success} successes, "
         f"{len(dataset.by_object)} objects) to {args.out}"
     )
-    return 0
-
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    dataset, env_name, _ = load_dataset(args.data)
-    raw = np.stack([encode_video(item.video) for item in dataset.tuples])
-    k = args.pca_k if args.pca_k is not None else default_pca_k(raw.shape[0], raw.shape[1])
-    projection = pca_fit(raw, k)
-    table = build_table(dataset, projection)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_projection(projection, out / "projection.json")
-    save_table(table, out / "table.npz")
-    print(
-        f"fit {env_name}: {raw.shape[0]} rollouts -> k={projection.k} "
-        f"({len(table.object_ids)} canonical embeddings) in {out}"
-    )
-    if projection.degenerate:
-        print("warning: projection is degenerate (rank below k)")
     return 0
 
 
@@ -146,12 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-theta-fail", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("fit", help="fit the projection and embedding table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pca-k", type=int, default=None)
-    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("run", help="run the experiment grid from a JSON file")
     p.add_argument("--experiment", required=True)

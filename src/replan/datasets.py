@@ -47,7 +47,9 @@ def build_dataset(
     replacement until exhausted, then cycled).
     """
     if per_theta_success < 1:
-        raise ValueError("need at least one success per theta")
+        raise ValueError(f"per_theta_success must be >= 1, got {per_theta_success}")
+    if per_theta_fail < 0:
+        raise ValueError(f"per_theta_fail must be >= 0, got {per_theta_fail}")
     rng = np.random.default_rng(seed)
     tuples: list[ExperienceTuple] = []
     thetas: list[Theta] = []

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -117,32 +115,3 @@ def pca_apply(projection: PcaProjection, embedding: np.ndarray) -> np.ndarray:
 
 def default_pca_k(n_samples: int, dim: int = 512, cap: int = 16) -> int:
     return max(1, min(cap, n_samples - 1, dim))
-
-
-def save_projection(projection: PcaProjection, path: str | Path) -> None:
-    payload = {
-        "mean": projection.mean.tolist(),
-        "components": projection.components.tolist(),
-        "k": projection.k,
-        "degenerate": projection.degenerate,
-        "rescale_variance": projection.rescale_variance,
-    }
-    if projection.scales is not None:
-        payload["scales"] = projection.scales.tolist()
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_projection(path: str | Path) -> PcaProjection:
-    payload = json.loads(Path(path).read_text())
-    return PcaProjection(
-        mean=np.asarray(payload["mean"], dtype=np.float64),
-        components=np.asarray(payload["components"], dtype=np.float64),
-        k=int(payload["k"]),
-        degenerate=bool(payload.get("degenerate", False)),
-        rescale_variance=bool(payload.get("rescale_variance", False)),
-        scales=(
-            np.asarray(payload["scales"], dtype=np.float64)
-            if payload.get("scales") is not None
-            else None
-        ),
-    )

@@ -85,18 +85,6 @@ class Method(Enum):
 ALL_METHODS = tuple(m.value for m in Method)
 
 
-@dataclass(frozen=True)
-class LoopConfig:
-    max_replans: int = 14
-    n_candidates: int = 2
-    tau: float | None = None
-    noise_std: float = 0.0
-    rejection_metric: RejectionMetric = RejectionMetric.RAW_PIXEL
-    buffer_policy: BufferPolicy = BufferPolicy.LATEST
-    refine_steps: int = 80
-    refine_restarts: int = 1
-
-
 @dataclass
 class TaskAssets:
     """Everything an episode needs for one task, fit on its dataset."""
@@ -166,7 +154,7 @@ def run_episode(
     env: EnvInstance,
     method: Method,
     assets: TaskAssets,
-    config: LoopConfig,
+    config: ExperimentConfig,
     rng: np.random.Generator,
 ) -> EpisodeRecord:
     """Run one episode; failed episodes report max_replans rounds used."""
@@ -177,8 +165,11 @@ def run_episode(
     interactions: list[Video] = []
     gt_plan = assets.gt_plans[env.theta_value]
     retr_config = RetrievalConfig(
-        metric=DistanceMetric.L2, tau=config.tau, buffer_policy=config.buffer_policy
+        metric=DistanceMetric.L2,
+        tau=config.tau,
+        buffer_policy=BufferPolicy(config.buffer_policy),
     )
+    rejection_metric = RejectionMetric(config.rejection_metric)
     gen_config = GenerationConfig(n_candidates=1, noise_std=config.noise_std)
     refine_config = RefineConfig(
         init_mode="random", steps=config.refine_steps, restarts=config.refine_restarts
@@ -233,7 +224,7 @@ def run_episode(
 
         t0 = time.perf_counter()
         if method.uses_rejection:
-            _, plan = select_plan(candidates, plan_buffer, config.rejection_metric)
+            _, plan = select_plan(candidates, plan_buffer, rejection_metric)
         else:
             plan = candidates[0]
         wall["reject"] += 1e3 * (time.perf_counter() - t0)
@@ -352,18 +343,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "tasks": list(self.tasks), "methods": list(self.methods)}
 
-    def loop_config(self) -> LoopConfig:
-        return LoopConfig(
-            max_replans=self.max_replans,
-            n_candidates=self.n_candidates,
-            tau=self.tau,
-            noise_std=self.noise_std,
-            rejection_metric=RejectionMetric(self.rejection_metric),
-            buffer_policy=BufferPolicy(self.buffer_policy),
-            refine_steps=self.refine_steps,
-            refine_restarts=self.refine_restarts,
-        )
-
 
 def trial_seed(master_seed: int, task: str, method: str, trial: int) -> int:
     """Stable per-trial seed; independent of any swept parameter."""
@@ -468,7 +447,6 @@ def run_experiment(
     config: ExperimentConfig, progress: bool = False
 ) -> ExperimentResult:
     """Run the full task x method x trial grid declared by ``config``."""
-    loop_config = config.loop_config()
     rows: list[EpisodeRow] = []
     for task in config.tasks:
         assets = build_task_assets(config, task)
@@ -480,7 +458,7 @@ def run_experiment(
                 rng = np.random.default_rng(seed)
                 theta = sample_hidden(kind, rng)
                 env = EnvInstance(kind, theta)
-                record = run_episode(env, method, assets, loop_config, rng)
+                record = run_episode(env, method, assets, config, rng)
                 rows.append(
                     EpisodeRow(
                         task=task,

@@ -43,18 +43,6 @@ class RefineResult:
     trace: tuple[float, ...]  # best-so-far loss per step; non-increasing
 
 
-def _fd_gradient(
-    objective: Callable[[np.ndarray], np.ndarray], e: np.ndarray, eps: float
-) -> np.ndarray:
-    k = e.shape[0]
-    probes = np.repeat(e[None, :], 2 * k, axis=0)
-    for i in range(k):
-        probes[2 * i, i] += eps
-        probes[2 * i + 1, i] -= eps
-    values = objective(probes)
-    return (values[0::2] - values[1::2]) / (2.0 * eps)
-
-
 def _probe_matrix(e: np.ndarray, eps: float) -> np.ndarray:
     k = e.shape[0]
     probes = np.repeat(e[None, :], 2 * k + 1, axis=0)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,33 +209,3 @@ def retrieve(
     entry = min(entry, len(probs) - 1)
     return table.canonical[int(table.entry_object_index[entry])].copy()
 
-
-def save_table(table: EmbeddingTable, path: str | Path) -> None:
-    np.savez(
-        path,
-        object_ids=np.array(table.object_ids),
-        canonical=table.canonical,
-        entry_embeddings=table.entry_embeddings,
-        entry_object_index=table.entry_object_index,
-        mean=table.projection.mean,
-        components=table.projection.components,
-        k=np.array(table.projection.k),
-        degenerate=np.array(table.projection.degenerate),
-    )
-
-
-def load_table(path: str | Path) -> EmbeddingTable:
-    with np.load(path, allow_pickle=False) as data:
-        projection = PcaProjection(
-            mean=data["mean"],
-            components=data["components"],
-            k=int(data["k"]),
-            degenerate=bool(data["degenerate"]),
-        )
-        return EmbeddingTable(
-            object_ids=tuple(str(x) for x in data["object_ids"]),
-            canonical=data["canonical"],
-            entry_embeddings=data["entry_embeddings"],
-            entry_object_index=data["entry_object_index"],
-            projection=projection,
-        )

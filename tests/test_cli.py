@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replan import load_dataset, load_projection, load_table, read_episodes_csv
+from replan import load_dataset, read_episodes_csv
 from replan.cli import build_parser, main
 from replan.report import EPISODE_COLUMNS
 
@@ -23,7 +23,11 @@ def test_parser_rejects_unknown_env(capsys):
         build_parser().parse_args(["gen-data", "--env", "jenga", "--out", "x"])
 
 
-def test_gen_data_and_fit(tmp_path, capsys):
+def test_parser_lists_subcommands():
+    assert "{gen-data,run,ablate,report}" in build_parser().format_help()
+
+
+def test_gen_data(tmp_path, capsys):
     data = tmp_path / "openbox"
     assert run_cli("gen-data", "--env", "openbox", "--out", data) == 0
     out = capsys.readouterr().out
@@ -34,22 +38,12 @@ def test_gen_data_and_fit(tmp_path, capsys):
     assert len(dataset) == 22
     assert set(thetas) == {"lift", "slide"}
 
-    fit_dir = tmp_path / "fit"
-    assert run_cli("fit", "--data", data, "--out", fit_dir) == 0
-    projection = load_projection(fit_dir / "projection.json")
-    table = load_table(fit_dir / "table.npz")
-    assert projection.k == table.canonical.shape[1]
-    assert len(table) == 22
-    assert set(table.object_ids) == {"openbox/lift", "openbox/slide"}
 
-
-def test_fit_pca_k_flag(tmp_path, capsys):
-    data = tmp_path / "turnfaucet"
-    run_cli("gen-data", "--env", "turnfaucet", "--out", data)
-    fit_dir = tmp_path / "fit"
-    run_cli("fit", "--data", data, "--out", fit_dir, "--pca-k", "2")
-    capsys.readouterr()
-    assert load_projection(fit_dir / "projection.json").k == 2
+def test_gen_data_rejects_negative_fail_count(tmp_path):
+    data = tmp_path / "openbox"
+    with pytest.raises(ValueError, match="per_theta_fail"):
+        run_cli("gen-data", "--env", "openbox", "--out", data, "--per-theta-fail", "-3")
+    assert not data.exists()
 
 
 def experiment_json(tmp_path, data_root=None, **overrides):

@@ -79,8 +79,10 @@ def test_build_dataset_deterministic():
 
 
 def test_build_dataset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="per_theta_success"):
         build_dataset(EnvKind.PUSH_BAR, per_theta_success=0)
+    with pytest.raises(ValueError, match="per_theta_fail"):
+        build_dataset(EnvKind.OPEN_BOX, per_theta_fail=-3)
 
 
 def test_subsample_keeps_first_success():

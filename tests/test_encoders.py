@@ -8,10 +8,8 @@ from replan import (
     default_pca_k,
     encode_frame,
     encode_video,
-    load_projection,
     pca_apply,
     pca_fit,
-    save_projection,
 )
 
 
@@ -129,20 +127,3 @@ def test_default_pca_k():
     assert default_pca_k(3) == 2
     assert default_pca_k(2) == 1
     assert default_pca_k(100, dim=4) == 4
-
-
-def test_projection_roundtrip(tmp_path):
-    rng = np.random.default_rng(25)
-    x = rng.normal(size=(12, 7))
-    for rescale in (False, True):
-        proj = pca_fit(x, 3, rescale_variance=rescale)
-        path = tmp_path / f"proj-{rescale}.json"
-        save_projection(proj, path)
-        back = load_projection(path)
-        assert np.array_equal(back.mean, proj.mean)
-        assert np.array_equal(back.components, proj.components)
-        assert back.k == proj.k
-        assert back.degenerate == proj.degenerate
-        assert back.rescale_variance == rescale
-        query = rng.normal(size=7)
-        assert np.allclose(pca_apply(back, query), pca_apply(proj, query), atol=1e-12)

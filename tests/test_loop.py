@@ -1,18 +1,24 @@
 """Replanning loop, experiment grid, and result statistics."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replan import (
+    ALL_METHODS,
+    ALL_TASKS,
+    BufferPolicy,
     EnvAction,
     EnvInstance,
     EnvKind,
     ExperimentConfig,
-    LoopConfig,
     Method,
+    RejectionMetric,
     RetrievalConfig,
     ablation_sweep,
     build_task_assets,
@@ -150,7 +156,7 @@ def test_two_mode_empirical_means(openbox_run):
 
 def test_first_round_action_agrees_across_methods(openbox_assets):
     env = EnvInstance.create(EnvKind.OPEN_BOX, "slide")
-    cfg = LoopConfig()
+    cfg = ExperimentConfig()
     actions = {}
     for method in (Method.AVDC, Method.OURS, Method.AVDC_REJECTION):
         rng = np.random.default_rng(123)
@@ -163,7 +169,7 @@ def test_first_round_action_agrees_across_methods(openbox_assets):
 
 def test_failed_episode_reports_cap(openbox_assets):
     env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
-    cfg = LoopConfig(max_replans=2)
+    cfg = ExperimentConfig(max_replans=2)
     rec = run_episode(env, Method.AVDC, openbox_assets, cfg, np.random.default_rng(1))
     assert not rec.succeeded
     assert rec.replans_until_success == 2
@@ -173,7 +179,7 @@ def test_failed_episode_reports_cap(openbox_assets):
 
 def test_episode_plan_metrics(openbox_assets):
     env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
-    rec = run_episode(env, Method.AVDC, openbox_assets, LoopConfig(), np.random.default_rng(3))
+    rec = run_episode(env, Method.AVDC, openbox_assets, ExperimentConfig(), np.random.default_rng(3))
     assert rec.succeeded
     for rnd in rec.rounds:
         assert rnd.plan_psnr is not None and rnd.plan_psnr > 0
@@ -182,15 +188,41 @@ def test_episode_plan_metrics(openbox_assets):
         np.mean([r.plan_psnr for r in rec.rounds])
     )
 
-    rand = run_episode(env, Method.RANDOM, openbox_assets, LoopConfig(), np.random.default_rng(3))
+    rand = run_episode(env, Method.RANDOM, openbox_assets, ExperimentConfig(), np.random.default_rng(3))
     assert all(r.plan_psnr is None for r in rand.rounds)
     assert rand.mean_plan_psnr is None and rand.mean_plan_ssim is None
+
+
+def test_episode_converts_config_enums(openbox_assets, monkeypatch):
+    import replan.loop
+
+    seen = {"buffer_policy": set(), "rejection_metric": set()}
+    retrieve, select_plan = replan.loop.retrieve, replan.loop.select_plan
+
+    def recording_retrieve(table, query, config, rng):
+        seen["buffer_policy"].add(config.buffer_policy)
+        return retrieve(table, query, config, rng)
+
+    def recording_select_plan(candidates, buffer, metric):
+        seen["rejection_metric"].add(metric)
+        return select_plan(candidates, buffer, metric)
+
+    monkeypatch.setattr(replan.loop, "retrieve", recording_retrieve)
+    monkeypatch.setattr(replan.loop, "select_plan", recording_select_plan)
+    cfg = ExperimentConfig(rejection_metric="embedding", buffer_policy="aggregate")
+    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    for seed in range(20):  # retrieval runs only after a failed round
+        run_episode(env, Method.OURS, openbox_assets, cfg, np.random.default_rng(seed))
+    assert seen == {
+        "buffer_policy": {BufferPolicy.AGGREGATE},
+        "rejection_metric": {RejectionMetric.EMBEDDING},
+    }
 
 
 def test_assets_task_mismatch(openbox_assets):
     env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
     with pytest.raises(ValueError):
-        run_episode(env, Method.AVDC, openbox_assets, LoopConfig(), np.random.default_rng(0))
+        run_episode(env, Method.AVDC, openbox_assets, ExperimentConfig(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +306,6 @@ def test_experiment_config_io(tmp_path):
     assert back == cfg
 
     path = tmp_path / "exp.json"
-    import json
-
     path.write_text(json.dumps({"tasks": ["pushbar"], "trials": 3}))
     loaded = ExperimentConfig.from_json(path)
     assert loaded.tasks == ("pushbar",)
@@ -285,12 +315,42 @@ def test_experiment_config_io(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trails": 3})  # typo rejected
 
-    lc = ExperimentConfig(rejection_metric="embedding", buffer_policy="aggregate").loop_config()
-    from replan import BufferPolicy, RejectionMetric
 
-    assert lc.rejection_metric is RejectionMetric.EMBEDDING
-    assert lc.buffer_policy is BufferPolicy.AGGREGATE
-    assert lc.max_replans == 14
+def distinct_names(choices):
+    return st.lists(st.sampled_from(choices), min_size=1, unique=True)
+
+
+def finite_floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+valid_configs = st.builds(
+    ExperimentConfig,
+    tasks=distinct_names(ALL_TASKS),
+    methods=distinct_names(ALL_METHODS),
+    trials=st.integers(min_value=1),
+    max_replans=st.integers(min_value=1),
+    n_candidates=st.integers(min_value=1),
+    tau=st.none() | finite_floats(min_value=0, exclude_min=True),
+    noise_std=finite_floats(min_value=0),
+    rejection_metric=st.sampled_from([m.value for m in RejectionMetric]),
+    dataset_fraction=finite_floats(min_value=0, max_value=1, exclude_min=True),
+    master_seed=st.integers(min_value=0),
+    per_theta_success=st.integers(min_value=1),
+    per_theta_fail=st.integers(min_value=0),
+    pca_k=st.none() | st.integers(min_value=1),
+    buffer_policy=st.sampled_from([p.value for p in BufferPolicy]),
+    refine_steps=st.integers(min_value=0),
+    refine_restarts=st.integers(min_value=1),
+    data_root=st.none() | st.text(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs)
+def test_config_json_roundtrip(cfg):
+    # config.json, written by run and ablate, is the only persisted config
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 @pytest.mark.parametrize(
@@ -326,7 +386,6 @@ def test_experiment_config_io(tmp_path):
 )
 def test_invalid_config_fails_before_compute(field, value, tmp_path, monkeypatch):
     import dataclasses
-    import json
 
     import replan.cli
 

@@ -15,7 +15,7 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
-from replan.refinement import _fd_gradient
+from replan.refinement import _probe_matrix
 from replan.retrieval import build_table
 
 
@@ -98,7 +98,10 @@ def test_fd_gradient_against_denser_stencil(identifier, observed):
     objective = mse_objective(identifier, observed)
     e = np.array([0.3, -0.2])
     eps = 1e-3 * identifier.bandwidth
-    grad = _fd_gradient(objective, e, eps)
+    # the central-difference gradient exactly as _descend takes it
+    values = objective(_probe_matrix(e, eps))
+    assert values[2 * e.size] == pytest.approx(objective(e)[0], rel=1e-12)  # centre row
+    grad = (values[0 : 2 * e.size : 2] - values[1 : 2 * e.size : 2]) / (2.0 * eps)
 
     # five-point stencil as an independent higher-order reference
     dense = np.zeros_like(e)

@@ -13,10 +13,8 @@ from replan import (
     build_table,
     default_tau,
     embedding_distance,
-    load_table,
     retrieval_probabilities,
     retrieve,
-    save_table,
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
@@ -200,22 +198,3 @@ def test_embedding_distance():
     with pytest.raises(ValueError):
         embedding_distance(DistanceMetric.L2, [1.0], [1.0, 2.0])
 
-
-def test_table_roundtrip(tmp_path):
-    table = make_table(
-        [(0, 0), (3, 0), (9, 0), (7, 7)],
-        successes=[False, True, True, True],
-        object_ids=["a", "a", "a", "b"],
-    )
-    path = tmp_path / "table.npz"
-    save_table(table, path)
-    back = load_table(path)
-    assert back.object_ids == table.object_ids
-    assert np.array_equal(back.canonical, table.canonical)
-    assert np.array_equal(back.entry_embeddings, table.entry_embeddings)
-    assert np.array_equal(back.entry_object_index, table.entry_object_index)
-    assert back.median_canonical_distance == table.median_canonical_distance
-
-    p_a = retrieval_probabilities(table, coord_video(2, 2), RetrievalConfig(tau=1.0), encoder=coord_encoder)
-    p_b = retrieval_probabilities(back, coord_video(2, 2), RetrievalConfig(tau=1.0), encoder=coord_encoder)
-    assert np.allclose(p_a, p_b, rtol=1e-12)
