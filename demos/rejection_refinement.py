@@ -75,7 +75,7 @@ def run_example():
     # Step 4: refinement, on a generator whose objects are far enough
     # apart for the loss landscape to have a real basin. Plant an
     # embedding, observe the generator's own output there, and recover
-    # the embedding from a random start by finite-difference descent.
+    # the embedding from a random start by gradient descent.
     videos = synthetic_objects()
     tuples = tuple(ExperienceTuple(v, f"syn/{i}", True) for i, v in enumerate(videos))
     synth = ExperienceDataset(tuples)

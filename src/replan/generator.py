@@ -6,7 +6,7 @@ Identification mode it is every rollout.  Candidate plans are support
 videos sampled with Gaussian kernel weights centred on the conditioning
 embedding; the identification generator instead returns the kernel-mean
 video, which varies smoothly with the embedding so it can be optimized
-by finite differences.
+by gradient descent; ``mse_objective`` returns the closed-form gradient.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def generate(
 def id_generate(g: KernelGenerator, first_frame: np.ndarray, e: np.ndarray | None) -> Video:
     """Deterministic kernel-mean video over the f0-restricted support.
 
-    Identification mode only.  Continuous in ``e``, which makes the output
-    differentiable by finite differences.
+    Identification mode only.  Smooth in ``e``, which makes the
+    reconstruction loss differentiable (see ``mse_objective``).
     """
     if g.mode is not GeneratorMode.IDENTIFICATION:
         raise ValueError("id_generate requires a generator in Identification mode")
@@ -180,13 +180,14 @@ def id_generate(g: KernelGenerator, first_frame: np.ndarray, e: np.ndarray | Non
 
 def mse_objective(
     g: KernelGenerator, observed: Video
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched loss L(e) = video_mse(observed, id_generate(g, observed[0], e)).
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Batched loss L(e) = video_mse(observed, id_generate(g, observed[0], e))
+    and its closed-form gradient.
 
     Precomputes the support Gram matrix so each evaluation costs
     O(support^2) instead of touching every pixel; equals the direct
     definition to floating-point accuracy.  Accepts a batch (m, k) of
-    embeddings and returns (m,) losses.
+    embeddings and returns (m,) losses with their (m, k) gradients.
     """
     if g.mode is not GeneratorMode.IDENTIFICATION:
         raise ValueError("mse_objective requires a generator in Identification mode")
@@ -217,7 +218,7 @@ def mse_objective(
     emb_sq = (emb * emb).sum(axis=1)
     bw2 = 2.0 * g.bandwidth * g.bandwidth
 
-    def objective(batch: np.ndarray) -> np.ndarray:
+    def objective(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         # ||b - e||^2 expanded so both heavy products hit BLAS.
         d2 = emb_sq[None, :] - 2.0 * (b @ emb.T) + (b * b).sum(axis=1)[:, None]
@@ -225,9 +226,15 @@ def mse_objective(
         logw -= logw.max(axis=1, keepdims=True)
         wts = np.exp(logw)
         wts /= wts.sum(axis=1, keepdims=True)
-        quad = ((wts @ gram) * wts).sum(axis=1)
+        wg = wts @ gram
+        quad = (wg * wts).sum(axis=1)
         losses = (const - 2.0 * (wts @ cross) + quad) / total
-        return np.maximum(losses, 0.0)
+        # dL/dw = (2 G w - 2 c) / N; through the softmax and the Gaussian kernel,
+        # dL/de = sum_i w_i (dL/dw_i - w . dL/dw) (E_i - e) / h^2.
+        dw = (2.0 / total) * (wg - cross)
+        coef = wts * (dw - (wts * dw).sum(axis=1, keepdims=True))
+        grads = (coef @ emb - coef.sum(axis=1, keepdims=True) * b) * (2.0 / bw2)
+        return np.maximum(losses, 0.0), grads
 
     return objective
 

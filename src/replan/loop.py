@@ -207,12 +207,10 @@ def run_episode(
                 retrieve(assets.table, interactions, retr_config, rng) for _ in range(n)
             ]
         else:
-            embeddings = [
-                refine_embedding(
-                    assets.identifier, interactions[-1], None, refine_config, rng
-                ).embedding
-                for _ in range(n)
-            ]
+            refined = refine_embedding(
+                assets.identifier, interactions[-1], None, refine_config, rng, count=n
+            )
+            embeddings = [r.embedding for r in refined]
         wall["retrieve"] += 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()

@@ -45,12 +45,24 @@ class FailedPlanBuffer:
         return self._features
 
 
+def _rejection_metric(metric: RejectionMetric | str) -> RejectionMetric:
+    try:
+        return RejectionMetric(metric)
+    except ValueError:
+        choices = tuple(m.value for m in RejectionMetric)
+        raise ValueError(f"metric must be one of {choices}, got {metric!r}") from None
+
+
 def nearest_failed_distance(
     plan: Video,
     buffer: FailedPlanBuffer,
-    metric: RejectionMetric = RejectionMetric.RAW_PIXEL,
+    metric: RejectionMetric | str = RejectionMetric.RAW_PIXEL,
 ) -> float:
-    """Distance from ``plan`` to its closest buffered failure; +inf if empty."""
+    """Distance from ``plan`` to its closest buffered failure; +inf if empty.
+
+    ``metric`` is a ``RejectionMetric`` or its name.
+    """
+    metric = _rejection_metric(metric)
     if len(buffer) == 0:
         return math.inf
     if metric is RejectionMetric.RAW_PIXEL:
@@ -62,15 +74,17 @@ def nearest_failed_distance(
 def select_plan(
     candidates: Sequence[Video],
     buffer: FailedPlanBuffer,
-    metric: RejectionMetric = RejectionMetric.RAW_PIXEL,
+    metric: RejectionMetric | str = RejectionMetric.RAW_PIXEL,
 ) -> tuple[int, Video]:
     """Pick the candidate farthest from all previous failures.
 
     Ties resolve to the lowest index, which also covers the empty-buffer
-    case where every candidate scores +inf.
+    case where every candidate scores +inf.  ``metric`` is a
+    ``RejectionMetric`` or its name.
     """
     if not candidates:
         raise ValueError("no candidate plans to select from")
+    metric = _rejection_metric(metric)
     scores = [nearest_failed_distance(plan, buffer, metric) for plan in candidates]
     best = max(range(len(candidates)), key=lambda i: (scores[i], -i))
     return best, candidates[best]

@@ -37,6 +37,16 @@ class RetrievalConfig:
     buffer_policy: BufferPolicy = BufferPolicy.LATEST
 
     def __post_init__(self) -> None:
+        """Take enum members or their names; retrieval compares members by identity."""
+        for name, enum in (("metric", DistanceMetric), ("buffer_policy", BufferPolicy)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, enum(value))
+            except ValueError:
+                choices = tuple(m.value for m in enum)
+                raise ValueError(
+                    f"RetrievalConfig.{name} must be one of {choices}, got {value!r}"
+                ) from None
         if self.tau is not None and not self.tau > 0:
             raise ValueError("tau must be positive")
 

@@ -180,14 +180,15 @@ def test_fast_objective_matches_naive(identifier):
     objective = mse_objective(identifier, observed)
 
     batch = np.concatenate([rng.normal(0.4, 0.5, size=(8, 1)), [[0.2], [0.6]]])
-    fast = objective(batch)
-    assert fast.shape == (10,)
+    fast, grads = objective(batch)
+    assert fast.shape == (10,) and grads.shape == (10, 1)
     for value, e in zip(fast, batch):
         assert abs(value - naive_mse_loss(identifier, observed, e)) < 1e-7
 
-    single = objective(batch[3])
-    assert single.shape == (1,)
+    single, single_grad = objective(batch[3])
+    assert single.shape == (1,) and single_grad.shape == (1, 1)
     assert single[0] == fast[3]
+    assert single_grad[0, 0] == grads[3, 0]
 
 
 def test_objective_shape_check(identifier):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,45 @@ def test_episode_converts_config_enums(openbox_assets, monkeypatch):
         "buffer_policy": {BufferPolicy.AGGREGATE},
         "rejection_metric": {RejectionMetric.EMBEDDING},
     }
+
+
+def test_refining_round_builds_one_objective(monkeypatch):
+    import replan.refinement
+
+    assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
+    cfg = ExperimentConfig(tasks=("slidebrick",), n_candidates=3, refine_restarts=2)
+    envs = [EnvInstance.create(EnvKind.SLIDE_BRICK, theta) for theta in (0.24, 0.32, 0.4)]
+
+    def episodes():
+        return [
+            replace(
+                run_episode(env, Method.OURS_REFINE, assets, cfg, np.random.default_rng(seed)),
+                wall_ms={},
+            )
+            for seed in range(3)
+            for env in envs
+        ]
+
+    plain = episodes()
+    builds = []
+    factory = replan.refinement.mse_objective
+
+    def counting_factory(*args, **kwargs):
+        # forwards one positional batch and returns its result unchanged,
+        # as the perfbench tracer does
+        objective = factory(*args, **kwargs)
+        builds.append(args[1])
+
+        def traced(batch):
+            return objective(batch)
+
+        return traced
+
+    monkeypatch.setattr(replan.refinement, "mse_objective", counting_factory)
+    assert episodes() == plain
+    refining_rounds = sum(len(rec.rounds) - 1 for rec in plain)
+    assert refining_rounds > 0
+    assert len(builds) == refining_rounds
 
 
 def test_assets_task_mismatch(openbox_assets):

@@ -1,12 +1,17 @@
-"""Finite-difference refinement of state embeddings."""
+"""Gradient refinement of state embeddings."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replan import (
+    ExperimentConfig,
     GeneratorMode,
     RefineConfig,
+    RefineResult,
     Video,
+    build_task_assets,
     fit_generator,
     id_generate,
     mse_objective,
@@ -15,7 +20,7 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
-from replan.refinement import _probe_matrix
+from replan.refinement import _central_differences, _probe_matrix
 from replan.retrieval import build_table
 
 
@@ -41,6 +46,24 @@ def identification_fixture():
 @pytest.fixture(scope="module")
 def identifier():
     return identification_fixture()
+
+
+@pytest.fixture(scope="module")
+def pushbar():
+    """A pushbar identifier (264 supports, k = 16) and one failed interaction."""
+    assets = build_task_assets(ExperimentConfig(tasks=("pushbar",)), "pushbar")
+    failures = [t.video for t in assets.dataset.tuples if not t.success]
+    return assets.identifier, failures[3]
+
+
+def five_point_gradient(loss, e, eps):
+    grad = np.zeros_like(e)
+    for i in range(e.size):
+        step = np.zeros_like(e)
+        step[i] = eps
+        v = [loss(e + c * step) for c in (2, 1, -1, -2)]
+        grad[i] = (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * eps)
+    return grad
 
 
 @pytest.fixture(scope="module")
@@ -96,23 +119,23 @@ def test_descent_reduces_loss(identifier, observed):
 
 def test_fd_gradient_against_denser_stencil(identifier, observed):
     objective = mse_objective(identifier, observed)
+
+    def loss_only(batch):
+        return objective(batch)[0]
+
     e = np.array([0.3, -0.2])
     eps = 1e-3 * identifier.bandwidth
-    # the central-difference gradient exactly as _descend takes it
-    values = objective(_probe_matrix(e, eps))
-    assert values[2 * e.size] == pytest.approx(objective(e)[0], rel=1e-12)  # centre row
-    grad = (values[0 : 2 * e.size : 2] - values[1 : 2 * e.size : 2]) / (2.0 * eps)
+    # the stencil of a batch is the stencil of each row in turn; the centre row is last
+    batch = np.stack([e, -e])
+    assert np.array_equal(_probe_matrix(batch, eps), np.vstack([_probe_matrix(r, eps) for r in batch]))
+    assert np.array_equal(_probe_matrix(e, eps)[2 * e.size], e)
+    # the central-difference gradient exactly as a custom objective gets it
+    losses, grads = _central_differences(loss_only, eps)(e[None, :])
+    assert losses[0] == pytest.approx(loss_only(e)[0], rel=1e-12)
+    grad = grads[0]
 
     # five-point stencil as an independent higher-order reference
-    dense = np.zeros_like(e)
-    for i in range(e.size):
-        probes = np.repeat(e[None, :], 4, axis=0)
-        probes[0, i] += 2 * eps
-        probes[1, i] += eps
-        probes[2, i] -= eps
-        probes[3, i] -= 2 * eps
-        v = objective(probes)
-        dense[i] = (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * eps)
+    dense = five_point_gradient(lambda x: loss_only(x)[0], e, eps)
     assert np.linalg.norm(grad - dense) <= 0.05 * max(np.linalg.norm(dense), 1e-12)
 
 
@@ -152,6 +175,8 @@ def test_validation_errors(identifier, observed):
         refine_embedding(identifier, observed, None, RefineConfig(), rng=None)
     with pytest.raises(ValueError):
         refine_embedding(identifier, observed, None, RefineConfig(init_mode="retrieval"))
+    with pytest.raises(ValueError, match="count"):
+        refine_embedding(identifier, observed, None, RefineConfig(), np.random.default_rng(0), count=0)
 
     planner_tuples = (ExperienceTuple(gradient_video(0.5), "p", True),)
     dataset = ExperienceDataset(planner_tuples)
@@ -159,3 +184,67 @@ def test_validation_errors(identifier, observed):
     planner = fit_generator(dataset, build_table(dataset, projection), GeneratorMode.PLANNING)
     with pytest.raises(ValueError):
         refine_embedding(planner, observed, None, RefineConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("case, examples", [("fixture", 60), ("pushbar", 6)])
+def test_gradient_matches_naive_central_differences(case, examples, identifier, observed, pushbar):
+    g, video = (identifier, observed) if case == "fixture" else pushbar
+    objective = mse_objective(g, video)
+
+    # points up to 60 bandwidths from a support entry, where the kernel weights saturate
+    @settings(max_examples=examples, deadline=None)
+    @given(
+        entry=st.integers(0, len(g) - 1),
+        distance=st.floats(0.0, 60.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(entry, distance, seed):
+        direction = np.random.default_rng(seed).normal(size=g.embeddings.shape[1])
+        e = g.embeddings[entry] + distance * g.bandwidth * direction / np.linalg.norm(direction)
+        noise = []
+
+        def oracle(x):
+            value = naive_mse_loss(g, video, x)
+            noise.append(abs(value - objective(x)[0][0]))
+            return value
+
+        eps = 0.02 * g.bandwidth
+        reference = five_point_gradient(oracle, e, eps)
+        _, grads = objective(e)
+        # id_generate rounds its video to float32, so each oracle loss is off by
+        # up to max(noise); the stencil weights (1, 8, 8, 1) / 12 carry that
+        # into each coordinate of the reference
+        floor = np.sqrt(e.size) * 1.5 * max(noise) / eps
+        assert np.linalg.norm(grads[0] - reference) <= 1e-5 * np.linalg.norm(reference) + floor
+
+    check()
+
+
+def test_closed_form_descent_matches_central_differences(pushbar):
+    g, video = pushbar
+    objective = mse_objective(g, video)
+    config = RefineConfig(steps=80, restarts=2)
+    exact = refine_embedding(g, video, None, config, np.random.default_rng(65))
+    stencil = refine_embedding(
+        g, video, None, config, np.random.default_rng(65), objective=lambda b: objective(b)[0]
+    )
+    assert isinstance(exact, RefineResult)
+    assert np.abs(exact.embedding - stencil.embedding).max() <= 1e-6
+    assert exact.loss == pytest.approx(stencil.loss, rel=1e-9)
+
+
+@pytest.mark.parametrize("init_mode", ["random", "combined"])
+def test_round_call_matches_separate_calls(pushbar, init_mode):
+    g, video = pushbar
+    config = RefineConfig(init_mode=init_mode, steps=40, restarts=2)
+    init = g.embeddings[5]
+    rng_round, rng_each = np.random.default_rng(66), np.random.default_rng(66)
+    batched = refine_embedding(g, video, init, config, rng_round, count=3)
+    separate = [refine_embedding(g, video, init, config, rng_each) for _ in range(3)]
+    assert isinstance(batched, tuple) and len(batched) == 3
+    for a, b in zip(batched, separate):
+        assert np.abs(a.embedding - b.embedding).max() <= 1e-12
+        assert a.loss == pytest.approx(b.loss, rel=1e-12)
+        assert np.allclose(a.trace, b.trace, rtol=1e-12, atol=0)
+    # the round drew its starts in the order the separate calls did
+    assert rng_round.random() == rng_each.random()

@@ -123,6 +123,32 @@ def test_embedding_metric_ignores_within_block_detail():
     assert idx_raw == 0
 
 
+@pytest.mark.parametrize("metric", list(RejectionMetric))
+def test_metric_names_match_enums(metric):
+    # the raw-pixel and embedding metrics disagree on this buffer, so a name
+    # dispatched to the wrong path shows
+    a_px = np.zeros((1, 32, 32), dtype=np.float32)
+    a_px[0, 0, 0] = 0.8
+    b_px = np.zeros((1, 32, 32), dtype=np.float32)
+    b_px[0, 3, 3] = 0.8
+    buffer = FailedPlanBuffer().push(Video(a_px))
+    candidates = [Video(b_px), patch_vid(0.1, r0=16, c0=16)]
+    for plan in candidates:
+        assert nearest_failed_distance(plan, buffer, metric.value) == nearest_failed_distance(
+            plan, buffer, metric
+        )
+    assert select_plan(candidates, buffer, metric.value) == select_plan(candidates, buffer, metric)
+
+
+@pytest.mark.parametrize("value", ["bogus", "RAW_PIXEL", None])
+def test_unknown_metric_names_are_rejected(value):
+    buffer = FailedPlanBuffer().push(vid(0.5))
+    with pytest.raises(ValueError, match="metric must be one of"):
+        select_plan([vid(0.1)], buffer, value)
+    with pytest.raises(ValueError, match="metric must be one of"):
+        nearest_failed_distance(vid(0.1), buffer, value)
+
+
 def test_select_requires_candidates():
     with pytest.raises(ValueError):
         select_plan([], FailedPlanBuffer())

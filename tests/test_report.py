@@ -1,11 +1,17 @@
 """CSV round-trips, the summary format, and the SVG chart."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from replan import (
+    ALL_METHODS,
+    ALL_TASKS,
     ExperimentConfig,
     embedding_rows,
     read_episodes_csv,
@@ -17,7 +23,7 @@ from replan import (
     write_summary_csv,
 )
 from replan.loop import EpisodeRow
-from replan.report import EPISODE_COLUMNS, format_theta
+from replan.report import EPISODE_COLUMNS, WALL_PHASES, format_theta
 
 
 def sample_rows():
@@ -56,6 +62,78 @@ def test_episode_csv_roundtrip(tmp_path):
     assert back[2].mean_psnr is None and back[2].mean_ssim is None
     # timing off: walls read back as zero
     assert all(v == 0.0 for r in back for v in r.wall_ms.values())
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+optional_metric = st.none() | st.floats(-1e6, 1e6)
+episode_rows = st.lists(
+    st.builds(
+        EpisodeRow,
+        task=st.sampled_from(ALL_TASKS),
+        method=st.sampled_from(ALL_METHODS),
+        trial=st.integers(0, 10**6),
+        seed=st.integers(0, 2**63),
+        # a theta is a hidden value or a mode name.  A name that reads as a number
+        # comes back as one, and the csv writer leaves a bare carriage return
+        # unquoted, so names are printable and not numeric
+        theta=st.floats()
+        | st.text(st.characters(blacklist_categories=("Cc", "Cs"))).filter(
+            lambda t: not _parses_as_float(t)
+        ),
+        replans=st.integers(1, 100),
+        succeeded=st.booleans(),
+        mean_psnr=optional_metric,
+        mean_ssim=optional_metric,
+        wall_ms=st.fixed_dictionaries({p: st.floats(0, 1e6) for p in WALL_PHASES}),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=episode_rows, timing=st.booleans())
+@example(
+    rows=[
+        EpisodeRow("pushbar", "ours", 0, 1, math.nan, 3, False, None, None,
+                   dict.fromkeys(WALL_PHASES, 0.0)),
+        EpisodeRow("openbox", "avdc", 1, 2, "lift", 1, True, 31.5, None,
+                   dict.fromkeys(WALL_PHASES, 1.25)),
+    ],
+    timing=True,
+)
+def test_episode_csv_roundtrip_property(rows, timing):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp, "episodes.csv"), Path(tmp, "again.csv")
+        write_episodes_csv(rows, path, timing=timing)
+        back = read_episodes_csv(path)
+        # the written file is a fixed point: what is read back writes the same bytes
+        write_episodes_csv(back, again, timing=timing)
+        assert again.read_bytes() == path.read_bytes()
+    assert len(back) == len(rows)
+    for row, got in zip(rows, back):
+        assert (got.task, got.method, got.trial, got.seed, got.replans, got.succeeded) == (
+            row.task, row.method, row.trial, row.seed, row.replans, row.succeeded
+        )
+        if isinstance(row.theta, str):
+            assert got.theta == row.theta
+        else:
+            assert same_float(got.theta, float(format(row.theta, "g")))
+        for want, value in ((row.mean_psnr, got.mean_psnr), (row.mean_ssim, got.mean_ssim)):
+            assert value == (None if want is None else float(format(want, ".6f")))
+        for phase in WALL_PHASES:
+            expected = float(format(row.wall_ms[phase], ".3f")) if timing else 0.0
+            assert got.wall_ms[phase] == expected
 
 
 def test_episode_csv_timing_column(tmp_path):

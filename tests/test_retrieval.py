@@ -198,3 +198,29 @@ def test_embedding_distance():
     with pytest.raises(ValueError):
         embedding_distance(DistanceMetric.L2, [1.0], [1.0, 2.0])
 
+
+
+@pytest.mark.parametrize("policy", list(BufferPolicy))
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_config_takes_enum_names(metric, policy):
+    # the loop dispatches on identity, so a name must become its member
+    table = make_table([(1, 0), (5, 1), (2, 3)])
+    buffer = [coord_video(1, 1), coord_video(6, 2)]
+    named = RetrievalConfig(metric=metric.value, tau=1.0, buffer_policy=policy.value)
+    members = RetrievalConfig(metric=metric, tau=1.0, buffer_policy=policy)
+    assert named == members
+    p_named = retrieval_probabilities(table, buffer, named, encoder=coord_encoder)
+    p_members = retrieval_probabilities(table, buffer, members, encoder=coord_encoder)
+    assert np.array_equal(p_named, p_members)
+    draws = [
+        [retrieve(table, buffer, config, rng, encoder=coord_encoder) for _ in range(20)]
+        for config, rng in ((named, np.random.default_rng(34)), (members, np.random.default_rng(34)))
+    ]
+    assert np.array_equal(draws[0], draws[1])
+
+
+@pytest.mark.parametrize("field", ["metric", "buffer_policy"])
+@pytest.mark.parametrize("value", ["bogus", "LATEST", None, 1])
+def test_config_rejects_unknown_names(field, value):
+    with pytest.raises(ValueError, match=f"RetrievalConfig.{field} must be one of"):
+        RetrievalConfig(**{field: value})
