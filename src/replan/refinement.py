@@ -119,11 +119,12 @@ def refine_embedding(
         raise ValueError("refinement requires an identification-mode generator")
     if count is not None and count < 1:
         raise ValueError(f"count must be None or >= 1, got {count!r}")
+    n = 1 if count is None else count
     k = g.embeddings.shape[1]
     lr = config.learning_rate if config.learning_rate is not None else 0.1 * g.bandwidth
 
     starts: list[np.ndarray] = []
-    for _ in range(1 if count is None else count):
+    for _ in range(n):
         if config.init_mode in ("random", "combined"):
             if rng is None:
                 raise ValueError("random initialization needs an rng")
@@ -141,7 +142,7 @@ def refine_embedding(
     best_e, best, trace = _descend(evaluate, np.array(starts, dtype=np.float64), config.steps, lr)
 
     # Each result keeps the first of its own chains with the lowest loss.
-    per_result = len(starts) // (1 if count is None else count)
+    per_result = len(starts) // n
     chains = np.arange(0, len(starts), per_result)
     chains += best.reshape(-1, per_result).argmin(axis=1)
     results = tuple(
