@@ -106,6 +106,7 @@ from .retrieval import (
     BufferPolicy,
     DistanceMetric,
     EmbeddingTable,
+    InteractionBuffer,
     RetrievalConfig,
     build_table,
     default_tau,

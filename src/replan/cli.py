@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -54,7 +55,17 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(args.experiment)
-    result = run_experiment(config, progress=True)
+    # the per-cell progress lines go to stdout, as plain messages
+    handler = logging.StreamHandler(sys.stdout)
+    progress = logging.getLogger("replan.loop")
+    level = progress.level
+    progress.addHandler(handler)
+    progress.setLevel(logging.INFO)
+    try:
+        result = run_experiment(config)
+    finally:
+        progress.removeHandler(handler)
+        progress.setLevel(level)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_episodes_csv(result.rows, out / "episodes.csv", timing=args.timing)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import numbers
 import time
@@ -47,12 +48,15 @@ from .retrieval import (
     BufferPolicy,
     DistanceMetric,
     EmbeddingTable,
+    InteractionBuffer,
     RetrievalConfig,
     build_table,
     retrieve,
 )
 
 ALL_TASKS = tuple(kind.value for kind in EnvKind)
+
+logger = logging.getLogger(__name__)
 
 
 class Method(Enum):
@@ -162,7 +166,7 @@ def run_episode(
         raise ValueError("assets were built for a different task")
     first_frame = reset(env)
     plan_buffer = FailedPlanBuffer()
-    interactions: list[Video] = []
+    interactions = InteractionBuffer()
     gt_plan = assets.gt_plans[env.theta_value]
     retr_config = RetrievalConfig(
         metric=DistanceMetric.L2,
@@ -194,18 +198,17 @@ def run_episode(
             if outcome.success:
                 succeeded, replans = True, round_index
                 break
-            interactions.append(outcome.video)
+            interactions.push(outcome.video)
             continue
 
-        # Round 1 has no failed interaction yet, so conditioning is null.
+        # Until a plan has executed and failed there is no interaction to
+        # condition on (round 1, or rounds whose plans did not decode).
         t0 = time.perf_counter()
         embeddings: list[np.ndarray | None]
-        if round_index == 1 or not (method.uses_retrieval or method.uses_refinement):
+        if not interactions or not (method.uses_retrieval or method.uses_refinement):
             embeddings = [None] * n
         elif method.uses_retrieval:
-            embeddings = [
-                retrieve(assets.table, interactions, retr_config, rng) for _ in range(n)
-            ]
+            embeddings = list(retrieve(assets.table, interactions, retr_config, rng, count=n))
         else:
             refined = refine_embedding(
                 assets.identifier, interactions[-1], None, refine_config, rng, count=n
@@ -250,7 +253,7 @@ def run_episode(
             succeeded, replans = True, round_index
             break
         plan_buffer.push(plan)
-        interactions.append(outcome.video)
+        interactions.push(outcome.video)
 
     return EpisodeRecord(
         kind=env.kind,
@@ -441,10 +444,11 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     return build_assets(kind, dataset, pca_k=config.pca_k)
 
 
-def run_experiment(
-    config: ExperimentConfig, progress: bool = False
-) -> ExperimentResult:
-    """Run the full task x method x trial grid declared by ``config``."""
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run the full task x method x trial grid declared by ``config``.
+
+    Each finished task x method cell logs its mean replans at INFO level.
+    """
     rows: list[EpisodeRow] = []
     for task in config.tasks:
         assets = build_task_assets(config, task)
@@ -471,10 +475,8 @@ def run_experiment(
                         wall_ms=record.wall_ms,
                     )
                 )
-            if progress:
-                done = [r for r in rows if r.task == task and r.method == method_name]
-                mean = np.mean([r.replans for r in done])
-                print(f"{task:>12} {method_name:>15}: mean replans {mean:.3f}")
+            mean = np.mean([r.replans for r in rows[-config.trials:]])
+            logger.info("%12s %15s: mean replans %.3f", task, method_name, mean)
     return ExperimentResult(config=config, rows=rows, table=results_table(rows))
 
 

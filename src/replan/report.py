@@ -35,8 +35,26 @@ EPISODE_COLUMNS = (
 WALL_PHASES = ("retrieve", "generate", "reject", "act")
 
 
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def format_theta(theta: float | str) -> str:
-    return theta if isinstance(theta, str) else f"{theta:g}"
+    """The CSV text of a theta; ``read_episodes_csv`` reads it back as written.
+
+    A string theta the reader would turn into a float ("nan", "1e3"), or
+    one holding a carriage return, which the writer leaves unquoted and
+    the reader takes for a line end, raises ``ValueError``.
+    """
+    if not isinstance(theta, str):
+        return f"{theta:g}"
+    if "\r" in theta or _reads_as_float(theta):
+        raise ValueError(f"theta {theta!r} would not read back from an episode CSV as written")
+    return theta
 
 
 def _opt(value: float | None, fmt: str) -> str:
@@ -46,30 +64,28 @@ def _opt(value: float | None, fmt: str) -> str:
 def write_episodes_csv(
     rows: Iterable[EpisodeRow], path: str | Path, timing: bool = False
 ) -> None:
+    # every row is formatted before the file opens, so a bad theta writes nothing
+    records = [
+        [
+            row.task,
+            row.method,
+            row.trial,
+            row.seed,
+            format_theta(row.theta),
+            row.replans,
+            "true" if row.succeeded else "false",
+            _opt(row.mean_psnr, ".6f"),
+            _opt(row.mean_ssim, ".6f"),
+            *(format(row.wall_ms[phase], ".3f") if timing else "" for phase in WALL_PHASES),
+        ]
+        for row in rows
+    ]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EPISODE_COLUMNS)
-        for row in rows:
-            walls = [
-                format(row.wall_ms[phase], ".3f") if timing else ""
-                for phase in WALL_PHASES
-            ]
-            writer.writerow(
-                [
-                    row.task,
-                    row.method,
-                    row.trial,
-                    row.seed,
-                    format_theta(row.theta),
-                    row.replans,
-                    "true" if row.succeeded else "false",
-                    _opt(row.mean_psnr, ".6f"),
-                    _opt(row.mean_ssim, ".6f"),
-                    *walls,
-                ]
-            )
+        writer.writerows(records)
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeRow]:
@@ -81,10 +97,8 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRow]:
             raise ValueError(f"episode CSV missing columns: {sorted(missing)}")
         for rec in reader:
             theta: float | str = rec["theta"]
-            try:
+            if _reads_as_float(theta):
                 theta = float(theta)
-            except ValueError:
-                pass
             walls = {
                 phase: float(rec[f"wall_ms_{phase}"]) if rec[f"wall_ms_{phase}"] else 0.0
                 for phase in WALL_PHASES

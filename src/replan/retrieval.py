@@ -5,14 +5,16 @@ canonical state embedding per object (the first successful entry of that
 object in manifest order).  A query video is scored against every entry
 by negative distance; a softmax at temperature tau turns the scores into
 a categorical the retrieval samples from, returning the canonical
-embedding of the sampled entry's object.
+embedding of the sampled entry's object.  A round draws all of its
+samples from one softmax, and an episode's ``InteractionBuffer`` keeps
+each failed interaction's scores, so no interaction is scored twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -172,6 +174,54 @@ def _entry_logits(
     )
 
 
+class InteractionBuffer(Sequence[Video]):
+    """Episode-scoped failed interactions, each scored against the table once.
+
+    A video's per-entry logits (encode, project, negative distances) are
+    computed the first time a buffer policy reads it and kept after that,
+    so an episode scores every interaction at most once.  The kept logits
+    belong to the table, metric and encoder that computed them; a read
+    with any other one starts over.
+    """
+
+    def __init__(self, videos: Iterable[Video] = ()) -> None:
+        self.videos: list[Video] = list(videos)
+        self._scorer: tuple | None = None
+        self._logits: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.videos)
+
+    def __getitem__(self, index):
+        return self.videos[index]
+
+    def push(self, video: Video) -> "InteractionBuffer":
+        self.videos.append(video)
+        return self
+
+    def logits(
+        self,
+        table: EmbeddingTable,
+        metric: DistanceMetric,
+        policy: BufferPolicy,
+        encoder: Callable[[Video], np.ndarray] = encode_video,
+    ) -> list[np.ndarray]:
+        """Per-entry logits of every video ``policy`` reads, oldest first."""
+        if not self.videos:
+            raise ValueError("empty interaction buffer; use the null embedding instead")
+        scorer = (table, metric, encoder)
+        if self._scorer is None or any(a is not b for a, b in zip(scorer, self._scorer)):
+            self._scorer, self._logits = scorer, {}
+        read = range(len(self.videos))
+        if policy is BufferPolicy.LATEST:
+            read = read[-1:]
+        for i in read:
+            if i not in self._logits:
+                query = _query_embedding(table, self.videos[i], encoder)
+                self._logits[i] = _entry_logits(table, query, metric)
+        return [self._logits[i] for i in read]
+
+
 def retrieval_probabilities(
     table: EmbeddingTable,
     query: Video | Sequence[Video],
@@ -182,23 +232,15 @@ def retrieval_probabilities(
 
     ``query`` is one interaction video or a non-empty buffer of them; the
     buffer policy either keeps the latest video or averages logits over
-    the buffer before the softmax.
+    the buffer before the softmax.  An ``InteractionBuffer`` keeps each
+    video's logits across calls; any other query is scored afresh.
     """
     if len(table) == 0:
         raise ValueError("empty table")
-    if isinstance(query, Video):
-        videos = [query]
-    else:
-        videos = list(query)
-        if not videos:
-            raise ValueError("empty interaction buffer; use the null embedding instead")
-        if config.buffer_policy is BufferPolicy.LATEST:
-            videos = videos[-1:]
+    if not isinstance(query, InteractionBuffer):
+        query = InteractionBuffer([query] if isinstance(query, Video) else query)
     tau = config.tau if config.tau is not None else default_tau(table)
-    logits = np.mean(
-        [_entry_logits(table, _query_embedding(table, v, encoder), config.metric) for v in videos],
-        axis=0,
-    )
+    logits = np.mean(query.logits(table, config.metric, config.buffer_policy, encoder), axis=0)
     scaled = logits / tau
     scaled -= scaled.max()
     weights = np.exp(scaled)
@@ -211,11 +253,20 @@ def retrieve(
     config: RetrievalConfig,
     rng: np.random.Generator,
     encoder: Callable[[Video], np.ndarray] = encode_video,
+    count: int | None = None,
 ) -> np.ndarray:
-    """Sample an entry from the retrieval softmax; return its object's
-    canonical embedding."""
-    probs = retrieval_probabilities(table, query, config, encoder)
-    entry = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    entry = min(entry, len(probs) - 1)
-    return table.canonical[int(table.entry_object_index[entry])].copy()
+    """Sample entries from the retrieval softmax; return their objects'
+    canonical embeddings.
 
+    The probabilities are computed once.  ``count`` draws that many
+    entries from ``rng.random(count)``, the same uniforms as ``count``
+    single calls in turn, and returns a (count, k) array; None draws one
+    and returns its (k,) embedding.
+    """
+    if count is not None and count < 1:
+        raise ValueError(f"count must be None or >= 1, got {count!r}")
+    probs = retrieval_probabilities(table, query, config, encoder)
+    draws = rng.random(1 if count is None else count)
+    entries = np.searchsorted(np.cumsum(probs), draws, side="right")
+    picked = table.canonical[table.entry_object_index[np.minimum(entries, len(probs) - 1)]]
+    return picked[0] if count is None else picked

@@ -141,6 +141,24 @@ def test_run_timing_flag(tmp_path, capsys):
     assert any(sum(r.wall_ms.values()) > 0 for r in rows)
 
 
+def test_run_prints_cell_progress(tmp_path, capsys):
+    import logging
+
+    exp = experiment_json(tmp_path, trials=4)
+    run_cli("run", "--experiment", exp, "--out", tmp_path / "out")
+    lines = capsys.readouterr().out.splitlines()
+    rows = read_episodes_csv(tmp_path / "out" / "episodes.csv")
+    assert lines[:2] == [
+        f"{'openbox':>12} {method:>15}: mean replans "
+        f"{np.mean([r.replans for r in rows if r.method == method]):.3f}"
+        for method in ("random", "ours")
+    ]
+    assert lines[2].startswith("wrote ")
+    # the stdout handler is gone once the command returns
+    progress = logging.getLogger("replan.loop")
+    assert progress.handlers == [] and progress.level == logging.NOTSET
+
+
 def test_ablate_smoke(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exp = experiment_json(tmp_path, methods=["ours"], trials=4)

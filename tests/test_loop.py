@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from replan import (
     EnvInstance,
     EnvKind,
     ExperimentConfig,
+    InteractionBuffer,
     Method,
     RejectionMetric,
     RetrievalConfig,
@@ -29,6 +31,7 @@ from replan import (
     retrieval_probabilities,
     run_episode,
     run_experiment,
+    sample_hidden,
     trial_seed,
 )
 from replan.loop import CellStats, EpisodeRow
@@ -200,9 +203,9 @@ def test_episode_converts_config_enums(openbox_assets, monkeypatch):
     seen = {"buffer_policy": set(), "rejection_metric": set()}
     retrieve, select_plan = replan.loop.retrieve, replan.loop.select_plan
 
-    def recording_retrieve(table, query, config, rng):
+    def recording_retrieve(table, query, config, rng, **kwargs):
         seen["buffer_policy"].add(config.buffer_policy)
-        return retrieve(table, query, config, rng)
+        return retrieve(table, query, config, rng, **kwargs)
 
     def recording_select_plan(candidates, buffer, metric):
         seen["rejection_metric"].add(metric)
@@ -218,6 +221,86 @@ def test_episode_converts_config_enums(openbox_assets, monkeypatch):
         "buffer_policy": {BufferPolicy.AGGREGATE},
         "rejection_metric": {RejectionMetric.EMBEDDING},
     }
+
+
+@pytest.fixture(scope="module")
+def pushbar_assets():
+    return build_task_assets(ExperimentConfig(tasks=("pushbar",)), "pushbar")
+
+
+def ours_episodes(assets, config, seeds=range(12)):
+    """``ours`` episodes at hidden values drawn from each seed, as ``run_experiment`` draws them."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
+        yield run_episode(env, Method.OURS, assets, config, rng)
+
+
+@pytest.mark.parametrize("policy", ["latest", "aggregate"])
+def test_round_retrieves_once_from_the_episode_buffer(pushbar_assets, monkeypatch, policy):
+    import replan.loop
+
+    retrieve = replan.loop.retrieve
+    counts = []
+
+    def checking_retrieve(table, query, config, rng, count=None):
+        picked = retrieve(table, query, config, rng, count=count)
+        # the buffer's kept logits give exactly the probabilities of scoring afresh
+        assert isinstance(query, InteractionBuffer)
+        assert np.array_equal(
+            retrieval_probabilities(table, query, config),
+            retrieval_probabilities(table, list(query), config),
+        )
+        counts.append(count)
+        return picked
+
+    monkeypatch.setattr(replan.loop, "retrieve", checking_retrieve)
+    cfg = ExperimentConfig(n_candidates=5, rejection_metric="embedding", buffer_policy=policy)
+    records = list(ours_episodes(pushbar_assets, cfg))
+    assert counts == [5] * sum(len(rec.rounds) - 1 for rec in records) and counts
+
+
+@pytest.mark.parametrize("policy", ["latest", "aggregate"])
+def test_episode_projects_each_failure_once(pushbar_assets, monkeypatch, policy):
+    import replan.retrieval
+
+    pca_apply = replan.retrieval.pca_apply
+    calls = [0]
+
+    def counting_pca_apply(projection, embedding):
+        calls[0] += 1
+        return pca_apply(projection, embedding)
+
+    monkeypatch.setattr(replan.retrieval, "pca_apply", counting_pca_apply)
+    cfg = ExperimentConfig(n_candidates=5, rejection_metric="embedding", buffer_policy=policy)
+    total = 0
+    for rec in ours_episodes(pushbar_assets, cfg):
+        # every executed failure before the last round is read by a later round, once
+        read = sum(r.action is not None for r in rec.rounds[:-1])
+        assert calls[0] == read
+        total += read
+        calls[0] = 0
+    assert total > 12
+
+
+@pytest.mark.parametrize("method", [Method.OURS, Method.AVDC_RETRIEVAL, Method.OURS_REFINE])
+def test_undecodable_first_plan_keeps_null_conditioning(openbox_assets, monkeypatch, method):
+    # a plan that does not decode adds no interaction, so the next round has none to use
+    import replan.loop
+    from replan.actor import PlanDecodeError
+
+    decode, calls = replan.loop.plan_to_action, []
+
+    def first_fails(kind, plan):
+        calls.append(plan)
+        if len(calls) == 1:
+            raise PlanDecodeError("forced")
+        return decode(kind, plan)
+
+    monkeypatch.setattr(replan.loop, "plan_to_action", first_fails)
+    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    rec = run_episode(env, method, openbox_assets, ExperimentConfig(), np.random.default_rng(0))
+    assert rec.rounds[0].action is None and len(rec.rounds) >= 2
 
 
 def test_refining_round_builds_one_objective(monkeypatch):
@@ -282,6 +365,21 @@ def test_run_experiment_deterministic():
     assert {r.seed for r in a.rows} == {
         trial_seed(0, "openbox", m, i) for m in ("avdc", "ours") for i in range(25)
     }
+
+
+def test_experiment_logs_one_line_per_cell(caplog, capsys):
+    tasks, methods = ("openbox", "turnfaucet"), ("avdc", "ours")
+    cfg = ExperimentConfig(tasks=tasks, methods=methods, trials=3)
+    with caplog.at_level(logging.INFO, logger="replan.loop"):
+        result = run_experiment(cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{task:>12} {method:>15}: mean replans {result.table.cell(method, task).mean:.3f}"
+        for task in tasks
+        for method in methods
+    ]
+    assert {r.name for r in caplog.records} == {"replan.loop"}
+    # nothing reaches stdout unless a caller installs a handler
+    assert capsys.readouterr().out == ""
 
 
 def test_experiment_theta_paired_across_methods(openbox_run):

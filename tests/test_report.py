@@ -1,6 +1,7 @@
 """CSV round-trips, the summary format, and the SVG chart."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -44,6 +45,16 @@ def test_format_theta():
     assert format_theta(0.0) == "0"
 
 
+@pytest.mark.parametrize("theta", ["nan", "1e3", " 1", "inf", "1_0", "a\rb", "\r\n"])
+def test_unreadable_theta_is_rejected(tmp_path, theta):
+    # a string that reads back as a float, or a bare carriage return, would not round-trip
+    row = EpisodeRow("openbox", "avdc", 0, 1, theta, 1, True, None, None, {})
+    path = tmp_path / "episodes.csv"
+    with pytest.raises(ValueError, match=re.escape(repr(theta))):
+        write_episodes_csv([*sample_rows(), row], path)
+    assert not path.exists()
+
+
 def test_episode_csv_roundtrip(tmp_path):
     path = tmp_path / "episodes.csv"
     write_episodes_csv(sample_rows(), path)
@@ -84,13 +95,8 @@ episode_rows = st.lists(
         method=st.sampled_from(ALL_METHODS),
         trial=st.integers(0, 10**6),
         seed=st.integers(0, 2**63),
-        # a theta is a hidden value or a mode name.  A name that reads as a number
-        # comes back as one, and the csv writer leaves a bare carriage return
-        # unquoted, so names are printable and not numeric
-        theta=st.floats()
-        | st.text(st.characters(blacklist_categories=("Cc", "Cs"))).filter(
-            lambda t: not _parses_as_float(t)
-        ),
+        # a theta is a hidden value or a mode name; any text may be offered as a name
+        theta=st.floats() | st.text() | st.sampled_from(["nan", "1e3", "a\rb", "a\nb", '"']),
         replans=st.integers(1, 100),
         succeeded=st.booleans(),
         mean_psnr=optional_metric,
@@ -113,8 +119,17 @@ episode_rows = st.lists(
     timing=True,
 )
 def test_episode_csv_roundtrip_property(rows, timing):
+    # a row either round-trips or is refused at write time, naming its theta
     with tempfile.TemporaryDirectory() as tmp:
         path, again = Path(tmp, "episodes.csv"), Path(tmp, "again.csv")
+        unreadable = [
+            r.theta for r in rows
+            if isinstance(r.theta, str) and ("\r" in r.theta or _parses_as_float(r.theta))
+        ]
+        if unreadable:
+            with pytest.raises(ValueError, match=re.escape(repr(unreadable[0]))):
+                write_episodes_csv(rows, path, timing=timing)
+            return
         write_episodes_csv(rows, path, timing=timing)
         back = read_episodes_csv(path)
         # the written file is a fixed point: what is read back writes the same bytes

@@ -8,6 +8,7 @@ import pytest
 from replan import (
     BufferPolicy,
     DistanceMetric,
+    InteractionBuffer,
     RetrievalConfig,
     Video,
     build_table,
@@ -224,3 +225,97 @@ def test_config_takes_enum_names(metric, policy):
 def test_config_rejects_unknown_names(field, value):
     with pytest.raises(ValueError, match=f"RetrievalConfig.{field} must be one of"):
         RetrievalConfig(**{field: value})
+
+
+ROUND_POINTS = [(1, 0), (5, 1), (2, 3), (4, 4), (0, 2)]
+ROUND_QUERIES = [coord_video(x, y) for x, y in [(1, 1), (6, 2), (3, 3), (0, 5)]]
+
+
+@pytest.mark.parametrize("policy", list(BufferPolicy))
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_round_draws_match_single_calls(metric, policy):
+    # one softmax per round, then the same draws n separate calls would make
+    table = make_table(ROUND_POINTS)
+    config = RetrievalConfig(metric=metric, tau=0.5, buffer_policy=policy)
+    for query in (ROUND_QUERIES, InteractionBuffer(ROUND_QUERIES), ROUND_QUERIES[0]):
+        for count in (1, 2, 7):
+            rng_round, rng_single = np.random.default_rng(35), np.random.default_rng(35)
+            picked = retrieve(table, query, config, rng_round, encoder=coord_encoder, count=count)
+            singles = [
+                retrieve(table, query, config, rng_single, encoder=coord_encoder)
+                for _ in range(count)
+            ]
+            assert picked.shape == (count, 2)
+            assert np.array_equal(picked, np.array(singles))
+            assert rng_round.bit_generator.state == rng_single.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_retrieve_rejects_bad_count(count):
+    table = make_table([(1, 0), (2, 0)])
+    with pytest.raises(ValueError, match="count must be None or >= 1"):
+        retrieve(table, coord_video(0, 0), RetrievalConfig(), np.random.default_rng(0),
+                 encoder=coord_encoder, count=count)
+
+
+@pytest.mark.parametrize("policy", list(BufferPolicy))
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_buffer_matches_fresh_scoring(metric, policy):
+    # an episode buffer grows one failure a round; its kept logits must give
+    # exactly the probabilities of scoring the whole list afresh
+    table = make_table(ROUND_POINTS)
+    config = RetrievalConfig(metric=metric, tau=0.5, buffer_policy=policy)
+    scored = []
+
+    def counting_encoder(video):
+        scored.append(video)
+        return coord_encoder(video)
+
+    buffer = InteractionBuffer()
+    for n, video in enumerate(ROUND_QUERIES, start=1):
+        buffer.push(video)
+        for _ in range(2):
+            p_buffer = retrieval_probabilities(table, buffer, config, encoder=counting_encoder)
+            p_list = retrieval_probabilities(table, ROUND_QUERIES[:n], config, encoder=coord_encoder)
+            assert np.array_equal(p_buffer, p_list)
+    assert len(buffer) == len(ROUND_QUERIES) and list(buffer) == ROUND_QUERIES
+    # every video is scored once; latest scores each as it arrives, which is all of them here
+    assert scored == ROUND_QUERIES
+
+
+def test_buffer_scores_only_what_the_policy_reads():
+    table = make_table(ROUND_POINTS)
+    scored = []
+
+    def counting_encoder(video):
+        scored.append(video)
+        return coord_encoder(video)
+
+    buffer = InteractionBuffer(ROUND_QUERIES)
+    latest = RetrievalConfig(tau=0.5)
+    retrieval_probabilities(table, buffer, latest, encoder=counting_encoder)
+    assert scored == ROUND_QUERIES[-1:]
+    aggregate = RetrievalConfig(tau=0.5, buffer_policy=BufferPolicy.AGGREGATE)
+    retrieval_probabilities(table, buffer, aggregate, encoder=counting_encoder)
+    assert scored == ROUND_QUERIES[-1:] + ROUND_QUERIES[:-1]
+
+
+def test_buffer_rescores_for_another_scorer():
+    # kept logits belong to one table, metric and encoder
+    table, other = make_table(ROUND_POINTS), make_table([(9, 9), (1, 3)])
+    buffer = InteractionBuffer(ROUND_QUERIES)
+    for t in (table, other, table):
+        for metric in DistanceMetric:
+            config = RetrievalConfig(metric=metric, tau=0.5, buffer_policy=BufferPolicy.AGGREGATE)
+            assert np.array_equal(
+                retrieval_probabilities(t, buffer, config, encoder=coord_encoder),
+                retrieval_probabilities(t, ROUND_QUERIES, config, encoder=coord_encoder),
+            )
+    halved = retrieval_probabilities(table, buffer, RetrievalConfig(tau=0.5),
+                                     encoder=lambda v: coord_encoder(v) / 2)
+    assert np.array_equal(halved, retrieval_probabilities(
+        table, ROUND_QUERIES, RetrievalConfig(tau=0.5), encoder=lambda v: coord_encoder(v) / 2
+    ))
+    with pytest.raises(ValueError, match="empty interaction buffer"):
+        retrieval_probabilities(table, InteractionBuffer(), RetrievalConfig(tau=0.5),
+                                encoder=coord_encoder)
