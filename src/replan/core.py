@@ -224,9 +224,6 @@ class ExperienceDataset:
             if not any(self.tuples[i].success for i in idxs):
                 raise ValueError(f"object {object_id!r} has no successful tuple")
 
-    def successes(self) -> tuple[ExperienceTuple, ...]:
-        return tuple(t for t in self.tuples if t.success)
-
 
 def save_dataset(
     out_dir: str | Path,

@@ -290,7 +290,7 @@ class ExperimentConfig:
     max_replans: int = 14
     n_candidates: int = 2
     tau: float | None = None
-    noise_std: float = 0.0
+    noise_std: float = 0.0  # must be 0: nothing perturbs the first frame
     rejection_metric: str = "raw_pixel"
     dataset_fraction: float = 1.0
     master_seed: int = 0
@@ -324,7 +324,7 @@ class ExperimentConfig:
             require(name, ok and (value is None or value >= low), f"an integer >= {low}")
         tau, fraction = self.tau, self.dataset_fraction
         require("tau", tau is None or _is_number(tau) and tau > 0, "None or a number > 0")
-        require("noise_std", _is_number(self.noise_std) and self.noise_std >= 0, "a number >= 0")
+        require("noise_std", _is_number(self.noise_std) and self.noise_std == 0, "0")
         require("dataset_fraction", _is_number(fraction) and 0 < fraction <= 1, "in (0, 1]")
         require("data_root", self.data_root is None or isinstance(self.data_root, str),
                 "None or a path string")

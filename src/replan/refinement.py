@@ -1,11 +1,9 @@
 """Optimization-based embedding refinement against an observed interaction.
 
 Minimizes L(e) = video_mse(observed, id_generate(g, observed[0], e)) by
-plain gradient descent.  The default objective returns its closed-form
-gradient with each loss; a custom ``objective=`` returns losses only and
-is differentiated by central finite differences, so any batched loss over
-embeddings can be refined.  All starts descend together as one batch,
-with one objective evaluation per step.  The best iterate seen (including
+plain gradient descent on ``mse_objective``, which returns the closed-form
+gradient with each loss.  All starts descend together as one batch, with
+one objective evaluation per step.  The best iterate seen (including
 the initial point) is returned, which guarantees the result never scores
 worse than its initialization.
 """
@@ -28,9 +26,7 @@ Evaluate = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 class RefineConfig:
     init_mode: str = "random"       # random | retrieval | combined
     steps: int = 200
-    learning_rate: float | None = None  # None -> 0.1 * bandwidth
-    fd_epsilon: float | None = None     # custom objectives only; None -> 1e-3 * bandwidth
-    restarts: int = 3                   # random inits (random/combined modes)
+    restarts: int = 3               # random inits (random/combined modes)
 
     def __post_init__(self) -> None:
         if self.init_mode not in ("random", "retrieval", "combined"):
@@ -46,32 +42,6 @@ class RefineResult:
     embedding: np.ndarray
     loss: float
     trace: tuple[float, ...]  # best-so-far loss per step; non-increasing
-
-
-def _probe_matrix(e: np.ndarray, eps: float) -> np.ndarray:
-    """Central-difference stencil of each row of ``e``, 2k + 1 rows apiece.
-
-    Rows 2i and 2i + 1 of a block move coordinate i by +eps and -eps; the
-    last row is the point itself.
-    """
-    k = e.shape[-1]
-    offsets = np.zeros((2 * k + 1, k))
-    axes = np.arange(k)
-    offsets[2 * axes, axes] = eps
-    offsets[2 * axes + 1, axes] = -eps
-    return (e[..., None, :] + offsets).reshape(-1, k)
-
-
-def _central_differences(objective: Callable[[np.ndarray], np.ndarray], eps: float) -> Evaluate:
-    """Losses and gradients of a loss-only objective from one stencil call."""
-
-    def evaluate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m, k = batch.shape
-        values = np.asarray(objective(_probe_matrix(batch, eps))).reshape(m, 2 * k + 1)
-        grads = (values[:, 0 : 2 * k : 2] - values[:, 1 : 2 * k : 2]) / (2.0 * eps)
-        return values[:, 2 * k], grads
-
-    return evaluate
 
 
 def _descend(
@@ -99,17 +69,14 @@ def refine_embedding(
     init: np.ndarray | None,
     config: RefineConfig = RefineConfig(),
     rng: np.random.Generator | None = None,
-    objective: Callable[[np.ndarray], np.ndarray] | None = None,
     count: int | None = None,
 ) -> RefineResult | tuple[RefineResult, ...]:
     """Refine a state embedding to explain an observed interaction video.
 
     init_mode "random" starts from ``restarts`` unit-variance Gaussian
     draws; "retrieval" starts from ``init`` only; "combined" runs both and
-    keeps the best.  The generator is left untouched.  ``objective`` may
-    supply a custom batched loss, refined by central differences with step
-    ``fd_epsilon``; by default the generator's exact objective and its
-    closed-form gradient are used.
+    keeps the best.  Every start descends with step 0.1 * bandwidth.  The
+    generator is left untouched.
 
     ``count`` refines that many embeddings against the same observation,
     each from its own starts drawn in turn, in one batched descent, and
@@ -121,7 +88,7 @@ def refine_embedding(
         raise ValueError(f"count must be None or >= 1, got {count!r}")
     n = 1 if count is None else count
     k = g.embeddings.shape[1]
-    lr = config.learning_rate if config.learning_rate is not None else 0.1 * g.bandwidth
+    lr = 0.1 * g.bandwidth
 
     starts: list[np.ndarray] = []
     for _ in range(n):
@@ -134,11 +101,7 @@ def refine_embedding(
                 raise ValueError("retrieval initialization needs an init embedding")
             starts.append(np.asarray(init, dtype=np.float64))
 
-    if objective is None:
-        evaluate = mse_objective(g, observed)
-    else:
-        eps = config.fd_epsilon if config.fd_epsilon is not None else 1e-3 * g.bandwidth
-        evaluate = _central_differences(objective, eps)
+    evaluate = mse_objective(g, observed)
     best_e, best, trace = _descend(evaluate, np.array(starts, dtype=np.float64), config.steps, lr)
 
     # Each result keeps the first of its own chains with the lowest loss.

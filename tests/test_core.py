@@ -276,7 +276,7 @@ def _toy_tuples():
 def test_dataset_index_and_validate():
     ds = ExperienceDataset(_toy_tuples())
     assert ds.by_object == {"task/a": (0, 1), "task/b": (2, 3)}
-    assert len(ds.successes()) == 2
+    assert sum(t.success for t in ds.tuples) == 2
     ds.validate()
 
     no_success = ExperienceDataset(tuple(

@@ -113,7 +113,7 @@ def test_two_mode_analytic_constants(openbox_assets):
     g = openbox_assets.planner
     assert len(g) == 2
     e_lift = openbox_assets.table.canonical_for("openbox/lift")
-    w = _normalized_weights(_log_weights(g, np.arange(2), e_lift))
+    w = _normalized_weights(_log_weights(g, e_lift))
     cc = 1.0 / (1.0 + math.exp(-0.5))
     assert cc == pytest.approx(0.6224593312018546, rel=1e-15)
     assert max(w) == pytest.approx(cc, rel=1e-9)
@@ -342,6 +342,29 @@ def test_refining_round_builds_one_objective(monkeypatch):
     assert len(builds) == refining_rounds
 
 
+def test_support_matrices_are_built_for_refinement_only():
+    # every task builds an identifier, but only ours_refine reads its pixels and Gram
+    from replan import mse_objective
+
+    assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
+    g, cfg = assets.identifier, ExperimentConfig(tasks=("slidebrick",))
+    env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.4)
+    for seed in range(3):
+        run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))
+    assert "pixels" not in g.__dict__ and "gram" not in g.__dict__
+
+    records = [
+        run_episode(env, Method.OURS_REFINE, assets, cfg, np.random.default_rng(seed))
+        for seed in range(3)
+    ]
+    assert any(len(rec.rounds) > 1 for rec in records)
+    gram = g.__dict__["gram"]
+    first, second = [t.video for t in assets.dataset.tuples if not t.success][:2]
+    mse_objective(g, first)
+    mse_objective(g, second)
+    assert g.gram is gram
+
+
 def test_assets_task_mismatch(openbox_assets):
     env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
     with pytest.raises(ValueError):
@@ -470,7 +493,7 @@ valid_configs = st.builds(
     max_replans=st.integers(min_value=1),
     n_candidates=st.integers(min_value=1),
     tau=st.none() | finite_floats(min_value=0, exclude_min=True),
-    noise_std=finite_floats(min_value=0),
+    noise_std=st.just(0.0),
     rejection_metric=st.sampled_from([m.value for m in RejectionMetric]),
     dataset_fraction=finite_floats(min_value=0, max_value=1, exclude_min=True),
     master_seed=st.integers(min_value=0),
@@ -509,6 +532,7 @@ def test_config_json_roundtrip(cfg):
         ("tau", "auto"),
         ("noise_std", -0.1),
         ("noise_std", float("nan")),
+        ("noise_std", 0.1),
         ("rejection_metric", "cosine"),
         ("dataset_fraction", 0.0),
         ("dataset_fraction", 1.5),

@@ -20,7 +20,7 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
-from replan.refinement import _central_differences, _probe_matrix
+from replan.refinement import _descend
 from replan.retrieval import build_table
 
 
@@ -117,47 +117,6 @@ def test_descent_reduces_loss(identifier, observed):
     assert result.loss < result.trace[0] * 0.8
 
 
-def test_fd_gradient_against_denser_stencil(identifier, observed):
-    objective = mse_objective(identifier, observed)
-
-    def loss_only(batch):
-        return objective(batch)[0]
-
-    e = np.array([0.3, -0.2])
-    eps = 1e-3 * identifier.bandwidth
-    # the stencil of a batch is the stencil of each row in turn; the centre row is last
-    batch = np.stack([e, -e])
-    assert np.array_equal(_probe_matrix(batch, eps), np.vstack([_probe_matrix(r, eps) for r in batch]))
-    assert np.array_equal(_probe_matrix(e, eps)[2 * e.size], e)
-    # the central-difference gradient exactly as a custom objective gets it
-    losses, grads = _central_differences(loss_only, eps)(e[None, :])
-    assert losses[0] == pytest.approx(loss_only(e)[0], rel=1e-12)
-    grad = grads[0]
-
-    # five-point stencil as an independent higher-order reference
-    dense = five_point_gradient(lambda x: loss_only(x)[0], e, eps)
-    assert np.linalg.norm(grad - dense) <= 0.05 * max(np.linalg.norm(dense), 1e-12)
-
-
-def test_custom_objective_is_honored(identifier, observed):
-    # quadratic bowl with a known minimum; descent should walk toward it
-    target = np.array([1.5, -2.0])
-
-    def bowl(batch):
-        b = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        return ((b - target) ** 2).sum(axis=1)
-
-    result = refine_embedding(
-        identifier,
-        observed,
-        np.zeros(2),
-        RefineConfig(init_mode="retrieval", steps=400, learning_rate=0.05, fd_epsilon=1e-4),
-        objective=bowl,
-    )
-    assert np.allclose(result.embedding, target, atol=1e-2)
-    assert result.loss < 1e-3
-
-
 def test_refinement_leaves_generator_alone(identifier, observed):
     before = identifier.embeddings.copy()
     refine_embedding(identifier, observed, None, RefineConfig(steps=10), np.random.default_rng(64))
@@ -220,17 +179,32 @@ def test_gradient_matches_naive_central_differences(case, examples, identifier, 
     check()
 
 
+def central_differences(objective, eps):
+    """Losses and central-difference gradients from the objective's losses alone."""
+
+    def evaluate(batch):
+        m, k = batch.shape
+        steps = eps * np.eye(k)
+        probes = np.concatenate(
+            [batch[:, None, :] + steps, batch[:, None, :] - steps, batch[:, None, :]], axis=1
+        )
+        values = objective(probes.reshape(-1, k))[0].reshape(m, 2 * k + 1)
+        return values[:, 2 * k], (values[:, :k] - values[:, k : 2 * k]) / (2.0 * eps)
+
+    return evaluate
+
+
 def test_closed_form_descent_matches_central_differences(pushbar):
     g, video = pushbar
-    objective = mse_objective(g, video)
     config = RefineConfig(steps=80, restarts=2)
     exact = refine_embedding(g, video, None, config, np.random.default_rng(65))
-    stencil = refine_embedding(
-        g, video, None, config, np.random.default_rng(65), objective=lambda b: objective(b)[0]
-    )
+    # the same starts, descended with the same step on a stencil of the losses only
+    starts = np.random.default_rng(65).normal(0.0, 1.0, size=(config.restarts, g.embeddings.shape[1]))
+    evaluate = central_differences(mse_objective(g, video), 1e-3 * g.bandwidth)
+    best_e, best, _ = _descend(evaluate, starts, config.steps, 0.1 * g.bandwidth)
     assert isinstance(exact, RefineResult)
-    assert np.abs(exact.embedding - stencil.embedding).max() <= 1e-6
-    assert exact.loss == pytest.approx(stencil.loss, rel=1e-9)
+    assert np.abs(exact.embedding - best_e[best.argmin()]).max() <= 1e-6
+    assert exact.loss == pytest.approx(best.min(), rel=1e-9)
 
 
 @pytest.mark.parametrize("init_mode", ["random", "combined"])

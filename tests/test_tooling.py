@@ -1,21 +1,22 @@
 """Guards on the tooling that reaches into the library by name."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-layers = load_layers()
+layers = load_perfbench("layers")
 
 
 @pytest.mark.parametrize(
@@ -48,3 +49,13 @@ def test_tracer_records_one_retrieval_per_round(monkeypatch):
     assert rounds > 0
     assert summary["retrieval.retrieve"]["calls"] == rounds
     assert summary["retrieval.retrieval_probabilities"]["calls"] == rounds
+
+
+def test_microbenchmarks_run():
+    # the benchmark's traced run builds the loop's configs by keyword; a src/ change
+    # that breaks one would otherwise surface only outside this suite
+    from replan import ExperimentConfig
+
+    workloads = load_perfbench("workloads")
+    micro = layers.microbenchmarks(ExperimentConfig.from_dict(workloads.payload("refine", 0)), 0)
+    assert micro and all(math.isfinite(value) for value in micro.values())
