@@ -9,9 +9,11 @@ from .envs import (
     EnvAction,
     EnvInstance,
     EnvKind,
+    HiddenParam,
     execute,
     hidden_values,
     object_id,
+    rollout_success,
     scripted_action,
 )
 
@@ -26,11 +28,9 @@ def candidate_actions(kind: EnvKind) -> list[EnvAction]:
 
 
 def failing_actions(kind: EnvKind, theta: Theta) -> list[EnvAction]:
-    """Hypothesis-set actions that fail under ``theta``, in table order."""
-    env = EnvInstance.create(kind, theta)
-    return [
-        action for action in candidate_actions(kind) if not execute(env, action).success
-    ]
+    """Hypothesis-set actions ``rollout_success`` rejects under ``theta``, in table order."""
+    theta = HiddenParam(kind, theta).value
+    return [a for a in candidate_actions(kind) if not rollout_success(kind, theta, a.value)]
 
 
 def build_dataset(
@@ -69,10 +69,7 @@ def build_dataset(
             if j % len(pool) == 0:
                 order = rng.permutation(len(pool))
             action = pool[int(order[j % len(pool)])]
-            outcome = execute(env, action)
-            if outcome.success:
-                raise AssertionError(f"failing action succeeded for {oid}")
-            tuples.append(ExperienceTuple(outcome.video, oid, False))
+            tuples.append(ExperienceTuple(execute(env, action).video, oid, False))
             thetas.append(theta)
     dataset = ExperienceDataset(tuple(tuples))
     dataset.validate()

@@ -47,8 +47,7 @@ class PcaProjection:
     components: np.ndarray    # (k, d)
     k: int
     degenerate: bool = False
-    rescale_variance: bool = False
-    scales: np.ndarray | None = None  # (k,) divisors when rescale_variance
+    scales: np.ndarray | None = None  # (k,) divisors from rescale_variance=True
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -95,7 +94,6 @@ def pca_fit(embeddings: np.ndarray, k: int, rescale_variance: bool = False) -> P
         components=components,
         k=k,
         degenerate=degenerate,
-        rescale_variance=rescale_variance,
         scales=scales,
     )
 
@@ -108,7 +106,7 @@ def pca_apply(projection: PcaProjection, embedding: np.ndarray) -> np.ndarray:
             f"embedding dim {e.shape[-1]} does not match projection dim {projection.mean.shape[0]}"
         )
     out = (e - projection.mean) @ projection.components.T
-    if projection.rescale_variance and projection.scales is not None:
+    if projection.scales is not None:
         out = out / projection.scales
     return out
 

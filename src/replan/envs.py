@@ -5,6 +5,8 @@ tasks whose bars deflect when contacted off-center, a brick slid up a
 slope with unknown friction, a box whose opening mode is hidden, and a
 faucet whose turn direction is hidden.  The hidden parameter never
 appears in the reset observation; it only shapes execution outcomes.
+Success comes from the physics rule in ``rollout_success``; a rollout's
+frames only draw the outcome that rule decides.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ BAR_START_ROW = 24.0
 BAR_TARGET_ROW = 5.0
 BAR_ACTION_RANGE = (-0.2, 0.2)
 DEFLECTION_GAIN = 5.0          # rad per metre of contact offset error
-BAR_SUCCESS_ANGLE = 0.15       # rad; equals a 0.03 m offset tolerance
-BAR_SUCCESS_OFFSET = 0.03
+BAR_SUCCESS_OFFSET = 0.03      # m; a 0.15 rad deflection
 CONTACT_FRAME = 2
 
 # Brick geometry and friction model.
@@ -226,14 +227,9 @@ def _ri(x: float) -> int:
 
 
 def _paint_block(canvas: np.ndarray, row: float, col: float, half: int, shade: float) -> None:
-    # Binary block on rounded pixel centres, clipped to the canvas.
+    # Binary block on rounded pixel centres.
     r, c = _ri(row), _ri(col)
-    r0, r1 = max(r - half, 0), min(r + half, IMAGE_SIZE - 1)
-    c0, c1 = max(c - half, 0), min(c + half, IMAGE_SIZE - 1)
-    if r0 > r1 or c0 > c1:
-        return
-    region = canvas[r0 : r1 + 1, c0 : c1 + 1]
-    np.maximum(region, shade, out=region)
+    _paint_rect(canvas, r - half, r + half, c - half, c + half, shade)
 
 
 def _paint_rect(canvas: np.ndarray, r0: int, r1: int, c0: int, c1: int, shade: float) -> None:
@@ -339,9 +335,18 @@ def reset(env: EnvInstance) -> np.ndarray:
 # Rollouts
 
 
-def _bar_frames(kind: EnvKind, theta: float, offset: float) -> tuple[list[np.ndarray], bool]:
+def rollout_success(kind: EnvKind, theta: float | str, value: float | str) -> bool:
+    """The success rule: bar contact within 0.03 m of theta, brick stop in band, or mode match."""
+    if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
+        return abs(float(value) - float(theta)) <= BAR_SUCCESS_OFFSET + _EPS
+    if kind is EnvKind.SLIDE_BRICK:
+        lo, hi = BRICK_STOP_BAND
+        return (lo - _EPS) <= brick_stop_position(float(value), float(theta)) <= (hi + _EPS)
+    return value == theta
+
+
+def _bar_states(kind: EnvKind, theta: float, offset: float) -> list[SceneState]:
     phi = bar_deflection(offset, theta)
-    success = abs(offset - theta) <= BAR_SUCCESS_OFFSET + _EPS
     draw_angle = 1.2 * math.tanh(phi / 1.2)
     reach = 1.0 / (1.0 + abs(phi))
     final_row = BAR_START_ROW + (BAR_TARGET_ROW - BAR_START_ROW) * reach
@@ -349,101 +354,75 @@ def _bar_frames(kind: EnvKind, theta: float, offset: float) -> tuple[list[np.nda
     offset_px = PX_PER_M * offset
     grip_side = 3.0 if kind is EnvKind.PUSH_BAR else -3.0
 
-    frames = [render(kind, _rest_state(kind))]
     if kind is EnvKind.PUSH_BAR:
         approach = [(28.0, contact_col), (27.0, contact_col)]
     else:
         approach = [(12.0, contact_col), (21.0, contact_col)]
-    for grip in approach:
-        frames.append(
-            render(kind, SceneState(gripper=grip, bar=(BAR_START_ROW, CENTER_COL, 0.0)))
-        )
+    states = [SceneState(gripper=grip, bar=(BAR_START_ROW, CENTER_COL, 0.0)) for grip in approach]
     for t in range(3, ROLLOUT_FRAMES):
         u = (t - 2) / 5.0
         row = BAR_START_ROW + (final_row - BAR_START_ROW) * u
         angle = draw_angle * u
         contact_r = row - offset_px * math.sin(angle)
         contact_c = CENTER_COL + offset_px * math.cos(angle)
-        frames.append(
-            render(
-                kind,
-                SceneState(gripper=(contact_r + grip_side, contact_c), bar=(row, CENTER_COL, angle)),
-            )
+        states.append(
+            SceneState(gripper=(contact_r + grip_side, contact_c), bar=(row, CENTER_COL, angle))
         )
-    return frames, success
+    return states
 
 
-def _brick_frames(theta: float, push_height: float) -> tuple[list[np.ndarray], bool]:
-    kind = EnvKind.SLIDE_BRICK
+def _brick_states(theta: float, push_height: float) -> list[SceneState]:
     s = brick_stop_position(push_height, theta)
-    lo, hi = BRICK_STOP_BAND
-    success = (lo - _EPS) <= s <= (hi + _EPS)
-    frames = [render(kind, _rest_state(kind))]
+    states = []
     for step in (1, 2, 3):
         grow = RISE_BASE_ROW - RISE_SCALE_PX * push_height * (step / 3.0)
-        frames.append(
-            render(kind, SceneState(gripper=(grow, RISE_COL), brick=(grow - 3.0, RISE_COL)))
-        )
+        states.append(SceneState(gripper=(grow, RISE_COL), brick=(grow - 3.0, RISE_COL)))
     for t in range(4, ROLLOUT_FRAMES):
         v = (t - 3) / 4.0
         col = TRACK_BASE_COL + TRACK_SCALE_PX * s * v
-        frames.append(
-            render(kind, SceneState(gripper=(RISE_BASE_ROW, RISE_COL), brick=(TRACK_ROW, col)))
-        )
-    return frames, success
+        states.append(SceneState(gripper=(RISE_BASE_ROW, RISE_COL), brick=(TRACK_ROW, col)))
+    return states
 
 
-def _box_frames(theta: str, mode: str) -> tuple[list[np.ndarray], bool]:
-    kind = EnvKind.OPEN_BOX
-    success = mode == theta
-    frames = [render(kind, _rest_state(kind))]
-    for grow in (6.0, 10.0):
-        frames.append(render(kind, SceneState(gripper=(grow, 16.0), lid_offset=(0.0, 0.0))))
+def _box_states(mode: str, success: bool) -> list[SceneState]:
+    states = [SceneState(gripper=(grow, 16.0), lid_offset=(0.0, 0.0)) for grow in (6.0, 10.0)]
     for t in range(3, ROLLOUT_FRAMES):
         u = (t - 2) / 5.0
         if mode == "lift":
             lid = (-LID_LIFT_PX * u, 0.0) if success else (-STUCK_PX, 0.0)
         else:
             lid = (0.0, LID_SLIDE_PX * u) if success else (0.0, STUCK_PX)
-        frames.append(
-            render(kind, SceneState(gripper=(10.0 + lid[0], 16.0 + lid[1]), lid_offset=lid))
-        )
-    return frames, success
+        states.append(SceneState(gripper=(10.0 + lid[0], 16.0 + lid[1]), lid_offset=lid))
+    return states
 
 
-def _faucet_frames(theta: str, mode: str) -> tuple[list[np.ndarray], bool]:
-    kind = EnvKind.TURN_FAUCET
-    success = mode == theta
-    frames = [render(kind, _rest_state(kind))]
-    for grow in (7.0, 12.0):
-        frames.append(render(kind, SceneState(gripper=(grow, 24.0), handle_offset=(0.0, 0.0))))
+def _faucet_states(mode: str, success: bool) -> list[SceneState]:
+    states = [SceneState(gripper=(grow, 24.0), handle_offset=(0.0, 0.0)) for grow in (7.0, 12.0)]
     for t in range(3, ROLLOUT_FRAMES):
         u = (t - 2) / 5.0
         if mode == "cw":
             handle = (HANDLE_CW_PX * u, 0.0) if success else (STUCK_PX, 0.0)
         else:
             handle = (0.0, -HANDLE_CCW_PX * u) if success else (0.0, -STUCK_PX)
-        frames.append(
-            render(
-                kind,
-                SceneState(
-                    gripper=(12.0 + handle[0], 24.0 + handle[1]), handle_offset=handle
-                ),
-            )
+        states.append(
+            SceneState(gripper=(12.0 + handle[0], 24.0 + handle[1]), handle_offset=handle)
         )
-    return frames, success
+    return states
 
 
+# Kept: 23-51% of executes inside perfbench episodes hit it, sparing those rounds 8 renders.
 @lru_cache(maxsize=None)
 def _execute_cached(kind: EnvKind, theta: float | str, value: float | str) -> ExecutionOutcome:
+    success = rollout_success(kind, theta, value)
     if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
-        frames, success = _bar_frames(kind, float(theta), float(value))
+        states = _bar_states(kind, float(theta), float(value))
     elif kind is EnvKind.SLIDE_BRICK:
-        frames, success = _brick_frames(float(theta), float(value))
+        states = _brick_states(float(theta), float(value))
     elif kind is EnvKind.OPEN_BOX:
-        frames, success = _box_frames(str(theta), str(value))
+        states = _box_states(str(value), success)
     else:
-        frames, success = _faucet_frames(str(theta), str(value))
+        states = _faucet_states(str(value), success)
+    frames = [render(kind, state) for state in (_rest_state(kind), *states)]
     return ExecutionOutcome(video=Video(np.stack(frames)), success=success)
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ExperienceDataset, Video, video_mse
-from .retrieval import EmbeddingTable
+from .retrieval import EmbeddingTable, softmax
 
 
 class GeneratorMode(Enum):
@@ -32,7 +32,6 @@ class GeneratorMode(Enum):
 class GenerationConfig:
     n_candidates: int = 2
     noise_std: float = 0.0     # must be 0: nothing perturbs the first frame
-    horizon: int = 7           # future frames; plans carry horizon + 1 frames
 
     def __post_init__(self) -> None:
         if self.n_candidates < 1:
@@ -105,12 +104,6 @@ def _log_weights(g: KernelGenerator, e: np.ndarray | None) -> np.ndarray:
     return -sq / (2.0 * g.bandwidth * g.bandwidth)
 
 
-def _normalized_weights(logw: np.ndarray) -> np.ndarray:
-    shifted = logw - logw.max()
-    w = np.exp(shifted)
-    return w / w.sum()
-
-
 def generate(
     g: KernelGenerator,
     first_frame: np.ndarray,
@@ -124,7 +117,7 @@ def generate(
     A null embedding gives uniform weights.
     """
     first_frame = np.asarray(first_frame, dtype=np.float32)
-    cumulative = np.cumsum(_normalized_weights(_log_weights(g, e)))
+    cumulative = np.cumsum(softmax(_log_weights(g, e)))
     plans = []
     for _ in range(config.n_candidates):
         pick = int(np.searchsorted(cumulative, rng.random(), side="right"))
@@ -141,7 +134,7 @@ def id_generate(g: KernelGenerator, first_frame: np.ndarray, e: np.ndarray | Non
     if g.mode is not GeneratorMode.IDENTIFICATION:
         raise ValueError("id_generate requires a generator in Identification mode")
     first_frame = np.asarray(first_frame, dtype=np.float32)
-    weights = _normalized_weights(_log_weights(g, e))
+    weights = softmax(_log_weights(g, e))
     shape = g.videos[0].pixels.shape
     mixed = (weights[:, None] * g.pixels).sum(axis=0).reshape(shape)
     mixed = np.clip(mixed, 0.0, 1.0).astype(np.float32)
@@ -181,10 +174,7 @@ def mse_objective(
         b = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         # ||b - e||^2 expanded so both heavy products hit BLAS.
         d2 = emb_sq[None, :] - 2.0 * (b @ emb.T) + (b * b).sum(axis=1)[:, None]
-        logw = -d2 / bw2
-        logw -= logw.max(axis=1, keepdims=True)
-        wts = np.exp(logw)
-        wts /= wts.sum(axis=1, keepdims=True)
+        wts = softmax(-d2 / bw2)
         wg = wts @ gram
         quad = (wg * wts).sum(axis=1)
         losses = (const - 2.0 * (wts @ cross) + quad) / total

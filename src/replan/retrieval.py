@@ -147,6 +147,12 @@ def embedding_distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> 
     return float(1.0 - np.dot(a, b) / (na * nb))
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its maximum for stability."""
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def default_tau(table: EmbeddingTable) -> float:
     """0.1 of the median pairwise canonical distance; 1.0 when degenerate."""
     med = table.median_canonical_distance
@@ -241,10 +247,7 @@ def retrieval_probabilities(
         query = InteractionBuffer([query] if isinstance(query, Video) else query)
     tau = config.tau if config.tau is not None else default_tau(table)
     logits = np.mean(query.logits(table, config.metric, config.buffer_policy, encoder), axis=0)
-    scaled = logits / tau
-    scaled -= scaled.max()
-    weights = np.exp(scaled)
-    return weights / weights.sum()
+    return softmax(logits / tau)
 
 
 def retrieve(

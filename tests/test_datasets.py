@@ -10,8 +10,10 @@ from replan import (
     candidate_actions,
     execute,
     failing_actions,
+    hidden_values,
     subsample_dataset,
 )
+from replan import envs
 
 
 def test_candidate_actions_cover_tables():
@@ -38,6 +40,22 @@ def test_failing_actions_exact():
         assert not execute(env, action).success
     hits = len(candidate_actions(EnvKind.SLIDE_BRICK)) - len(fails)
     assert hits >= 1  # at least its own scripted action succeeds
+
+
+def test_failing_actions_render_nothing(monkeypatch):
+    renders = []
+    real_render = envs.render
+
+    def counting_render(kind, state):
+        renders.append(kind)
+        return real_render(kind, state)
+
+    monkeypatch.setattr(envs, "render", counting_render)
+    envs._execute_cached.cache_clear()
+    for kind in EnvKind:
+        for theta in hidden_values(kind):
+            failing_actions(kind, theta)
+    assert renders == []
 
 
 def test_build_dataset_counts_and_order():

@@ -1,5 +1,7 @@
 """Simulator physics, rendering invariants, and ground-truth policies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from replan import (
     all_instances,
     bar_deflection,
     brick_stop_position,
+    candidate_actions,
     execute,
     hidden_values,
     object_id,
@@ -25,6 +28,10 @@ from replan.envs import (
 )
 
 ALL_KINDS = list(EnvKind)
+
+# sha256 over the pixels of every kind x table theta x hypothesis-set rollout,
+# in table order; any change to a rollout's frames changes it.
+ROLLOUT_DIGEST = "7423b4e7b98ce4a43ec6ed1e2609598de18233f021962d3620153e35f587883b"
 
 
 def test_hidden_tables():
@@ -90,6 +97,17 @@ def test_rollout_shape_and_first_frame():
         assert out.video.pixels.shape == (8, 32, 32)
         assert out.video.pixels.dtype == np.float32
         assert out.video.first_frame().tobytes() == reset(env).tobytes()
+
+
+def test_rollout_pixels_golden():
+    _execute_cached.cache_clear()
+    digest = hashlib.sha256()
+    for kind in ALL_KINDS:
+        actions = candidate_actions(kind)
+        for env in all_instances(kind):
+            for action in actions:
+                digest.update(execute(env, action).video.pixels.tobytes())
+    assert digest.hexdigest() == ROLLOUT_DIGEST
 
 
 def test_execute_deterministic():

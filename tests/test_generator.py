@@ -16,7 +16,7 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
-from replan.generator import _normalized_weights
+from replan.retrieval import softmax
 
 SHADES = {"a": (0.2, 0.9), "b": (0.6, 0.3)}  # object -> (success, fail) shade
 
@@ -86,7 +86,7 @@ def test_planning_needs_a_success():
 
 
 def test_null_embedding_means_uniform():
-    assert np.allclose(_normalized_weights(np.zeros(4)), 0.25)
+    assert np.allclose(softmax(np.zeros(4)), 0.25)
 
 
 def test_generate_replaces_first_frame(planner):

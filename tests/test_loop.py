@@ -108,12 +108,13 @@ def test_two_mode_analytic_constants(openbox_assets):
 
     # support distance equals the bandwidth, so conditioning on the correct
     # canonical embedding emits the correct plan with probability s(1/2)
-    from replan.generator import _log_weights, _normalized_weights
+    from replan.generator import _log_weights
+    from replan.retrieval import softmax
 
     g = openbox_assets.planner
     assert len(g) == 2
     e_lift = openbox_assets.table.canonical_for("openbox/lift")
-    w = _normalized_weights(_log_weights(g, e_lift))
+    w = softmax(_log_weights(g, e_lift))
     cc = 1.0 / (1.0 + math.exp(-0.5))
     assert cc == pytest.approx(0.6224593312018546, rel=1e-15)
     assert max(w) == pytest.approx(cc, rel=1e-9)
