@@ -48,11 +48,11 @@ def track_centroid(video: Video, band: tuple[float, float]) -> TrackedTrajectory
 
 
 def _decode_bar(kind: EnvKind, plan: Video) -> EnvAction:
-    traj = track_centroid(plan, GRIPPER_BAND)
-    if plan.length <= CONTACT_FRAME or not traj.valid[CONTACT_FRAME]:
+    contact = plan.pixels[CONTACT_FRAME : CONTACT_FRAME + 1]  # empty for a shorter plan
+    cols = np.nonzero((contact >= GRIPPER_BAND[0]) & (contact <= GRIPPER_BAND[1]))[2]
+    if not cols.size:
         raise PlanDecodeError("no gripper visible at the contact frame")
-    col = traj.points[CONTACT_FRAME, 1]
-    offset = (col - CENTER_COL) / PX_PER_M
+    offset = (cols.mean() - CENTER_COL) / PX_PER_M
     lo, hi = BAR_ACTION_RANGE
     if not (lo - 1e-9 <= offset <= hi + 1e-9):
         raise PlanDecodeError(f"decoded contact offset {offset} outside the action range")

@@ -6,7 +6,7 @@ slope with unknown friction, a box whose opening mode is hidden, and a
 faucet whose turn direction is hidden.  The hidden parameter never
 appears in the reset observation; it only shapes execution outcomes.
 Success comes from the physics rule in ``rollout_success``; a rollout's
-frames only draw the outcome that rule decides.
+frames only draw that outcome, all of them painted in one ``render`` pass.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -219,97 +220,96 @@ class SceneState:
     handle_offset: tuple[float, float] | None = None
 
 
-_ROWS, _COLS = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]
+_ROWS, _COLS = np.ogrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]
 
 
-def _ri(x: float) -> int:
-    return int(np.round(x))
+def _paint_rect(frame: np.ndarray, r0: int, r1: int, c0: int, c1: int, shade: float) -> None:
+    # Binary rect, clipped at the border.  Bodies are painted in ascending
+    # shade, so overwriting keeps the brightest value.
+    frame[max(r0, 0) : max(r1 + 1, 0), max(c0, 0) : max(c1 + 1, 0)] = shade
 
 
-def _paint_block(canvas: np.ndarray, row: float, col: float, half: int, shade: float) -> None:
-    # Binary block on rounded pixel centres.
-    r, c = _ri(row), _ri(col)
-    _paint_rect(canvas, r - half, r + half, c - half, c + half, shade)
+def _paint_block(frame: np.ndarray, row: float, col: float, shade: float) -> None:
+    # 3x3 block on the rounded pixel centre (Python rounds half to even, as np.round).
+    r, c = round(row), round(col)
+    _paint_rect(frame, r - 1, r + 1, c - 1, c + 1, shade)
 
 
-def _paint_rect(canvas: np.ndarray, r0: int, r1: int, c0: int, c1: int, shade: float) -> None:
-    r0, r1 = max(r0, 0), min(r1, IMAGE_SIZE - 1)
-    c0, c1 = max(c0, 0), min(c1, IMAGE_SIZE - 1)
-    if r0 > r1 or c0 > c1:
-        return
-    region = canvas[r0 : r1 + 1, c0 : c1 + 1]
-    np.maximum(region, shade, out=region)
-
-
-def _paint_capsule(
-    canvas: np.ndarray,
-    p0: tuple[float, float],
-    p1: tuple[float, float],
-    half_width: float,
-    shade: float,
+def _paint_capsules(
+    canvas: np.ndarray, frames: list[int], ends: list[tuple], half_width: float, shade: float
 ) -> None:
-    # Anti-aliased capsule: per-pixel coverage from distance to the segment,
-    # so sub-pixel pose changes alter the frame continuously.
-    r0, c0 = p0
-    r1, c1 = p1
+    # Anti-aliased capsules (r0, c0, r1, c1), one per listed frame: coverage
+    # falls off with the pixel's distance to the segment, so sub-pixel poses
+    # alter frames continuously.  One call paints one body: all segments are
+    # points or none is.  Only the float64 paint is rounded to float32, which
+    # is monotonic and so commutes with the brightest-wins max.
+    if not frames:
+        return
+    r0, c0, r1, c1 = np.array(ends).T[:, :, None, None]
     dr, dc = r1 - r0, c1 - c0
     norm2 = dr * dr + dc * dc
-    pr = _ROWS - r0
-    pc = _COLS - c0
-    if norm2 < 1e-12:
-        dist = np.sqrt(pr * pr + pc * pc)
+    pr = _ROWS - r0  # (n, H, 1)
+    pc = _COLS - c0  # (n, 1, W)
+    if (norm2 < 1e-12).all():
+        dist = pr * pr + pc * pc
     else:
-        t = np.clip((pr * dr + pc * dc) / norm2, 0.0, 1.0)
+        t = pr * dr + pc * dc
+        np.clip(np.divide(t, norm2, out=t), 0.0, 1.0, out=t)
         qr = pr - t * dr
-        qc = pc - t * dc
-        dist = np.sqrt(qr * qr + qc * qc)
-    coverage = np.clip(half_width + 0.5 - dist, 0.0, 1.0)
-    np.maximum(canvas, shade * coverage, out=canvas)
+        qc = np.subtract(pc, np.multiply(t, dc, out=t), out=t)
+        dist = np.add(np.multiply(qr, qr, out=qr), np.multiply(qc, qc, out=qc), out=qc)
+    coverage = np.subtract(half_width + 0.5, np.sqrt(dist, out=dist), out=dist)
+    np.clip(coverage, 0.0, 1.0, out=coverage)
+    paint = np.multiply(shade, coverage, out=coverage).astype(np.float32)
+    canvas[frames] = np.maximum(canvas[frames], paint)
 
 
-def _scenery(kind: EnvKind) -> np.ndarray:
-    canvas = np.zeros((IMAGE_SIZE, IMAGE_SIZE), dtype=np.float64)
-    if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
-        _paint_rect(canvas, 4, 6, 0, IMAGE_SIZE - 1, TARGET_SHADE)
-    elif kind is EnvKind.SLIDE_BRICK:
-        _paint_rect(canvas, 24, 28, 15, 17, TARGET_SHADE)
-    elif kind is EnvKind.OPEN_BOX:
-        _paint_rect(canvas, *BOX_BODY, TARGET_SHADE)
-    elif kind is EnvKind.TURN_FAUCET:
-        _paint_rect(canvas, *FAUCET_BASE, TARGET_SHADE)
+def _scenery(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    canvas = np.zeros((1, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    _paint_rect(canvas[0], r0, r1, c0, c1, TARGET_SHADE)
+    canvas.flags.writeable = False
     return canvas
 
 
-def render(kind: EnvKind, state: SceneState) -> np.ndarray:
-    """Raster a scene to a 32x32 float32 frame in [0, 1].
+# Each kind's static scenery as a (1, 32, 32) frame, painted once at import.
+_SCENERY = {
+    EnvKind.PUSH_BAR: _scenery(4, 6, 0, IMAGE_SIZE - 1),
+    EnvKind.PICK_BAR: _scenery(4, 6, 0, IMAGE_SIZE - 1),
+    EnvKind.SLIDE_BRICK: _scenery(24, 28, 15, 17),
+    EnvKind.OPEN_BOX: _scenery(*BOX_BODY),
+    EnvKind.TURN_FAUCET: _scenery(*FAUCET_BASE),
+}
+
+
+def render(kind: EnvKind, states: Sequence[SceneState]) -> np.ndarray:
+    """Raster a rollout's scenes to a (T, 32, 32) float32 stack in [0, 1].
 
     Static scenery paints at 0.3, movable objects at 0.6, the gripper at
-    1.0; overlaps keep the brightest value.  Deterministic.
+    1.0; overlaps keep the brightest value.  Bars and bricks are painted in
+    all frames at once, in one broadcast pass.  Deterministic.
     """
-    canvas = _scenery(kind)
-    if state.bar is not None:
-        row, col, angle = state.bar
+    canvas = np.repeat(_SCENERY[kind], len(states), axis=0)
+    bars = [t for t, state in enumerate(states) if state.bar is not None]
+    ends = []
+    for row, col, angle in (states[t].bar for t in bars):
         dr = -BAR_HALF_PX * math.sin(angle)
         dc = BAR_HALF_PX * math.cos(angle)
-        _paint_capsule(canvas, (row - dr, col - dc), (row + dr, col + dc), 1.1, OBJECT_SHADE)
-    if state.brick is not None:
-        _paint_capsule(canvas, state.brick, state.brick, 1.3, OBJECT_SHADE)
-    if state.lid_offset is not None:
-        drow, dcol = state.lid_offset
-        _paint_rect(
-            canvas,
-            LID_ROWS[0] + _ri(drow),
-            LID_ROWS[1] + _ri(drow),
-            LID_COLS[0] + _ri(dcol),
-            LID_COLS[1] + _ri(dcol),
-            OBJECT_SHADE,
-        )
-    if state.handle_offset is not None:
-        drow, dcol = state.handle_offset
-        _paint_block(canvas, HANDLE_HOME[0] + drow, HANDLE_HOME[1] + dcol, 1, OBJECT_SHADE)
-    if state.gripper is not None:
-        _paint_block(canvas, state.gripper[0], state.gripper[1], 1, GRIPPER_SHADE)
-    return canvas.astype(np.float32)
+        ends.append((row - dr, col - dc, row + dr, col + dc))
+    _paint_capsules(canvas, bars, ends, 1.1, OBJECT_SHADE)
+    bricks = [t for t, state in enumerate(states) if state.brick is not None]
+    ends = [(*states[t].brick, *states[t].brick) for t in bricks]
+    _paint_capsules(canvas, bricks, ends, 1.3, OBJECT_SHADE)
+    for frame, state in zip(canvas, states):
+        if state.lid_offset is not None:
+            r, c = round(state.lid_offset[0]), round(state.lid_offset[1])
+            (r0, r1), (c0, c1) = LID_ROWS, LID_COLS
+            _paint_rect(frame, r0 + r, r1 + r, c0 + c, c1 + c, OBJECT_SHADE)
+        if state.handle_offset is not None:
+            drow, dcol = state.handle_offset
+            _paint_block(frame, HANDLE_HOME[0] + drow, HANDLE_HOME[1] + dcol, OBJECT_SHADE)
+        if state.gripper is not None:
+            _paint_block(frame, *state.gripper, GRIPPER_SHADE)
+    return canvas
 
 
 def _rest_state(kind: EnvKind) -> SceneState:
@@ -328,7 +328,7 @@ def _rest_state(kind: EnvKind) -> SceneState:
 
 def reset(env: EnvInstance) -> np.ndarray:
     """Initial observation; identical for every hidden parameter of a kind."""
-    return render(env.kind, _rest_state(env.kind))
+    return render(env.kind, [_rest_state(env.kind)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def _faucet_states(mode: str, success: bool) -> list[SceneState]:
     return states
 
 
-# Kept: 23-51% of executes inside perfbench episodes hit it, sparing those rounds 8 renders.
+# Kept: tier-1 tests take 109 s without it, 100 s with it (criteria 06/07 repeat rollouts).
 @lru_cache(maxsize=None)
 def _execute_cached(kind: EnvKind, theta: float | str, value: float | str) -> ExecutionOutcome:
     success = rollout_success(kind, theta, value)
@@ -422,8 +422,7 @@ def _execute_cached(kind: EnvKind, theta: float | str, value: float | str) -> Ex
         states = _box_states(str(value), success)
     else:
         states = _faucet_states(str(value), success)
-    frames = [render(kind, state) for state in (_rest_state(kind), *states)]
-    return ExecutionOutcome(video=Video(np.stack(frames)), success=success)
+    return ExecutionOutcome(Video(render(kind, (_rest_state(kind), *states))), success)
 
 
 def execute(env: EnvInstance, action: EnvAction) -> ExecutionOutcome:

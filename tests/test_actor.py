@@ -1,5 +1,7 @@
 """Decoding executable actions back out of plan videos."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,18 @@ from replan import (
     PlanDecodeError,
     Video,
     all_instances,
+    candidate_actions,
     execute,
     plan_to_action,
     scripted_action,
     track_centroid,
 )
 from replan.envs import GRIPPER_BAND, OBJECT_BAND
+
+# sha256 over plan_to_action's value (or the PlanDecodeError text) for every
+# kind x table theta x hypothesis-set rollout, in table order; recorded when
+# the bar decoder still tracked every frame.
+DECODE_DIGEST = "5e4c3cf115f534674cc9f3954e63cc3a05ff999bec2c43d2c5d9b30f2d1941a4"
 
 
 def test_track_centroid_positions():
@@ -102,3 +110,17 @@ def test_bar_decode_needs_contact_frame():
     px[:, 16, 16] = 1.0
     with pytest.raises(PlanDecodeError):
         plan_to_action(EnvKind.PUSH_BAR, Video(px))  # only 2 frames
+
+
+def test_decoded_actions_golden():
+    digest = hashlib.sha256()
+    for kind in EnvKind:
+        actions = candidate_actions(kind)
+        for env in all_instances(kind):
+            for action in actions:
+                try:
+                    decoded = repr(plan_to_action(kind, execute(env, action).video).value)
+                except PlanDecodeError as err:
+                    decoded = f"error: {err}"
+                digest.update(f"{decoded}\n".encode())
+    assert digest.hexdigest() == DECODE_DIGEST

@@ -46,9 +46,9 @@ def test_failing_actions_render_nothing(monkeypatch):
     renders = []
     real_render = envs.render
 
-    def counting_render(kind, state):
+    def counting_render(kind, states):
         renders.append(kind)
-        return real_render(kind, state)
+        return real_render(kind, states)
 
     monkeypatch.setattr(envs, "render", counting_render)
     envs._execute_cached.cache_clear()

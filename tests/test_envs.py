@@ -1,9 +1,12 @@
 """Simulator physics, rendering invariants, and ground-truth policies."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from replan import (
     EnvAction,
@@ -16,14 +19,28 @@ from replan import (
     execute,
     hidden_values,
     object_id,
+    render,
     reset,
     sample_hidden,
     scripted_action,
 )
+from replan import envs
 from replan.envs import (
+    BAR_HALF_PX,
     BAR_OFFSETS,
+    BOX_BODY,
+    BOX_MODES,
     BRICK_FRICTIONS,
+    FAUCET_BASE,
+    FAUCET_MODES,
+    GRIPPER_SHADE,
+    HANDLE_HOME,
+    LID_COLS,
+    LID_ROWS,
+    OBJECT_SHADE,
+    TARGET_SHADE,
     HiddenParam,
+    SceneState,
     _execute_cached,
 )
 
@@ -193,3 +210,151 @@ def test_sample_hidden_matches_table():
     assert seen == set(BAR_OFFSETS)
     modes = {sample_hidden(EnvKind.OPEN_BOX, rng).value for _ in range(50)}
     assert modes == {"lift", "slide"}
+
+
+# ---------------------------------------------------------------------------
+# Per-frame oracle: one float64 canvas per frame, every body painted with a
+# brightest-wins max, cast to float32 at the end.  ``render`` paints a whole
+# rollout in one broadcast pass and must match it byte for byte.
+
+_ROWS, _COLS = np.mgrid[0:32, 0:32]
+
+
+def _ri(x):
+    return int(np.round(x))
+
+
+def _paint_rect(canvas, r0, r1, c0, c1, shade):
+    r0, r1 = max(r0, 0), min(r1, 31)
+    c0, c1 = max(c0, 0), min(c1, 31)
+    if r0 > r1 or c0 > c1:
+        return
+    region = canvas[r0 : r1 + 1, c0 : c1 + 1]
+    np.maximum(region, shade, out=region)
+
+
+def _paint_block(canvas, row, col, half, shade):
+    r, c = _ri(row), _ri(col)
+    _paint_rect(canvas, r - half, r + half, c - half, c + half, shade)
+
+
+def _paint_capsule(canvas, p0, p1, half_width, shade):
+    r0, c0 = p0
+    r1, c1 = p1
+    dr, dc = r1 - r0, c1 - c0
+    norm2 = dr * dr + dc * dc
+    pr = _ROWS - r0
+    pc = _COLS - c0
+    if norm2 < 1e-12:
+        dist = np.sqrt(pr * pr + pc * pc)
+    else:
+        t = np.clip((pr * dr + pc * dc) / norm2, 0.0, 1.0)
+        qr = pr - t * dr
+        qc = pc - t * dc
+        dist = np.sqrt(qr * qr + qc * qc)
+    coverage = np.clip(half_width + 0.5 - dist, 0.0, 1.0)
+    np.maximum(canvas, shade * coverage, out=canvas)
+
+
+def oracle_render(kind, state):
+    canvas = np.zeros((32, 32), dtype=np.float64)
+    if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
+        _paint_rect(canvas, 4, 6, 0, 31, TARGET_SHADE)
+    elif kind is EnvKind.SLIDE_BRICK:
+        _paint_rect(canvas, 24, 28, 15, 17, TARGET_SHADE)
+    elif kind is EnvKind.OPEN_BOX:
+        _paint_rect(canvas, *BOX_BODY, TARGET_SHADE)
+    else:
+        _paint_rect(canvas, *FAUCET_BASE, TARGET_SHADE)
+    if state.bar is not None:
+        row, col, angle = state.bar
+        dr = -BAR_HALF_PX * math.sin(angle)
+        dc = BAR_HALF_PX * math.cos(angle)
+        _paint_capsule(canvas, (row - dr, col - dc), (row + dr, col + dc), 1.1, OBJECT_SHADE)
+    if state.brick is not None:
+        _paint_capsule(canvas, state.brick, state.brick, 1.3, OBJECT_SHADE)
+    if state.lid_offset is not None:
+        drow, dcol = state.lid_offset
+        _paint_rect(
+            canvas,
+            LID_ROWS[0] + _ri(drow),
+            LID_ROWS[1] + _ri(drow),
+            LID_COLS[0] + _ri(dcol),
+            LID_COLS[1] + _ri(dcol),
+            OBJECT_SHADE,
+        )
+    if state.handle_offset is not None:
+        drow, dcol = state.handle_offset
+        _paint_block(canvas, HANDLE_HOME[0] + drow, HANDLE_HOME[1] + dcol, 1, OBJECT_SHADE)
+    if state.gripper is not None:
+        _paint_block(canvas, state.gripper[0], state.gripper[1], 1, GRIPPER_SHADE)
+    return canvas.astype(np.float32)
+
+
+def _rollout(kind, states):
+    return kind, (envs._rest_state(kind), *states)
+
+
+bar_offsets = st.floats(-0.2, 0.2)
+point = st.tuples(st.floats(-4.0, 36.0), st.floats(-4.0, 36.0))
+loose_scenes = st.lists(
+    st.builds(
+        SceneState,
+        gripper=st.none() | point,
+        bar=st.none() | st.tuples(st.floats(-4.0, 36.0), st.floats(-4.0, 36.0), st.floats(-1.6, 1.6)),
+        brick=st.none() | point,
+        lid_offset=st.none() | st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+        handle_offset=st.none() | st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+rollouts = st.one_of(
+    st.builds(
+        lambda kind, theta, offset: _rollout(kind, envs._bar_states(kind, theta, offset)),
+        st.sampled_from([EnvKind.PUSH_BAR, EnvKind.PICK_BAR]),
+        bar_offsets,
+        bar_offsets,
+    ),
+    st.builds(
+        lambda theta, height: _rollout(EnvKind.SLIDE_BRICK, envs._brick_states(theta, height)),
+        st.floats(0.05, 1.0),
+        st.floats(0.0, 1.0),
+    ),
+    st.builds(
+        lambda mode, success: _rollout(EnvKind.OPEN_BOX, envs._box_states(mode, success)),
+        st.sampled_from(BOX_MODES),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda mode, success: _rollout(EnvKind.TURN_FAUCET, envs._faucet_states(mode, success)),
+        st.sampled_from(FAUCET_MODES),
+        st.booleans(),
+    ),
+    st.tuples(st.sampled_from(list(EnvKind)), loose_scenes),
+)
+
+# Grippers clipped at each border or off the image, a frame without one, and
+# a gripper over each other body.
+BORDER_SCENES = (
+    SceneState(gripper=(0.4, 16.0), bar=(24.0, 16.0, 0.3)),
+    SceneState(gripper=(31.6, 31.5), brick=(30.5, 31.2)),
+    SceneState(gripper=(16.0, -0.6), lid_offset=(0.0, 12.4)),
+    SceneState(gripper=(-1.4, 33.2), handle_offset=(-16.5, 8.5)),
+    SceneState(bar=(1.0, 30.0, -1.2)),
+    SceneState(gripper=(24.0, 16.0), bar=(24.0, 16.0, 0.0), brick=(24.0, 16.0)),
+    SceneState(gripper=(13.5, 12.0), lid_offset=(0.0, 0.0), handle_offset=(-3.0, -12.0)),
+    SceneState(gripper=(16.0, 24.0), handle_offset=(0.0, 0.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rollouts)
+@example((EnvKind.PUSH_BAR, BORDER_SCENES))
+@example((EnvKind.OPEN_BOX, BORDER_SCENES[::-1]))
+def test_render_matches_per_frame_oracle(rollout):
+    kind, states = rollout
+    expected = np.stack([oracle_render(kind, state) for state in states])
+    frames = render(kind, states)
+    assert frames.dtype == np.float32 and frames.shape == (len(states), 32, 32)
+    assert frames.tobytes() == expected.tobytes()

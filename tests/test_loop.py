@@ -25,7 +25,9 @@ from replan import (
     RetrievalConfig,
     ablation_sweep,
     build_task_assets,
+    candidate_actions,
     execute,
+    hidden_values,
     plan_quality,
     results_table,
     retrieval_probabilities,
@@ -34,6 +36,7 @@ from replan import (
     sample_hidden,
     trial_seed,
 )
+from replan import envs
 from replan.loop import CellStats, EpisodeRow
 
 
@@ -389,6 +392,33 @@ def test_run_experiment_deterministic():
     assert {r.seed for r in a.rows} == {
         trial_seed(0, "openbox", m, i) for m in ("avdc", "ours") for i in range(25)
     }
+
+
+def test_rollout_cache_stays_bounded(monkeypatch):
+    renders = []
+    real_render = envs.render
+
+    def counting_render(kind, states):
+        renders.append(kind)
+        return real_render(kind, states)
+
+    monkeypatch.setattr(envs, "render", counting_render)
+    envs._execute_cached.cache_clear()
+    cfg = ExperimentConfig(tasks=ALL_TASKS, methods=ALL_METHODS, trials=3)
+    result = run_experiment(cfg)
+    info = envs._execute_cached.cache_info()
+    rendered = len(renders)
+    # Each theta executes hypothesis-set actions (the dataset, the scripted
+    # plans) and decoded plans.  A plan is a planner support video, so plans
+    # decode to at most |support| values.
+    bound = 0
+    for task in ALL_TASKS:
+        kind = EnvKind(task)
+        support = len(build_task_assets(cfg, task).planner)
+        bound += len(hidden_values(kind)) * (len(candidate_actions(kind)) + support)
+    assert info.currsize <= bound
+    # One render per rollout: each cache miss, plus each episode's reset.
+    assert rendered == info.misses + len(result.rows)
 
 
 def test_experiment_logs_one_line_per_cell(caplog, capsys):
