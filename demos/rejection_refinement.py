@@ -80,7 +80,7 @@ def run_example():
     tuples = tuple(ExperienceTuple(v, f"syn/{i}", True) for i, v in enumerate(videos))
     synth = ExperienceDataset(tuples)
     raw = np.stack([encode_video(t.video) for t in tuples])
-    table = build_table(synth, pca_fit(raw, 2, rescale_variance=True))
+    table = build_table(synth, pca_fit(raw, 2, rescale_variance=True), raw)
     identifier = fit_generator(synth, table, GeneratorMode.IDENTIFICATION)
 
     planted = 1

@@ -42,7 +42,7 @@ def run_example():
 
     # Step 3: the embedding table keeps one canonical embedding per object
     # (its first successful video) plus every per-video embedding.
-    table = build_table(dataset, projection)
+    table = build_table(dataset, projection, raw)
     print("objects:", table.object_ids)
     print("default softmax temperature:", round(default_tau(table), 4))
 

@@ -160,31 +160,38 @@ def psnr(a: Video, b: Video) -> float:
     return min(PSNR_CAP_DB, float(10.0 * math.log10(1.0 / mse)))
 
 
+def _window_band(n: int) -> np.ndarray:
+    """(n, n - 7) band of 1/8s averaging each 8-wide window; its (m, m - 7) corner serves m < n."""
+    offset = np.arange(n)[:, None] - np.arange(n - SSIM_WINDOW + 1)
+    return ((offset >= 0) & (offset < SSIM_WINDOW)) / SSIM_WINDOW
+
+
 def ssim(a: Video, b: Video) -> float:
-    """Mean SSIM over 8x8 stride-1 windows: per-frame window mean, then frame mean."""
+    """Mean SSIM over 8x8 stride-1 windows: per-frame window mean, then frame mean.
+
+    The window moments (Wang et al. 2004) of all frames are two BLAS
+    matrix products with a constant band matrix: one averages along rows;
+    after a transpose, the other averages along columns.  The window maps
+    come out transposed, which their mean ignores.  The formula needs the
+    two variances only as their sum, so a^2 + b^2 is one moment map.
+    """
     _check_same_shape(a, b)
-    win = SSIM_WINDOW
-    _, h, w = a.pixels.shape
-    if h < win or w < win:
+    t, h, w = a.pixels.shape
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"frame smaller than SSIM window: {(h, w)}")
-    pa, pb = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
-    # Window moments (Wang et al. 2004) of all frames in one pass of box sums:
-    # shifted row slices first, then shifted column slices.
-    moments = np.stack([pa, pb, pa * pa, pb * pb, pa * pb])
-    rows = moments[:, :, : h - win + 1].copy()
-    for k in range(1, win):
-        rows += moments[:, :, k : h - win + 1 + k]
-    sums = rows[..., : w - win + 1].copy()
-    for k in range(1, win):
-        sums += rows[..., k : w - win + 1 + k]
-    sums /= win * win
-    mu_a, mu_b, e_aa, e_bb, e_ab = sums
-    var_a = e_aa - mu_a * mu_a
-    var_b = e_bb - mu_b * mu_b
-    cov = e_ab - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float(np.mean(np.mean(num / den, axis=(1, 2))))
+    band = _window_band(max(h, w))
+    maps = np.empty((4, t, h, w))
+    maps[0], maps[1] = a.pixels, b.pixels
+    np.square(maps[:2]).sum(axis=0, out=maps[2])
+    np.multiply(maps[0], maps[1], out=maps[3])
+    rows = (maps.reshape(-1, w) @ band[:w, : w - SSIM_WINDOW + 1]).reshape(4 * t, h, -1)
+    means = rows.transpose(0, 2, 1).reshape(-1, h) @ band[:h, : h - SSIM_WINDOW + 1]
+    mu_a, mu_b, e_sq, e_ab = means.reshape(4, t, -1)
+    mu_ab = mu_a * mu_b
+    mu_sq = mu_a * mu_a + mu_b * mu_b
+    num = (2.0 * mu_ab + SSIM_C1) * (2.0 * (e_ab - mu_ab) + SSIM_C2)
+    den = (mu_sq + SSIM_C1) * (e_sq - mu_sq + SSIM_C2)
+    return float(np.mean(np.mean(num / den, axis=1)))
 
 
 @dataclass(frozen=True)

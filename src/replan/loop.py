@@ -107,7 +107,7 @@ def build_assets(
     raw = np.stack([encode_video(item.video) for item in dataset.tuples])
     k = pca_k if pca_k is not None else default_pca_k(raw.shape[0], raw.shape[1])
     projection = pca_fit(raw, k)
-    table = build_table(dataset, projection)
+    table = build_table(dataset, projection, raw)
     planner = fit_generator(dataset, table, GeneratorMode.PLANNING)
     identifier = fit_generator(dataset, table, GeneratorMode.IDENTIFICATION)
     gt_plans = {}

@@ -93,25 +93,29 @@ def _median_pairwise_distance(points: np.ndarray) -> float:
         return 0.0
     diffs = points[:, None, :] - points[None, :, :]
     dists = np.sqrt((diffs * diffs).sum(axis=-1))
-    iu = np.triu_indices(m, k=1)
-    return float(np.median(dists[iu]))
+    # sorting, not np.median, which imports numpy.ma on first use
+    pairs = np.sort(dists[np.triu_indices(m, k=1)])
+    n = len(pairs)
+    return float(np.mean(pairs[(n - 1) // 2 : n // 2 + 1]))
 
 
 def build_table(
     dataset: ExperienceDataset,
     projection: PcaProjection,
-    encoder: Callable[[Video], np.ndarray] = encode_video,
+    features: np.ndarray,
 ) -> EmbeddingTable:
-    """Encode and project every dataset video; pick canonical embeddings.
+    """Project the encoded dataset videos (row i encodes entry i); pick canonicals.
 
     The canonical embedding of an object is the projected embedding of
     its first successful entry in manifest order.  Errors if the dataset
-    is empty or an object has no successful entry.
+    is empty, ``features`` is not one row per entry, or an object has no
+    successful entry.
     """
     if len(dataset) == 0:
         raise ValueError("cannot build a table from an empty dataset")
-    raw = np.stack([encoder(item.video) for item in dataset.tuples])
-    projected = pca_apply(projection, raw)
+    if np.ndim(features) != 2 or len(features) != len(dataset):
+        raise ValueError(f"features must have one row per entry, got shape {np.shape(features)}")
+    projected = pca_apply(projection, features)
     object_ids = tuple(dataset.by_object.keys())
     id_to_pos = {oid: i for i, oid in enumerate(object_ids)}
     canonical = np.zeros((len(object_ids), projected.shape[1]), dtype=np.float64)

@@ -400,7 +400,7 @@ def test_criterion_08_planted_recovery():
     raw = np.stack([encode_video(t.video) for t in tuples])
     # whitened so canonicals sit at the same O(1) scale as the random inits
     projection = pca_fit(raw, 2, rescale_variance=True)
-    table = build_table(dataset, projection)
+    table = build_table(dataset, projection, raw)
     g = fit_generator(dataset, table, GeneratorMode.IDENTIFICATION)
 
     wins = 0

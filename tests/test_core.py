@@ -10,12 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replan import (
+    EnvInstance,
+    ExperimentConfig,
     Video,
     VideoFormatError,
+    build_task_assets,
     load_dataset,
     pixel_l2,
     psnr,
     read_video,
+    reset,
     save_dataset,
     ssim,
     video_mse,
@@ -257,6 +261,19 @@ def test_ssim_matches_sliding_window_oracle(t, h, w, noise, seed):
         b = np.clip(a + rng.normal(0.0, noise, a.shape), 0.0, 1.0).astype(np.float32)
     va, vb = Video(a), Video(b)
     assert ssim(va, vb) == pytest.approx(reference_ssim(va, vb), abs=1e-12, rel=0)
+
+
+@pytest.mark.parametrize("task", ExperimentConfig().tasks)
+def test_ssim_matches_oracle_on_plan_pairs(task):
+    # the loop's own pairs: flat backgrounds and identical frame-0 windows give
+    # the near-zero variances that random noise never draws
+    assets = build_task_assets(ExperimentConfig(), task)
+    theta = next(iter(assets.gt_plans))
+    first_frame = reset(EnvInstance.create(assets.kind, theta))
+    for support in assets.planner.videos:
+        plan = support.with_first_frame(first_frame)
+        for gt in assets.gt_plans.values():
+            assert ssim(plan, gt) == pytest.approx(reference_ssim(plan, gt), abs=1e-12, rel=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replan import (
+    EnvInstance,
+    EnvKind,
     Video,
     default_pca_k,
     encode_frame,
     encode_video,
+    execute,
+    hidden_values,
     pca_apply,
     pca_fit,
+    scripted_action,
 )
+
+
+def reference_encode_video(video):
+    """Slow oracle: strided reshape, then the mean over each 4x4 block."""
+    t = video.length
+    return video.pixels.astype(np.float64).reshape(t, 8, 4, 8, 4).mean(axis=(2, 4)).reshape(-1)
 
 
 def test_encode_frame_single_pixel():
@@ -40,6 +53,28 @@ def test_encode_video_concat_order():
     f0 = encode_frame(pixels[0])
     f1 = encode_frame(pixels[1])
     assert np.array_equal(feats, np.concatenate([f0, f1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.integers(1, 8), spread=st.integers(0, 149), seed=st.integers(0, 2**32 - 1))
+def test_encode_video_matches_reshape_oracle(t, spread, seed):
+    # pixels spread over up to `spread` binades below 1, subnormals included, so
+    # block sums round: equal bytes need the oracle's order of additions
+    rng = np.random.default_rng(seed)
+    scale = np.exp2(-rng.integers(0, spread + 1, (t, 32, 32)).astype(np.float64))
+    video = Video((rng.random((t, 32, 32)) * scale).astype(np.float32))
+    feats = encode_video(video)
+    assert feats.tobytes() == reference_encode_video(video).tobytes()
+    frames = np.concatenate([encode_frame(frame) for frame in video.pixels])
+    assert frames.tobytes() == feats.tobytes()
+
+
+def test_encode_video_matches_oracle_on_every_rollout():
+    for kind in EnvKind:
+        for theta in hidden_values(kind):
+            env = EnvInstance.create(kind, theta)
+            video = execute(env, scripted_action(env)).video
+            assert encode_video(video).tobytes() == reference_encode_video(video).tobytes(), (kind, theta)
 
 
 def test_pca_matches_eigendecomposition():

@@ -8,6 +8,7 @@ from replan import (
     GeneratorMode,
     Video,
     build_table,
+    encode_video,
     fit_generator,
     generate,
     id_generate,
@@ -25,6 +26,11 @@ def shade_video(value, frames=2):
     return Video(np.full((frames, 32, 32), value, dtype=np.float32))
 
 
+def encoded_table(dataset, projection):
+    features = np.stack([encode_video(t.video) for t in dataset.tuples])
+    return build_table(dataset, projection, features)
+
+
 def toy_dataset():
     tuples = []
     for oid, (good, bad) in SHADES.items():
@@ -37,7 +43,7 @@ def toy_table():
     # project the 128-d block features onto their first coordinate, so a
     # constant-shade video embeds to its shade
     projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128), k=1)
-    return build_table(toy_dataset(), projection)
+    return encoded_table(toy_dataset(), projection)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +79,7 @@ def test_bandwidth_degenerate_fallback():
     tuples = (ExperienceTuple(shade_video(0.5), "solo", True),)
     dataset = ExperienceDataset(tuples)
     projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128), k=1)
-    table = build_table(dataset, projection)
+    table = encoded_table(dataset, projection)
     g = fit_generator(dataset, table, GeneratorMode.PLANNING)
     assert g.bandwidth == 1.0
 
@@ -82,7 +88,7 @@ def test_planning_needs_a_success():
     tuples = (ExperienceTuple(shade_video(0.5), "x", False),)
     projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128), k=1)
     with pytest.raises(ValueError):
-        build_table(ExperienceDataset(tuples), projection)
+        encoded_table(ExperienceDataset(tuples), projection)
 
 
 def test_null_embedding_means_uniform():

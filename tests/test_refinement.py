@@ -12,6 +12,7 @@ from replan import (
     RefineResult,
     Video,
     build_task_assets,
+    encode_video,
     fit_generator,
     id_generate,
     mse_objective,
@@ -31,6 +32,11 @@ def gradient_video(slope):
     return Video(np.stack([frame, frame * 0.8]).astype(np.float32))
 
 
+def encoded_table(dataset, projection):
+    features = np.stack([encode_video(t.video) for t in dataset.tuples])
+    return build_table(dataset, projection, features)
+
+
 def identification_fixture():
     tuples, slopes = [], (0.2, 0.5, 0.8, 1.0)
     for i, s in enumerate(slopes):
@@ -39,7 +45,7 @@ def identification_fixture():
     # scale the projection so canonical embeddings are O(1) and unit-variance
     # random inits land within kernel range
     projection = PcaProjection(mean=np.zeros(128), components=np.eye(2, 128) * 10.0, k=2)
-    table = build_table(dataset, projection)
+    table = encoded_table(dataset, projection)
     return fit_generator(dataset, table, GeneratorMode.IDENTIFICATION)
 
 
@@ -140,7 +146,7 @@ def test_validation_errors(identifier, observed):
     planner_tuples = (ExperienceTuple(gradient_video(0.5), "p", True),)
     dataset = ExperienceDataset(planner_tuples)
     projection = PcaProjection(mean=np.zeros(128), components=np.eye(2, 128), k=2)
-    planner = fit_generator(dataset, build_table(dataset, projection), GeneratorMode.PLANNING)
+    planner = fit_generator(dataset, encoded_table(dataset, projection), GeneratorMode.PLANNING)
     with pytest.raises(ValueError):
         refine_embedding(planner, observed, None, RefineConfig(), np.random.default_rng(0))
 

@@ -1,9 +1,16 @@
 """Embedding table construction and softmax retrieval."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from replan import (
     BufferPolicy,
@@ -19,6 +26,7 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
+from replan.retrieval import _median_pairwise_distance
 
 
 def coord_video(x: float, y: float) -> Video:
@@ -46,7 +54,8 @@ def make_table(points, successes=None, object_ids=None):
         ExperienceTuple(coord_video(x, y), oid, ok)
         for (x, y), oid, ok in zip(points, object_ids, successes)
     )
-    return build_table(ExperienceDataset(tuples), IDENTITY_2D, encoder=coord_encoder)
+    features = np.stack([coord_encoder(t.video) for t in tuples])
+    return build_table(ExperienceDataset(tuples), IDENTITY_2D, features)
 
 
 def probs(table, query_xy, **config_kwargs):
@@ -145,12 +154,49 @@ def test_canonical_is_first_success_per_object():
 
 def test_build_table_errors():
     with pytest.raises(ValueError):
-        build_table(ExperienceDataset(()), IDENTITY_2D, encoder=coord_encoder)
+        build_table(ExperienceDataset(()), IDENTITY_2D, np.zeros((0, 2)))
     no_success = ExperienceDataset(
         (ExperienceTuple(coord_video(1, 1), "a", False),)
     )
     with pytest.raises(ValueError):
-        build_table(no_success, IDENTITY_2D, encoder=coord_encoder)
+        build_table(no_success, IDENTITY_2D, np.ones((1, 2)))
+    one = ExperienceDataset((ExperienceTuple(coord_video(1, 1), "a", True),))
+    for features in (np.ones((2, 2)), np.ones(2)):
+        with pytest.raises(ValueError, match="features"):
+            build_table(one, IDENTITY_2D, features)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(2, 12), st.integers(1, 4)),
+        elements=st.floats(-1e3, 1e3, allow_subnormal=False),
+    )
+)
+def test_median_pairwise_distance_is_np_median(points):
+    # odd and even pair counts; the sorted middle must be np.median's bits
+    diffs = points[:, None, :] - points[None, :, :]
+    dists = np.sqrt((diffs * diffs).sum(axis=-1))[np.triu_indices(len(points), k=1)]
+    assert _median_pairwise_distance(points) == float(np.median(dists))
+
+
+def test_building_assets_leaves_numpy_ma_unimported():
+    # numpy.ma costs every cold process its import time in set-up
+    script = (
+        "import sys\n"
+        "from replan import ExperimentConfig, build_task_assets\n"
+        "build_task_assets(ExperimentConfig(), 'pushbar')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_empty_buffer_rejected():
