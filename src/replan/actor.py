@@ -35,15 +35,14 @@ class TrackedTrajectory:
 
 def track_centroid(video: Video, band: tuple[float, float]) -> TrackedTrajectory:
     lo, hi = band
-    points = np.full((video.length, 2), np.nan, dtype=np.float64)
-    valid = np.zeros(video.length, dtype=bool)
-    for t in range(video.length):
-        frame = video.frame(t)
-        rows, cols = np.nonzero((frame >= lo) & (frame <= hi))
-        if rows.size:
-            points[t, 0] = rows.mean()
-            points[t, 1] = cols.mean()
-            valid[t] = True
+    length = video.length
+    t, rows, cols = np.nonzero((video.pixels >= lo) & (video.pixels <= hi))
+    # per-frame sums of pixel indices are exact, so sum / count equals the mean
+    counts = np.bincount(t, minlength=length)
+    sums = np.stack([np.bincount(t, weights=i, minlength=length) for i in (rows, cols)], axis=1)
+    valid = counts > 0
+    points = np.full((length, 2), np.nan, dtype=np.float64)
+    points[valid] = sums[valid] / counts[valid, None]
     return TrackedTrajectory(points=points, valid=valid)
 
 

@@ -76,12 +76,15 @@ class Video:
         return self.pixels[0]
 
     def with_first_frame(self, frame: np.ndarray) -> "Video":
-        """Copy of this video with frame 0 replaced bit-exactly by ``frame``."""
+        """Copy of this video with frame 0 replaced bit-exactly by ``frame``;
+        this video itself when frame 0 already holds the same bytes."""
         frame = np.asarray(frame, dtype=np.float32)
         if frame.shape != self.pixels.shape[1:]:
             raise VideoFormatError(
                 f"frame shape {frame.shape} does not match video {self.pixels.shape[1:]}"
             )
+        if frame.tobytes() == self.pixels[0].tobytes():
+            return self
         out = self.pixels.copy()
         out[0] = frame
         return Video(out)

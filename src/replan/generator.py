@@ -96,11 +96,12 @@ def fit_generator(
 
 
 def _log_weights(g: KernelGenerator, e: np.ndarray | None) -> np.ndarray:
+    """Kernel log-weights over the support: (n,) for one embedding, (m, n) for a batch."""
     if e is None:
         return np.zeros(len(g))
     e = np.asarray(e, dtype=np.float64)
-    diffs = g.embeddings - e
-    sq = (diffs * diffs).sum(axis=1)
+    diffs = g.embeddings - e[..., None, :]
+    sq = (diffs * diffs).sum(axis=-1)
     return -sq / (2.0 * g.bandwidth * g.bandwidth)
 
 
@@ -111,18 +112,19 @@ def generate(
     config: GenerationConfig,
     rng: np.random.Generator,
 ) -> list[Video]:
-    """Sample n candidate plans; each is a support video whose frame 0 is
-    replaced bit-exactly by ``first_frame``.
+    """Sample candidate plans; each is a support video whose frame 0 is
+    replaced bit-exactly by ``first_frame`` (shared when it already matches).
 
-    A null embedding gives uniform weights.
+    ``e`` is None (uniform weights) or one (k,) embedding, which draw
+    ``config.n_candidates`` plans, or an (m, k) batch, which draws one plan
+    per row.  The draws are ``rng.random(count)``, the same uniforms as
+    ``count`` single draws in turn.
     """
-    first_frame = np.asarray(first_frame, dtype=np.float32)
-    cumulative = np.cumsum(softmax(_log_weights(g, e)))
-    plans = []
-    for _ in range(config.n_candidates):
-        pick = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        plans.append(g.videos[min(pick, len(g) - 1)].with_first_frame(first_frame))
-    return plans
+    cumulative = np.cumsum(softmax(_log_weights(g, e)), axis=-1)
+    draws = rng.random(len(cumulative) if cumulative.ndim == 2 else config.n_candidates)
+    # count of cumulative weights <= u, as searchsorted(side="right") on each row
+    picks = np.minimum((cumulative <= draws[:, None]).sum(axis=-1), len(g) - 1)
+    return [g.videos[pick].with_first_frame(first_frame) for pick in picks]
 
 
 def id_generate(g: KernelGenerator, first_frame: np.ndarray, e: np.ndarray | None) -> Video:

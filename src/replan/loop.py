@@ -174,19 +174,18 @@ def run_episode(
         buffer_policy=BufferPolicy(config.buffer_policy),
     )
     rejection_metric = RejectionMetric(config.rejection_metric)
-    gen_config = GenerationConfig(n_candidates=1, noise_std=config.noise_std)
+    n = method.candidate_count(config.n_candidates)
+    gen_config = GenerationConfig(n_candidates=n, noise_std=config.noise_std)
     refine_config = RefineConfig(
         init_mode="random", steps=config.refine_steps, restarts=config.refine_restarts
     )
-    hypotheses = candidate_actions(env.kind)
+    hypotheses = candidate_actions(env.kind) if method is Method.RANDOM else []
     wall = {"retrieve": 0.0, "generate": 0.0, "reject": 0.0, "act": 0.0}
     rounds: list[RoundRecord] = []
     succeeded = False
     replans = config.max_replans
 
     for round_index in range(1, config.max_replans + 1):
-        n = method.candidate_count(config.n_candidates)
-
         if method is Method.RANDOM:
             t0 = time.perf_counter()
             action = hypotheses[int(rng.integers(len(hypotheses)))]
@@ -202,25 +201,21 @@ def run_episode(
             continue
 
         # Until a plan has executed and failed there is no interaction to
-        # condition on (round 1, or rounds whose plans did not decode).
+        # condition on (round 1, or rounds whose plans did not decode), and
+        # all n candidates come from uniform weights; else one per embedding.
         t0 = time.perf_counter()
-        embeddings: list[np.ndarray | None]
-        if not interactions or not (method.uses_retrieval or method.uses_refinement):
-            embeddings = [None] * n
-        elif method.uses_retrieval:
-            embeddings = list(retrieve(assets.table, interactions, retr_config, rng, count=n))
-        else:
+        embeddings: np.ndarray | None = None
+        if interactions and method.uses_retrieval:
+            embeddings = retrieve(assets.table, interactions, retr_config, rng, count=n)
+        elif interactions and method.uses_refinement:
             refined = refine_embedding(
                 assets.identifier, interactions[-1], None, refine_config, rng, count=n
             )
-            embeddings = [r.embedding for r in refined]
+            embeddings = np.stack([r.embedding for r in refined])
         wall["retrieve"] += 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        candidates = [
-            generate(assets.planner, first_frame, e, gen_config, rng)[0]
-            for e in embeddings
-        ]
+        candidates = generate(assets.planner, first_frame, embeddings, gen_config, rng)
         wall["generate"] += 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Video, pixel_l2
+from .core import Video
 from .encoders import encode_video
 
 
@@ -27,7 +27,13 @@ class RejectionMetric(Enum):
 
 @dataclass
 class FailedPlanBuffer:
-    """Episode-scoped store of executed plans that failed."""
+    """Episode-scoped store of executed plans that failed.
+
+    A query stacks the plans' pixels, or under the embedding metric their
+    features; each plan is encoded on the first such query only.  Pixels
+    are widened to float64 only inside a query, so the buffer holds no
+    more than its plans and their features.
+    """
 
     plans: list[Video] = field(default_factory=list)
     _features: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -53,6 +59,32 @@ def _rejection_metric(metric: RejectionMetric | str) -> RejectionMetric:
         raise ValueError(f"metric must be one of {choices}, got {metric!r}") from None
 
 
+def _nearest_failed_distances(
+    plans: Sequence[Video], buffer: FailedPlanBuffer, metric: RejectionMetric | str
+) -> np.ndarray:
+    """(m,) distance from each plan to its closest buffered failure.
+
+    Raw pixels take every candidate against one failure per broadcast and
+    sum ``diff * diff`` along each row, as ``pixel_l2`` does; embeddings
+    take all pairs in one broadcast, each distance the square root of a
+    batched self-product, as ``np.linalg.norm`` takes it.  Both are
+    bit-equal to the per-pair forms.
+    """
+    metric = _rejection_metric(metric)
+    if len(buffer) == 0:
+        return np.full(len(plans), math.inf)
+    if metric is RejectionMetric.RAW_PIXEL:
+        shapes = {plan.pixels.shape for plan in [*plans, *buffer.plans]}
+        if len(shapes) > 1:
+            raise ValueError(f"shape mismatch: {sorted(shapes)}")
+        rows = np.stack([plan.pixels.reshape(-1) for plan in plans]).astype(np.float64)
+        diffs = (rows - failed.pixels.reshape(-1) for failed in buffer.plans)
+        return np.sqrt([np.sum(np.square(d, out=d), axis=-1) for d in diffs]).min(axis=0)
+    rows = np.stack([encode_video(plan) for plan in plans])
+    diff = rows[:, None, :] - np.stack(buffer.features())
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]).min(axis=1)
+
+
 def nearest_failed_distance(
     plan: Video,
     buffer: FailedPlanBuffer,
@@ -62,13 +94,7 @@ def nearest_failed_distance(
 
     ``metric`` is a ``RejectionMetric`` or its name.
     """
-    metric = _rejection_metric(metric)
-    if len(buffer) == 0:
-        return math.inf
-    if metric is RejectionMetric.RAW_PIXEL:
-        return min(pixel_l2(plan, failed) for failed in buffer.plans)
-    feature = encode_video(plan)
-    return min(float(np.linalg.norm(feature - f)) for f in buffer.features())
+    return float(_nearest_failed_distances([plan], buffer, metric)[0])
 
 
 def select_plan(
@@ -84,7 +110,5 @@ def select_plan(
     """
     if not candidates:
         raise ValueError("no candidate plans to select from")
-    metric = _rejection_metric(metric)
-    scores = [nearest_failed_distance(plan, buffer, metric) for plan in candidates]
-    best = max(range(len(candidates)), key=lambda i: (scores[i], -i))
+    best = int(np.argmax(_nearest_failed_distances(candidates, buffer, metric)))
     return best, candidates[best]

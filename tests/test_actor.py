@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from replan import (
     EnvAction,
@@ -44,6 +46,50 @@ def test_track_centroid_band_filtering():
     v = Video(px)
     assert track_centroid(v, OBJECT_BAND).points[0].tolist() == [5.0, 5.0]
     assert track_centroid(v, GRIPPER_BAND).points[0].tolist() == [9.0, 9.0]
+
+
+def per_frame_centroid(video, band):
+    """Oracle: one nonzero and one mean per frame."""
+    lo, hi = band
+    points = np.full((video.length, 2), np.nan, dtype=np.float64)
+    valid = np.zeros(video.length, dtype=bool)
+    for t in range(video.length):
+        frame = video.frame(t)
+        rows, cols = np.nonzero((frame >= lo) & (frame <= hi))
+        if rows.size:
+            points[t, 0] = rows.mean()
+            points[t, 1] = cols.mean()
+            valid[t] = True
+    return points, valid
+
+
+# pixel shades around both bands' edges, plus background
+SHADES = [
+    0.0, 0.5, GRIPPER_BAND[0], 1.0, OBJECT_BAND[0], OBJECT_BAND[1], np.nextafter(OBJECT_BAND[1], 1)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.integers(1, 5),
+    h=st.integers(1, 32),
+    w=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+    empty=st.lists(st.booleans(), min_size=5, max_size=5),
+    band=st.sampled_from([GRIPPER_BAND, OBJECT_BAND]),
+)
+@example(t=1, h=32, w=32, seed=0, density=0.0, empty=[True] * 5, band=OBJECT_BAND)
+def test_track_centroid_matches_per_frame_oracle(t, h, w, seed, density, empty, band):
+    rng = np.random.default_rng(seed)
+    px = np.asarray(SHADES, dtype=np.float32)[rng.integers(len(SHADES), size=(t, h, w))]
+    px[rng.random((t, h, w)) >= density] = 0.0
+    px[np.asarray(empty[:t])] = 0.0
+    video = Video(px)
+    traj = track_centroid(video, band)
+    points, valid = per_frame_centroid(video, band)
+    assert traj.points.tobytes() == points.tobytes()
+    assert traj.valid.tolist() == valid.tolist()
 
 
 @pytest.mark.parametrize("kind", [EnvKind.PUSH_BAR, EnvKind.PICK_BAR])

@@ -112,11 +112,8 @@ def test_rerun_is_bit_identical(tmp_path, capsys):
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
 
-def test_episodes_identical_across_blas_threads(tmp_path):
-    # BLAS may split reductions differently with more threads; the CSV must not move.
-    exp = experiment_json(
-        tmp_path, tasks=["slidebrick", "openbox"], methods=["ours", "ours_refine"], trials=10
-    )
+def episodes_under_blas_threads(tmp_path, exp):
+    """The episodes CSV of ``replan run`` under 1 and under 2 OpenBLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
@@ -128,8 +125,28 @@ def test_episodes_identical_across_blas_threads(tmp_path):
             env=env, check=True, capture_output=True, timeout=120,
         )
         outs.append((out / "episodes.csv").read_bytes())
+    return outs
+
+
+def test_episodes_identical_across_blas_threads(tmp_path):
+    # BLAS may split reductions differently with more threads; the CSV must not move.
+    exp = experiment_json(
+        tmp_path, tasks=["slidebrick", "openbox"], methods=["ours", "ours_refine"], trials=10
+    )
+    outs = episodes_under_blas_threads(tmp_path, exp)
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == 1 + 2 * 2 * 10
+
+
+def test_wide_episodes_identical_across_blas_threads(tmp_path):
+    # batched rejection: candidate-to-failure feature distances are BLAS products
+    exp = experiment_json(
+        tmp_path, tasks=["pushbar"], methods=["ours"], trials=20, n_candidates=5,
+        rejection_metric="embedding", buffer_policy="aggregate",
+    )
+    outs = episodes_under_blas_threads(tmp_path, exp)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 20
 
 
 def test_run_timing_flag(tmp_path, capsys):

@@ -69,6 +69,19 @@ def test_with_first_frame_is_bit_exact():
         v.with_first_frame(np.zeros((4, 4), dtype=np.float32))
 
 
+def test_with_first_frame_shares_only_byte_equal_frames():
+    v = Video(np.zeros((2, 8, 8), dtype=np.float32))
+    assert v.with_first_frame(np.zeros((8, 8))) is v  # float64 zeros cast to the same bytes
+    assert v.with_first_frame(v.pixels[0].copy()) is v
+    # -0.0 == 0.0, but the bytes differ, so the frame is replaced
+    negative = v.with_first_frame(np.full((8, 8), -0.0, dtype=np.float32))
+    assert negative is not v
+    assert negative.pixels[0].tobytes() == np.full((8, 8), -0.0, dtype=np.float32).tobytes()
+    assert v.pixels[0].tobytes() == np.zeros((8, 8), dtype=np.float32).tobytes()
+    other = v.with_first_frame(np.full((8, 8), 0.5, dtype=np.float32))
+    assert other is not v and (other.pixels[0] == 0.5).all()
+
+
 # ---------------------------------------------------------------------------
 # ISEV wire format
 

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from replan import (
+    EnvInstance,
+    ExperimentConfig,
     GenerationConfig,
     GeneratorMode,
     Video,
     build_table,
+    build_task_assets,
     encode_video,
     fit_generator,
     generate,
+    hidden_values,
     id_generate,
     mse_objective,
     naive_mse_loss,
+    reset,
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
@@ -125,6 +130,54 @@ def test_embedding_steers_sampling(planner):
     )
     picks_a = sum(1 for p in plans if p.pixels[1, 0, 0] == np.float32(0.2))
     assert 200 < picks_a < 300  # expected ~248 of 400
+
+
+def single_draw_generate(g, first_frame, e, n, rng):
+    """Oracle: one embedding's softmax, then one searchsorted draw per plan."""
+    logw = np.zeros(len(g))
+    if e is not None:
+        diffs = g.embeddings - np.asarray(e, dtype=np.float64)
+        logw = -(diffs * diffs).sum(axis=1) / (2.0 * g.bandwidth * g.bandwidth)
+    cumulative = np.cumsum(softmax(logw))
+    picks = [int(np.searchsorted(cumulative, rng.random(), side="right")) for _ in range(n)]
+    return [g.videos[min(p, len(g) - 1)].with_first_frame(first_frame) for p in picks]
+
+
+@pytest.mark.parametrize("task", ["pushbar", "slidebrick", "openbox"])
+def test_batched_generate_matches_single_draws(task):
+    # one call draws the same plans as the per-embedding draws it replaces, and
+    # leaves the rng where they leave it
+    assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
+    g = assets.planner
+    frame = reset(EnvInstance.create(assets.kind, hidden_values(assets.kind)[0]))
+    seed_rng = np.random.default_rng(57)
+    k = g.embeddings.shape[1]
+    for m in (1, 2, 5, 9):
+        # support embeddings (peaked weights) and random points (spread weights)
+        batch = np.concatenate([g.embeddings[seed_rng.choice(len(g), m // 2)],
+                                seed_rng.normal(0.0, 1.0, size=(m - m // 2, k))])
+        rng, oracle_rng = np.random.default_rng(m), np.random.default_rng(m)
+        # an (m, k) batch: one plan per row, whatever n_candidates says
+        plans = generate(g, frame, batch, GenerationConfig(n_candidates=3), rng)
+        expected = [single_draw_generate(g, frame, e, 1, oracle_rng)[0] for e in batch]
+        # one (k,) embedding and None: n_candidates plans from one softmax
+        plans += generate(g, frame, batch[-1], GenerationConfig(n_candidates=m), rng)
+        expected += single_draw_generate(g, frame, batch[-1], m, oracle_rng)
+        plans += generate(g, frame, None, GenerationConfig(n_candidates=m), rng)
+        expected += single_draw_generate(g, frame, None, m, oracle_rng)
+        assert [p.pixels.tobytes() for p in plans] == [p.pixels.tobytes() for p in expected]
+        assert rng.random() == oracle_rng.random()
+
+
+def test_generated_plan_shares_its_support_video_only_when_frame_0_matches(planner):
+    first, other = planner.videos
+    plans = generate(planner, first.pixels[0].copy(), None, GenerationConfig(n_candidates=8),
+                     np.random.default_rng(58))
+    bodies = [p.pixels[1, 0, 0] for p in plans]
+    assert first.pixels[1, 0, 0] in bodies and other.pixels[1, 0, 0] in bodies
+    for plan, body in zip(plans, bodies):
+        assert (plan is first) == (body == first.pixels[1, 0, 0])
+        assert plan is not other
 
 
 def test_id_generate_uniform_mean(identifier):

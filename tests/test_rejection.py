@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from replan import (
+    ALL_TASKS,
+    ExperimentConfig,
     FailedPlanBuffer,
     RejectionMetric,
     Video,
+    build_task_assets,
+    encode_video,
     nearest_failed_distance,
+    pixel_l2,
     select_plan,
 )
+from replan.rejection import _nearest_failed_distances
 
 
 def vid(fill=0.0):
@@ -184,3 +190,45 @@ def test_buffer_encodes_each_failure_at_most_once(monkeypatch):
     assert [sum(v is f for v in encoded) for f in fails] == [1, 1, 1]
     assert [sum(v is c for v in encoded) for c in candidates] == [3, 3]
     assert len(encoded) == 9
+
+
+def per_pair_nearest(plan, failed, metric):
+    """Per-candidate oracle: the nearest-failure loop one pair at a time."""
+    if not failed:
+        return math.inf
+    if metric is RejectionMetric.RAW_PIXEL:
+        return min(pixel_l2(plan, f) for f in failed)
+    feature = encode_video(plan)
+    return min(float(np.linalg.norm(feature - encode_video(f))) for f in failed)
+
+
+@pytest.fixture(scope="module")
+def task_assets():
+    return [build_task_assets(ExperimentConfig(), task) for task in ALL_TASKS]
+
+
+@pytest.mark.parametrize("metric", list(RejectionMetric))
+def test_batched_scores_match_per_pair_oracle(task_assets, metric):
+    # every planner-support plan as a candidate, against a buffer that grows by
+    # one dataset failure per round up to the replan cap, as in an episode
+    rng = np.random.default_rng(44)
+    for assets in task_assets:
+        candidates = list(assets.planner.videos)
+        failures = [t.video for t in assets.dataset.tuples if not t.success]
+        picks = rng.choice(len(failures), ExperimentConfig().max_replans, replace=False)
+        failed, buffer = [], FailedPlanBuffer()
+        for i in [None, *picks]:
+            if i is not None:
+                failed.append(failures[int(i)])
+                buffer.push(failures[int(i)])
+            expected = [per_pair_nearest(c, failed, metric) for c in candidates]
+            scores = _nearest_failed_distances(candidates, buffer, metric)
+            assert scores.tolist() == expected, assets.kind
+            best = max(range(len(candidates)), key=lambda j: (expected[j], -j))
+            assert select_plan(candidates, buffer, metric) == (best, candidates[best])
+
+
+def test_raw_pixel_scores_refuse_mismatched_shapes():
+    buffer = FailedPlanBuffer().push(vid(0.5))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        select_plan([Video(np.zeros((2, 32, 32), dtype=np.float32))], buffer)

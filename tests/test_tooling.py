@@ -59,3 +59,35 @@ def test_microbenchmarks_run():
     workloads = load_perfbench("workloads")
     micro = layers.microbenchmarks(ExperimentConfig.from_dict(workloads.payload("refine", 0)), 0)
     assert micro and all(math.isfinite(value) for value in micro.values())
+
+
+def test_round_clock_ticks_once_per_planned_round(monkeypatch):
+    # the benchmark times a round between consecutive replan.loop.plan_to_action
+    # calls; a loop that decodes plans any other way would leave round_ms empty
+    import numpy as np
+
+    import replan.loop as loop
+    from replan import (
+        ALL_METHODS, EnvInstance, ExperimentConfig, Method, build_task_assets, sample_hidden,
+    )
+
+    calls = []
+    decode = loop.plan_to_action
+
+    def counting(kind, plan):
+        calls.append(plan)
+        return decode(kind, plan)
+
+    monkeypatch.setattr(loop, "plan_to_action", counting)
+    config = ExperimentConfig(tasks=("openbox",), n_candidates=3, refine_steps=5)
+    assets = build_task_assets(config, "openbox")
+    for method in ALL_METHODS:
+        planned = 0
+        calls.clear()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
+            record = loop.run_episode(env, Method(method), assets, config, rng)
+            planned += sum(r.plan_psnr is not None for r in record.rounds)
+        assert len(calls) == planned, method
+        assert (planned == 0) == (method == "random"), method
