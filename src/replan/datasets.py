@@ -27,10 +27,14 @@ def candidate_actions(kind: EnvKind) -> list[EnvAction]:
     ]
 
 
-def failing_actions(kind: EnvKind, theta: Theta) -> list[EnvAction]:
-    """Hypothesis-set actions ``rollout_success`` rejects under ``theta``, in table order."""
+def failing_actions(
+    kind: EnvKind, theta: Theta, hypotheses: list[EnvAction] | None = None
+) -> list[EnvAction]:
+    """Hypothesis-set actions ``rollout_success`` rejects under ``theta``, in table order;
+    ``hypotheses`` is ``candidate_actions(kind)``, built here when None."""
     theta = HiddenParam(kind, theta).value
-    return [a for a in candidate_actions(kind) if not rollout_success(kind, theta, a.value)]
+    hypotheses = candidate_actions(kind) if hypotheses is None else hypotheses
+    return [a for a in hypotheses if not rollout_success(kind, theta, a.value)]
 
 
 def build_dataset(
@@ -51,6 +55,7 @@ def build_dataset(
     if per_theta_fail < 0:
         raise ValueError(f"per_theta_fail must be >= 0, got {per_theta_fail}")
     rng = np.random.default_rng(seed)
+    hypotheses = candidate_actions(kind)
     tuples: list[ExperienceTuple] = []
     thetas: list[Theta] = []
     for theta in hidden_values(kind):
@@ -62,7 +67,7 @@ def build_dataset(
         for _ in range(per_theta_success):
             tuples.append(ExperienceTuple(good.video, oid, True))
             thetas.append(theta)
-        pool = failing_actions(kind, theta)
+        pool = failing_actions(kind, theta, hypotheses)
         for j in range(per_theta_fail):
             if not pool:
                 break

@@ -105,6 +105,18 @@ def _log_weights(g: KernelGenerator, e: np.ndarray | None) -> np.ndarray:
     return -sq / (2.0 * g.bandwidth * g.bandwidth)
 
 
+def generate_indices(
+    g: KernelGenerator, e: np.ndarray | None, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Support indices of sampled plans: ``count`` of them for ``e`` None (uniform
+    weights) or one (k,) embedding, one per row of an (m, k) batch.  The draws
+    are ``rng.random(count)``, the same uniforms as ``count`` single draws."""
+    cumulative = np.cumsum(softmax(_log_weights(g, e)), axis=-1)
+    draws = rng.random(len(cumulative) if cumulative.ndim == 2 else count)
+    # count of cumulative weights <= u, as searchsorted(side="right") on each row
+    return np.minimum((cumulative <= draws[:, None]).sum(axis=-1), len(g) - 1)
+
+
 def generate(
     g: KernelGenerator,
     first_frame: np.ndarray,
@@ -112,18 +124,9 @@ def generate(
     config: GenerationConfig,
     rng: np.random.Generator,
 ) -> list[Video]:
-    """Sample candidate plans; each is a support video whose frame 0 is
-    replaced bit-exactly by ``first_frame`` (shared when it already matches).
-
-    ``e`` is None (uniform weights) or one (k,) embedding, which draw
-    ``config.n_candidates`` plans, or an (m, k) batch, which draws one plan
-    per row.  The draws are ``rng.random(count)``, the same uniforms as
-    ``count`` single draws in turn.
-    """
-    cumulative = np.cumsum(softmax(_log_weights(g, e)), axis=-1)
-    draws = rng.random(len(cumulative) if cumulative.ndim == 2 else config.n_candidates)
-    # count of cumulative weights <= u, as searchsorted(side="right") on each row
-    picks = np.minimum((cumulative <= draws[:, None]).sum(axis=-1), len(g) - 1)
+    """Candidate plans as ``generate_indices`` draws them: support videos with frame 0
+    replaced bit-exactly by ``first_frame`` (shared when it already matches)."""
+    picks = generate_indices(g, e, config.n_candidates, rng)
     return [g.videos[pick].with_first_frame(first_frame) for pick in picks]
 
 

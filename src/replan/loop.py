@@ -4,7 +4,8 @@ An episode replans for up to ``max_replans`` rounds: propose candidate
 plans (conditioned on retrieved or refined state embeddings after the
 first failure), reject candidates near previously failed plans, decode
 the selected plan to an action, execute, and on failure grow the failed
-plan/interaction buffers.  Both buffers are episode-scoped.
+plan/interaction buffers.  Both buffers are episode-scoped; plans are
+indices into the task's ``PlanTable``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import ExperienceDataset, Video, load_dataset, psnr, ssim
 from .datasets import build_dataset, candidate_actions, subsample_dataset
 from .encoders import default_pca_k, encode_video, pca_fit
 from .envs import (
+    EnvAction,
     EnvInstance,
     EnvKind,
     execute,
@@ -34,16 +36,12 @@ from .envs import (
     sample_hidden,
     scripted_action,
 )
-from .actor import PlanDecodeError, plan_to_action
-from .generator import (
-    GenerationConfig,
-    GeneratorMode,
-    KernelGenerator,
-    fit_generator,
-    generate,
-)
+from .actor import PlanDecodeError, plan_to_action as decode_plan
+from .generator import GeneratorMode, KernelGenerator, fit_generator
+# the per-round call sites keep the names perfbench/layers.py traces
+from .generator import generate_indices as generate
 from .refinement import RefineConfig, refine_embedding
-from .rejection import FailedPlanBuffer, RejectionMetric, select_plan
+from .rejection import RejectionMetric, distance_matrix
 from .retrieval import (
     BufferPolicy,
     DistanceMetric,
@@ -89,6 +87,33 @@ class Method(Enum):
 ALL_METHODS = tuple(m.value for m in Method)
 
 
+@dataclass(frozen=True)
+class PlanTable:
+    """Planner-support entry i as a plan: its video with the reset frame as
+    frame 0, what ``actor.plan_to_action`` decodes it to (or the
+    ``PlanDecodeError`` text) and row i of the rejection distances under
+    ``metric``.  Set-up grows as (support size)^2 x T*H*W."""
+
+    videos: tuple[Video, ...]
+    actions: tuple[EnvAction | str, ...]
+    metric: RejectionMetric
+    distances: np.ndarray
+
+
+def select_plan(plans: PlanTable, candidates: np.ndarray, failed: list[int]) -> int:
+    """The candidate farthest from every failed plan, as ``rejection.select_plan``
+    picks it: ties, and an empty ``failed``, go to the first candidate."""
+    scores = plans.distances[np.ix_(candidates, failed)].min(axis=1, initial=math.inf)
+    return int(candidates[np.argmax(scores)])
+
+
+def plan_to_action(plans: PlanTable, index: int) -> EnvAction:
+    """The action plan ``index`` decodes to; ``PlanDecodeError`` if it does not decode."""
+    if isinstance(action := plans.actions[index], str):
+        raise PlanDecodeError(action)
+    return action
+
+
 @dataclass
 class TaskAssets:
     """Everything an episode needs for one task, fit on its dataset."""
@@ -99,10 +124,12 @@ class TaskAssets:
     planner: KernelGenerator
     identifier: KernelGenerator
     gt_plans: dict[float | str, Video]
+    plans: PlanTable
 
 
 def build_assets(
-    kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None
+    kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None,
+    rejection_metric: RejectionMetric | str = RejectionMetric.RAW_PIXEL,
 ) -> TaskAssets:
     raw = np.stack([encode_video(item.video) for item in dataset.tuples])
     k = pca_k if pca_k is not None else default_pca_k(raw.shape[0], raw.shape[1])
@@ -114,14 +141,17 @@ def build_assets(
     for theta in hidden_values(kind):
         env = EnvInstance.create(kind, theta)
         gt_plans[theta] = execute(env, scripted_action(env)).video
-    return TaskAssets(
-        kind=kind,
-        dataset=dataset,
-        table=table,
-        planner=planner,
-        identifier=identifier,
-        gt_plans=gt_plans,
-    )
+    first_frame = reset(env)  # the same for every hidden value of a kind
+    videos = tuple(video.with_first_frame(first_frame) for video in planner.videos)
+    actions = []
+    for video in videos:
+        try:
+            actions.append(decode_plan(kind, video))
+        except PlanDecodeError as err:
+            actions.append(str(err))
+    metric = RejectionMetric(rejection_metric)
+    plans = PlanTable(videos, tuple(actions), metric, distance_matrix(videos, metric))
+    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, plans)
 
 
 @dataclass(frozen=True)
@@ -164,8 +194,9 @@ def run_episode(
     """Run one episode; failed episodes report max_replans rounds used."""
     if env.kind is not assets.kind:
         raise ValueError("assets were built for a different task")
-    first_frame = reset(env)
-    plan_buffer = FailedPlanBuffer()
+    plans, failed = assets.plans, []
+    if method.uses_rejection and plans.metric is not RejectionMetric(config.rejection_metric):
+        raise ValueError(f"assets were built for rejection metric {plans.metric.value!r}")
     interactions = InteractionBuffer()
     gt_plan = assets.gt_plans[env.theta_value]
     retr_config = RetrievalConfig(
@@ -173,9 +204,7 @@ def run_episode(
         tau=config.tau,
         buffer_policy=BufferPolicy(config.buffer_policy),
     )
-    rejection_metric = RejectionMetric(config.rejection_metric)
     n = method.candidate_count(config.n_candidates)
-    gen_config = GenerationConfig(n_candidates=n, noise_std=config.noise_std)
     refine_config = RefineConfig(
         init_mode="random", steps=config.refine_steps, restarts=config.refine_restarts
     )
@@ -215,28 +244,26 @@ def run_episode(
         wall["retrieve"] += 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        candidates = generate(assets.planner, first_frame, embeddings, gen_config, rng)
+        candidates = generate(assets.planner, embeddings, n, rng)
         wall["generate"] += 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        if method.uses_rejection:
-            _, plan = select_plan(candidates, plan_buffer, rejection_metric)
-        else:
-            plan = candidates[0]
+        pick = select_plan(plans, candidates, failed) if method.uses_rejection else candidates[0]
         wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
+        plan = plans.videos[pick]
         plan_psnr, plan_ssim = psnr(plan, gt_plan), ssim(plan, gt_plan)
 
         t0 = time.perf_counter()
         try:
-            action = plan_to_action(env.kind, plan)
+            action = plan_to_action(plans, pick)
         except PlanDecodeError:
             action = None
         wall["act"] += 1e3 * (time.perf_counter() - t0)
 
         if action is None:
             # Undecodable plan: count the round as failed, learn from the plan.
-            plan_buffer.push(plan)
+            failed.append(pick)
             rounds.append(RoundRecord(round_index, None, False, plan_psnr, plan_ssim))
             continue
 
@@ -247,7 +274,7 @@ def run_episode(
         if outcome.success:
             succeeded, replans = True, round_index
             break
-        plan_buffer.push(plan)
+        failed.append(pick)
         interactions.push(outcome.video)
 
     return EpisodeRecord(
@@ -436,7 +463,7 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
         dataset, thetas = subsample_dataset(
             dataset, thetas, config.dataset_fraction, seed=frac_seed
         )
-    return build_assets(kind, dataset, pca_k=config.pca_k)
+    return build_assets(kind, dataset, config.pca_k, config.rejection_metric)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

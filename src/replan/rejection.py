@@ -27,16 +27,9 @@ class RejectionMetric(Enum):
 
 @dataclass
 class FailedPlanBuffer:
-    """Episode-scoped store of executed plans that failed.
-
-    A query stacks the plans' pixels, or under the embedding metric their
-    features; each plan is encoded on the first such query only.  Pixels
-    are widened to float64 only inside a query, so the buffer holds no
-    more than its plans and their features.
-    """
+    """Episode-scoped store of executed plans that failed; a query reads them afresh."""
 
     plans: list[Video] = field(default_factory=list)
-    _features: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.plans)
@@ -44,11 +37,6 @@ class FailedPlanBuffer:
     def push(self, plan: Video) -> "FailedPlanBuffer":
         self.plans.append(plan)
         return self
-
-    def features(self) -> list[np.ndarray]:
-        """Embeddings of the buffered plans; each plan is encoded on first request only."""
-        self._features.extend(encode_video(p) for p in self.plans[len(self._features):])
-        return self._features
 
 
 def _rejection_metric(metric: RejectionMetric | str) -> RejectionMetric:
@@ -59,30 +47,52 @@ def _rejection_metric(metric: RejectionMetric | str) -> RejectionMetric:
         raise ValueError(f"metric must be one of {choices}, got {metric!r}") from None
 
 
+def _rows(plans: Sequence[Video], metric: RejectionMetric) -> Sequence[np.ndarray]:
+    """One row per plan: stacked features, or a list of pixel rows widened to float64."""
+    if metric is RejectionMetric.EMBEDDING:
+        return np.stack([encode_video(plan) for plan in plans])
+    return [plan.pixels.reshape(-1).astype(np.float64) for plan in plans]
+
+
+def _distances(
+    rows: Sequence[np.ndarray], others: Sequence[np.ndarray], metric: RejectionMetric
+) -> np.ndarray:
+    """(m, f) distances from ``rows`` to ``others``, bit-equal to the per-pair forms:
+    raw pixels sum ``diff * diff`` one cache-sized pair at a time, as ``pixel_l2``
+    does; features take the square root of a batched self-product, as
+    ``np.linalg.norm`` does."""
+    if metric is RejectionMetric.EMBEDDING:
+        diff = rows[:, None, :] - others
+        return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    diffs = (row - other for row in rows for other in others)
+    return np.sqrt([np.sum(np.square(d, out=d)) for d in diffs]).reshape(len(rows), len(others))
+
+
 def _nearest_failed_distances(
     plans: Sequence[Video], buffer: FailedPlanBuffer, metric: RejectionMetric | str
 ) -> np.ndarray:
-    """(m,) distance from each plan to its closest buffered failure.
-
-    Raw pixels take every candidate against one failure per broadcast and
-    sum ``diff * diff`` along each row, as ``pixel_l2`` does; embeddings
-    take all pairs in one broadcast, each distance the square root of a
-    batched self-product, as ``np.linalg.norm`` takes it.  Both are
-    bit-equal to the per-pair forms.
-    """
+    """(m,) distance from each plan to its closest buffered failure."""
     metric = _rejection_metric(metric)
     if len(buffer) == 0:
         return np.full(len(plans), math.inf)
-    if metric is RejectionMetric.RAW_PIXEL:
-        shapes = {plan.pixels.shape for plan in [*plans, *buffer.plans]}
-        if len(shapes) > 1:
-            raise ValueError(f"shape mismatch: {sorted(shapes)}")
-        rows = np.stack([plan.pixels.reshape(-1) for plan in plans]).astype(np.float64)
-        diffs = (rows - failed.pixels.reshape(-1) for failed in buffer.plans)
-        return np.sqrt([np.sum(np.square(d, out=d), axis=-1) for d in diffs]).min(axis=0)
-    rows = np.stack([encode_video(plan) for plan in plans])
-    diff = rows[:, None, :] - np.stack(buffer.features())
-    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]).min(axis=1)
+    shapes = {plan.pixels.shape for plan in [*plans, *buffer.plans]}
+    if metric is RejectionMetric.RAW_PIXEL and len(shapes) > 1:
+        raise ValueError(f"shape mismatch: {sorted(shapes)}")
+    return _distances(_rows(plans, metric), _rows(buffer.plans, metric), metric).min(axis=1)
+
+
+def distance_matrix(plans: Sequence[Video], metric: RejectionMetric | str) -> np.ndarray:
+    """(n, n) matrix whose entry (i, j) is, bit for bit, the distance ``select_plan``
+    scores ``plans[i]`` at against a failed ``plans[j]``.  Raw pixels take each plan
+    against the earlier ones only: a difference squares to the same bits either way."""
+    metric = _rejection_metric(metric)
+    rows = _rows(plans, metric)
+    if metric is RejectionMetric.EMBEDDING:
+        return _distances(rows, rows, metric)
+    out = np.zeros((len(rows), len(rows)))
+    for j in range(1, len(rows)):
+        out[j, :j] = _distances(rows[j : j + 1], rows[:j], metric)[0]
+    return out + out.T  # each entry meets a 0, so the mirror is exact
 
 
 def nearest_failed_distance(

@@ -25,7 +25,7 @@ from replan import (
     video_mse,
     write_video,
 )
-from replan.core import ExperienceDataset, ExperienceTuple, load_video, save_video
+from replan.core import PSNR_CAP_DB, ExperienceDataset, ExperienceTuple, load_video, save_video
 
 
 def const_video(value, shape=(2, 8, 8)):
@@ -274,6 +274,36 @@ def test_ssim_matches_sliding_window_oracle(t, h, w, noise, seed):
         b = np.clip(a + rng.normal(0.0, noise, a.shape), 0.0, 1.0).astype(np.float32)
     va, vb = Video(a), Video(b)
     assert ssim(va, vb) == pytest.approx(reference_ssim(va, vb), abs=1e-12, rel=0)
+
+
+@pytest.mark.parametrize("task", ExperimentConfig().tasks)
+def test_byte_equal_shortcut_matches_the_arithmetic(task, monkeypatch):
+    # a plan is scored against a ground-truth plan it is often byte-equal to;
+    # psnr and ssim then return what their arithmetic gives on (video, copy)
+    import replan.core
+
+    assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
+    videos = [*assets.planner.videos, *assets.plans.videos]
+
+    def scores():
+        return [(psnr(v, Video(v.pixels.copy())), ssim(v, Video(v.pixels.copy()))) for v in videos]
+
+    shortcut = scores()
+    assert set(shortcut) == {(PSNR_CAP_DB, 1.0)}
+    monkeypatch.setattr(replan.core, "_same_bytes", lambda a, b: False)
+    assert scores() == shortcut
+
+
+def test_byte_equal_shortcut_needs_equal_bytes_and_shape():
+    a = const_video(0.5, (2, 8, 8))
+    nudged = a.pixels.copy()
+    nudged[1, 3, 3] = 0.75
+    b = Video(nudged)
+    assert ssim(a, b) < 1.0 and psnr(a, b) == 10 * math.log10(1 / video_mse(a, b))
+    for metric in (psnr, ssim):
+        # same bytes, other shape: still a shape error
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metric(a, Video(a.pixels.reshape(2, 4, 16)))
 
 
 @pytest.mark.parametrize("task", ExperimentConfig().tasks)

@@ -42,6 +42,23 @@ def test_failing_actions_exact():
     assert hits >= 1  # at least its own scripted action succeeds
 
 
+def test_dataset_builds_the_hypothesis_set_once(monkeypatch):
+    import replan.datasets
+
+    for kind in EnvKind:
+        hypotheses = candidate_actions(kind)
+        for theta in hidden_values(kind):
+            assert failing_actions(kind, theta, hypotheses) == failing_actions(kind, theta)
+    calls = []
+    real = replan.datasets.candidate_actions
+    monkeypatch.setattr(
+        replan.datasets, "candidate_actions", lambda kind: calls.append(kind) or real(kind)
+    )
+    for kind in EnvKind:
+        build_dataset(kind)
+    assert calls == list(EnvKind)
+
+
 def test_failing_actions_render_nothing(monkeypatch):
     renders = []
     real_render = envs.render

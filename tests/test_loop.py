@@ -201,7 +201,7 @@ def test_episode_plan_metrics(openbox_assets):
     assert rand.mean_plan_psnr is None and rand.mean_plan_ssim is None
 
 
-def test_episode_converts_config_enums(openbox_assets, monkeypatch):
+def test_episode_converts_config_enums(monkeypatch):
     import replan.loop
 
     seen = {"buffer_policy": set(), "rejection_metric": set()}
@@ -211,16 +211,19 @@ def test_episode_converts_config_enums(openbox_assets, monkeypatch):
         seen["buffer_policy"].add(config.buffer_policy)
         return retrieve(table, query, config, rng, **kwargs)
 
-    def recording_select_plan(candidates, buffer, metric):
-        seen["rejection_metric"].add(metric)
-        return select_plan(candidates, buffer, metric)
+    def recording_select_plan(plans, candidates, failed):
+        seen["rejection_metric"].add(plans.metric)
+        return select_plan(plans, candidates, failed)
 
     monkeypatch.setattr(replan.loop, "retrieve", recording_retrieve)
     monkeypatch.setattr(replan.loop, "select_plan", recording_select_plan)
-    cfg = ExperimentConfig(rejection_metric="embedding", buffer_policy="aggregate")
+    cfg = ExperimentConfig(
+        tasks=("openbox",), rejection_metric="embedding", buffer_policy="aggregate"
+    )
+    assets = build_task_assets(cfg, "openbox")
     env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
     for seed in range(20):  # retrieval runs only after a failed round
-        run_episode(env, Method.OURS, openbox_assets, cfg, np.random.default_rng(seed))
+        run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))
     assert seen == {
         "buffer_policy": {BufferPolicy.AGGREGATE},
         "rejection_metric": {RejectionMetric.EMBEDDING},
@@ -229,7 +232,9 @@ def test_episode_converts_config_enums(openbox_assets, monkeypatch):
 
 @pytest.fixture(scope="module")
 def pushbar_assets():
-    return build_task_assets(ExperimentConfig(tasks=("pushbar",)), "pushbar")
+    # the episodes below reject under the embedding metric, as criterion 07's sweep does
+    cfg = ExperimentConfig(tasks=("pushbar",), rejection_metric="embedding")
+    return build_task_assets(cfg, "pushbar")
 
 
 def ours_episodes(assets, config, seeds=range(12)):
@@ -295,11 +300,11 @@ def test_undecodable_first_plan_keeps_null_conditioning(openbox_assets, monkeypa
 
     decode, calls = replan.loop.plan_to_action, []
 
-    def first_fails(kind, plan):
-        calls.append(plan)
+    def first_fails(plans, index):
+        calls.append(index)
         if len(calls) == 1:
             raise PlanDecodeError("forced")
-        return decode(kind, plan)
+        return decode(plans, index)
 
     monkeypatch.setattr(replan.loop, "plan_to_action", first_fails)
     env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
@@ -417,8 +422,8 @@ def test_rollout_cache_stays_bounded(monkeypatch):
         support = len(build_task_assets(cfg, task).planner)
         bound += len(hidden_values(kind)) * (len(candidate_actions(kind)) + support)
     assert info.currsize <= bound
-    # One render per rollout: each cache miss, plus each episode's reset.
-    assert rendered == info.misses + len(result.rows)
+    # One render per rollout: each cache miss, plus one reset per task's plan table.
+    assert rendered == info.misses + len(ALL_TASKS)
 
 
 def test_experiment_logs_one_line_per_cell(caplog, capsys):

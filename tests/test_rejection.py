@@ -160,7 +160,7 @@ def test_select_requires_candidates():
         select_plan([], FailedPlanBuffer())
 
 
-def test_buffer_encodes_each_failure_at_most_once(monkeypatch):
+def test_embedding_query_encodes_each_plan_once(monkeypatch):
     import replan.rejection as rejection
 
     encoded = []
@@ -182,14 +182,16 @@ def test_buffer_encodes_each_failure_at_most_once(monkeypatch):
         select_plan(candidates, buffer, RejectionMetric.RAW_PIXEL)
     assert encoded == []
 
-    # embedding: each failure is encoded once across rounds; candidates once per round
+    # embedding: a query encodes each candidate and each failure once, and the
+    # buffer keeps no features between queries
     buffer = FailedPlanBuffer()
     for f in fails:
         buffer.push(f)
         select_plan(candidates, buffer, RejectionMetric.EMBEDDING)
-    assert [sum(v is f for v in encoded) for f in fails] == [1, 1, 1]
+    assert [sum(v is f for v in encoded) for f in fails] == [3, 2, 1]
     assert [sum(v is c for v in encoded) for c in candidates] == [3, 3]
-    assert len(encoded) == 9
+    assert len(encoded) == 12
+    assert vars(buffer) == {"plans": fails}
 
 
 def per_pair_nearest(plan, failed, metric):

@@ -91,3 +91,21 @@ def test_round_clock_ticks_once_per_planned_round(monkeypatch):
             planned += sum(r.plan_psnr is not None for r in record.rounds)
         assert len(calls) == planned, method
         assert (planned == 0) == (method == "random"), method
+
+
+@pytest.mark.parametrize("workload", ["grid", "refine", "wide"])
+def test_chunk_zero_matches_the_recorded_digest(workload, tmp_path):
+    # the benchmark checks bit-identity only when someone runs it; this runs
+    # its seed-0 chunk 0 in-process against the digest it records
+    import hashlib
+    import json
+
+    from replan import ExperimentConfig, run_experiment, write_episodes_csv
+
+    workloads = load_perfbench("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert reference["seed"] == 0
+    result = run_experiment(ExperimentConfig.from_dict(workloads.payload(workload, 0)))
+    write_episodes_csv(result.rows, tmp_path / "episodes.csv", timing=False)
+    digest = hashlib.sha256((tmp_path / "episodes.csv").read_bytes()).hexdigest()
+    assert digest == reference["sha256"][workload][0]
