@@ -53,6 +53,7 @@ from .retrieval import (
 )
 
 ALL_TASKS = tuple(kind.value for kind in EnvKind)
+WALL_PHASES = ("retrieve", "generate", "reject", "act")  # EpisodeRecord.wall_ms keys
 
 logger = logging.getLogger(__name__)
 
@@ -92,18 +93,18 @@ class PlanTable:
     """Planner-support entry i as a plan: its video with the reset frame as
     frame 0, what ``actor.plan_to_action`` decodes it to (or the
     ``PlanDecodeError`` text) and row i of the rejection distances under
-    ``metric``.  Set-up grows as (support size)^2 x T*H*W."""
+    each metric.  Set-up grows as (support size)^2 x T*H*W."""
 
     videos: tuple[Video, ...]
     actions: tuple[EnvAction | str, ...]
-    metric: RejectionMetric
-    distances: np.ndarray
+    distances: dict[RejectionMetric, np.ndarray]
 
 
-def select_plan(plans: PlanTable, candidates: np.ndarray, failed: list[int]) -> int:
-    """The candidate farthest from every failed plan, as ``rejection.select_plan``
-    picks it: ties, and an empty ``failed``, go to the first candidate."""
-    scores = plans.distances[np.ix_(candidates, failed)].min(axis=1, initial=math.inf)
+def select_plan(distances: np.ndarray, candidates: np.ndarray, failed: list[int]) -> int:
+    """The candidate farthest from every failed plan under one metric's ``PlanTable``
+    distances, as ``rejection.select_plan`` picks it: ties, and an empty ``failed``,
+    go to the first candidate."""
+    scores = distances[np.ix_(candidates, failed)].min(axis=1, initial=math.inf)
     return int(candidates[np.argmax(scores)])
 
 
@@ -125,12 +126,10 @@ class TaskAssets:
     identifier: KernelGenerator
     gt_plans: dict[float | str, Video]
     plans: PlanTable
+    hypotheses: list[EnvAction]  # what the random method draws from
 
 
-def build_assets(
-    kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None,
-    rejection_metric: RejectionMetric | str = RejectionMetric.RAW_PIXEL,
-) -> TaskAssets:
+def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None) -> TaskAssets:
     raw = np.stack([encode_video(item.video) for item in dataset.tuples])
     k = pca_k if pca_k is not None else default_pca_k(raw.shape[0], raw.shape[1])
     projection = pca_fit(raw, k)
@@ -149,9 +148,11 @@ def build_assets(
             actions.append(decode_plan(kind, video))
         except PlanDecodeError as err:
             actions.append(str(err))
-    metric = RejectionMetric(rejection_metric)
-    plans = PlanTable(videos, tuple(actions), metric, distance_matrix(videos, metric))
-    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, plans)
+    distances = {metric: distance_matrix(videos, metric) for metric in RejectionMetric}
+    plans = PlanTable(videos, tuple(actions), distances)
+    return TaskAssets(
+        kind, dataset, table, planner, identifier, gt_plans, plans, candidate_actions(kind)
+    )
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,7 @@ def run_episode(
     if env.kind is not assets.kind:
         raise ValueError("assets were built for a different task")
     plans, failed = assets.plans, []
-    if method.uses_rejection and plans.metric is not RejectionMetric(config.rejection_metric):
-        raise ValueError(f"assets were built for rejection metric {plans.metric.value!r}")
+    distances = plans.distances[RejectionMetric(config.rejection_metric)]
     interactions = InteractionBuffer()
     gt_plan = assets.gt_plans[env.theta_value]
     retr_config = RetrievalConfig(
@@ -208,64 +208,58 @@ def run_episode(
     refine_config = RefineConfig(
         init_mode="random", steps=config.refine_steps, restarts=config.refine_restarts
     )
-    hypotheses = candidate_actions(env.kind) if method is Method.RANDOM else []
-    wall = {"retrieve": 0.0, "generate": 0.0, "reject": 0.0, "act": 0.0}
+    wall = dict.fromkeys(WALL_PHASES, 0.0)
     rounds: list[RoundRecord] = []
     succeeded = False
     replans = config.max_replans
 
     for round_index in range(1, config.max_replans + 1):
+        plan_psnr = plan_ssim = None
         if method is Method.RANDOM:
             t0 = time.perf_counter()
-            action = hypotheses[int(rng.integers(len(hypotheses)))]
+            action = assets.hypotheses[int(rng.integers(len(assets.hypotheses)))]
             wall["act"] += 1e3 * (time.perf_counter() - t0)
-            outcome = execute(env, action)
-            rounds.append(
-                RoundRecord(round_index, action.value, outcome.success, None, None)
-            )
-            if outcome.success:
-                succeeded, replans = True, round_index
-                break
-            interactions.push(outcome.video)
-            continue
+        else:
+            # Until a plan has executed and failed there is no interaction to
+            # condition on (round 1, or rounds whose plans did not decode), and
+            # all n candidates come from uniform weights; else one per embedding.
+            t0 = time.perf_counter()
+            embeddings: np.ndarray | None = None
+            if interactions and method.uses_retrieval:
+                embeddings = retrieve(assets.table, interactions, retr_config, rng, count=n)
+            elif interactions and method.uses_refinement:
+                refined = refine_embedding(
+                    assets.identifier, interactions[-1], None, refine_config, rng, count=n
+                )
+                embeddings = np.stack([r.embedding for r in refined])
+            wall["retrieve"] += 1e3 * (time.perf_counter() - t0)
 
-        # Until a plan has executed and failed there is no interaction to
-        # condition on (round 1, or rounds whose plans did not decode), and
-        # all n candidates come from uniform weights; else one per embedding.
-        t0 = time.perf_counter()
-        embeddings: np.ndarray | None = None
-        if interactions and method.uses_retrieval:
-            embeddings = retrieve(assets.table, interactions, retr_config, rng, count=n)
-        elif interactions and method.uses_refinement:
-            refined = refine_embedding(
-                assets.identifier, interactions[-1], None, refine_config, rng, count=n
-            )
-            embeddings = np.stack([r.embedding for r in refined])
-        wall["retrieve"] += 1e3 * (time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            candidates = generate(assets.planner, embeddings, n, rng)
+            wall["generate"] += 1e3 * (time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        candidates = generate(assets.planner, embeddings, n, rng)
-        wall["generate"] += 1e3 * (time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            pick = candidates[0]
+            if method.uses_rejection:
+                pick = select_plan(distances, candidates, failed)
+            wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        pick = select_plan(plans, candidates, failed) if method.uses_rejection else candidates[0]
-        wall["reject"] += 1e3 * (time.perf_counter() - t0)
+            plan = plans.videos[pick]
+            plan_psnr, plan_ssim = psnr(plan, gt_plan), ssim(plan, gt_plan)
 
-        plan = plans.videos[pick]
-        plan_psnr, plan_ssim = psnr(plan, gt_plan), ssim(plan, gt_plan)
-
-        t0 = time.perf_counter()
-        try:
-            action = plan_to_action(plans, pick)
-        except PlanDecodeError:
-            action = None
-        wall["act"] += 1e3 * (time.perf_counter() - t0)
-
-        if action is None:
-            # Undecodable plan: count the round as failed, learn from the plan.
+            t0 = time.perf_counter()
+            try:
+                action = plan_to_action(plans, pick)
+            except PlanDecodeError:
+                action = None
+            wall["act"] += 1e3 * (time.perf_counter() - t0)
+            # a later round runs only if this plan failed, decoded or not
             failed.append(pick)
-            rounds.append(RoundRecord(round_index, None, False, plan_psnr, plan_ssim))
-            continue
+
+            if action is None:
+                # Undecodable plan: count the round as failed, learn from the plan.
+                rounds.append(RoundRecord(round_index, None, False, plan_psnr, plan_ssim))
+                continue
 
         outcome = execute(env, action)
         rounds.append(
@@ -274,7 +268,6 @@ def run_episode(
         if outcome.success:
             succeeded, replans = True, round_index
             break
-        failed.append(pick)
         interactions.push(outcome.video)
 
     return EpisodeRecord(
@@ -463,7 +456,7 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
         dataset, thetas = subsample_dataset(
             dataset, thetas, config.dataset_fraction, seed=frac_seed
         )
-    return build_assets(kind, dataset, config.pca_k, config.rejection_metric)
+    return build_assets(kind, dataset, config.pca_k)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .encoders import pca_apply, pca_fit
-from .loop import EpisodeRow, ExperimentConfig, ResultsTable, build_task_assets
+from .loop import WALL_PHASES, EpisodeRow, ExperimentConfig, ResultsTable, build_task_assets
 
 EPISODE_COLUMNS = (
     "task",
@@ -26,13 +26,8 @@ EPISODE_COLUMNS = (
     "succeeded",
     "mean_psnr",
     "mean_ssim",
-    "wall_ms_retrieve",
-    "wall_ms_generate",
-    "wall_ms_reject",
-    "wall_ms_act",
+    *(f"wall_ms_{phase}" for phase in WALL_PHASES),
 )
-
-WALL_PHASES = ("retrieve", "generate", "reject", "act")
 
 
 def _reads_as_float(text: str) -> bool:

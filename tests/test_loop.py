@@ -201,26 +201,49 @@ def test_episode_plan_metrics(openbox_assets):
     assert rand.mean_plan_psnr is None and rand.mean_plan_ssim is None
 
 
+def test_random_episodes_build_no_hypothesis_set(monkeypatch):
+    # the task's hypothesis set is built with its assets, once, not per episode
+    import replan.loop
+
+    calls = []
+    real = replan.loop.candidate_actions
+    monkeypatch.setattr(
+        replan.loop, "candidate_actions", lambda kind: calls.append(kind) or real(kind)
+    )
+    assets = build_task_assets(ExperimentConfig(tasks=("openbox",)), "openbox")
+    assert calls == [EnvKind.OPEN_BOX]
+    modes = {action.value for action in real(EnvKind.OPEN_BOX)}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
+        rec = run_episode(env, Method.RANDOM, assets, ExperimentConfig(), rng)
+        assert {r.action for r in rec.rounds} <= modes
+    assert calls == [EnvKind.OPEN_BOX]
+
+
 def test_episode_converts_config_enums(monkeypatch):
     import replan.loop
 
     seen = {"buffer_policy": set(), "rejection_metric": set()}
     retrieve, select_plan = replan.loop.retrieve, replan.loop.select_plan
+    cfg = ExperimentConfig(
+        tasks=("openbox",), rejection_metric="embedding", buffer_policy="aggregate"
+    )
+    assets = build_task_assets(cfg, "openbox")
 
     def recording_retrieve(table, query, config, rng, **kwargs):
         seen["buffer_policy"].add(config.buffer_policy)
         return retrieve(table, query, config, rng, **kwargs)
 
-    def recording_select_plan(plans, candidates, failed):
-        seen["rejection_metric"].add(plans.metric)
-        return select_plan(plans, candidates, failed)
+    def recording_select_plan(distances, candidates, failed):
+        # which metric's matrix the episode handed over
+        seen["rejection_metric"].update(
+            m for m, matrix in assets.plans.distances.items() if matrix is distances
+        )
+        return select_plan(distances, candidates, failed)
 
     monkeypatch.setattr(replan.loop, "retrieve", recording_retrieve)
     monkeypatch.setattr(replan.loop, "select_plan", recording_select_plan)
-    cfg = ExperimentConfig(
-        tasks=("openbox",), rejection_metric="embedding", buffer_policy="aggregate"
-    )
-    assets = build_task_assets(cfg, "openbox")
     env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
     for seed in range(20):  # retrieval runs only after a failed round
         run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))

@@ -1,5 +1,6 @@
 """The per-task plan table against the per-call functions it replaces in the loop."""
 
+import functools
 import json
 import os
 import subprocess
@@ -55,10 +56,16 @@ def per_call_action(kind, video):
         return str(err)
 
 
+@functools.cache
+def task_assets(task):
+    """``task``'s assets, built once: they are the same for every rejection metric."""
+    return build_task_assets(ExperimentConfig(tasks=(task,)), task)
+
+
 def table_mismatches(task, metric):
     """Entries of ``task``'s plan table that differ from their per-call values."""
-    assets = build_task_assets(ExperimentConfig(tasks=(task,), rejection_metric=metric), task)
-    plans = assets.plans
+    assets = task_assets(task)
+    plans, distances = assets.plans, assets.plans.distances[RejectionMetric(metric)]
     first_frame = reset(EnvInstance.create(assets.kind, hidden_values(assets.kind)[0]))
     videos = [support.with_first_frame(first_frame) for support in assets.planner.videos]
     features = [encode_video(video) for video in videos]
@@ -73,8 +80,8 @@ def table_mismatches(task, metric):
                 expected = pixel_l2(video, other)
             else:
                 expected = float(np.linalg.norm(features[i] - features[j]))
-            if plans.distances[i, j] != expected:
-                bad.append(f"{task} {metric} distance ({i}, {j}): {plans.distances[i, j]!r}")
+            if distances[i, j] != expected:
+                bad.append(f"{task} {metric} distance ({i}, {j}): {distances[i, j]!r}")
     return bad
 
 
@@ -104,25 +111,14 @@ def test_table_entries_equal_per_call_values_across_blas_threads():
 @pytest.mark.parametrize("metric", METRICS)
 def test_select_plan_picks_as_the_video_level_oracle(metric):
     # repeated candidates and tied scores included; ties go to the first candidate
-    assets = build_task_assets(ExperimentConfig(tasks=("pushbar",), rejection_metric=metric),
-                               "pushbar")
-    plans, rng = assets.plans, np.random.default_rng(5)
+    plans, rng = task_assets("pushbar").plans, np.random.default_rng(5)
+    distances = plans.distances[RejectionMetric(metric)]
     for _ in range(200):
         candidates = rng.integers(len(plans.videos), size=int(rng.integers(1, 6)))
         failed = [int(i) for i in rng.integers(len(plans.videos), size=int(rng.integers(0, 6)))]
         buffer = FailedPlanBuffer([plans.videos[i] for i in failed])
         best, _ = select_plan([plans.videos[i] for i in candidates], buffer, metric)
-        assert loop.select_plan(plans, candidates, failed) == candidates[best]
-
-
-def test_assets_refuse_another_rejection_metric():
-    assets = build_task_assets(ExperimentConfig(tasks=("openbox",)), "openbox")
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
-    config = ExperimentConfig(rejection_metric="embedding")
-    with pytest.raises(ValueError, match="rejection metric 'raw_pixel'"):
-        loop.run_episode(env, Method.OURS, assets, config, np.random.default_rng(0))
-    # a method without rejection reads no distances
-    loop.run_episode(env, Method.AVDC, assets, config, np.random.default_rng(0))
+        assert loop.select_plan(distances, candidates, failed) == candidates[best]
 
 
 def video_level_rounds(env, method, assets, config, rng):
@@ -169,9 +165,9 @@ def video_level_rounds(env, method, assets, config, rng):
 PLANNING_METHODS = [m for m in Method if m is not Method.RANDOM]
 
 
-def assert_episodes_match_video_level(assets, config, seeds):
+def assert_episodes_match_video_level(assets, config, seeds, methods=PLANNING_METHODS):
     rounds = []
-    for method in PLANNING_METHODS:
+    for method in methods:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
@@ -191,8 +187,20 @@ def test_episodes_match_the_video_level_loop(task, metric):
     config = ExperimentConfig(
         tasks=(task,), n_candidates=3, rejection_metric=metric, refine_steps=10
     )
-    assets = build_task_assets(config, task)
-    assert_episodes_match_video_level(assets, config, range(4))
+    assert_episodes_match_video_level(task_assets(task), config, range(4))
+
+
+def test_one_build_serves_every_rejection_metric():
+    # ``ours`` episodes under both metrics from one build, each as its oracle runs them
+    assets = build_task_assets(ExperimentConfig(tasks=("pushbar",)), "pushbar")
+    rounds = [
+        assert_episodes_match_video_level(
+            assets, ExperimentConfig(n_candidates=3, rejection_metric=metric), range(12),
+            [Method.OURS],
+        )
+        for metric in METRICS
+    ]
+    assert rounds[0] != rounds[1]  # the metric reaches the episodes
 
 
 def test_undecodable_support_plan_takes_the_undecodable_branch(tmp_path):

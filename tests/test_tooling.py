@@ -109,3 +109,28 @@ def test_chunk_zero_matches_the_recorded_digest(workload, tmp_path):
     write_episodes_csv(result.rows, tmp_path / "episodes.csv", timing=False)
     digest = hashlib.sha256((tmp_path / "episodes.csv").read_bytes()).hexdigest()
     assert digest == reference["sha256"][workload][0]
+
+
+DEMO_DIGESTS = {
+    "environments": "dac6849689ccddfc0cdc3040e06e968e007bc0ae8416814adcceb73d12111424",
+    "experiment_report": "e6b4f267b70336eeaa98766c92eb1f906724c766c2bee06bdfa4488eae5f4663",
+    "rejection_refinement": "0b603fe8c5f117689a9d245e72a3aea458d164c8862b568a09338670ef44e6b8",
+    "retrieval_demo": "5fc1458f6514bc6425ed3ba98d647dd4b578e49a47d2aac2bb48f589d2aadf86",
+    "video_metrics": "0eb1ca61a8142e5f2ffb832dc5355520375302905777151f8b00b7f9ae5afac6",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_DIGESTS))
+def test_demo_prints_the_recorded_bytes(demo):
+    # a refactor that keeps every number of the library keeps every byte the
+    # demos print; each runs as a user would, in a fresh process on src/
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    root = PERFBENCH.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(root / "demos" / f"{demo}.py")], env=env,
+                         check=True, capture_output=True, timeout=120).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[demo]
