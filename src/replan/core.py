@@ -7,6 +7,7 @@ ISEV container; datasets pair ISEV files with a JSON manifest.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -169,40 +170,51 @@ def psnr(a: Video, b: Video) -> float:
     return min(PSNR_CAP_DB, float(10.0 * math.log10(1.0 / mse)))
 
 
+@functools.cache
 def _window_band(n: int) -> np.ndarray:
     """(n, n - 7) band of 1/8s averaging each 8-wide window; its (m, m - 7) corner serves m < n."""
     offset = np.arange(n)[:, None] - np.arange(n - SSIM_WINDOW + 1)
     return ((offset >= 0) & (offset < SSIM_WINDOW)) / SSIM_WINDOW
 
 
-def ssim(a: Video, b: Video) -> float:
+def window_means(pixels: np.ndarray) -> np.ndarray:
+    """Float64 means of every 8x8 stride-1 window of each frame of a (..., H, W) stack, as
+    (..., windows) maps, transposed (which a mean over windows ignores): two BLAS products
+    with a band matrix built once per frame size, averaging along rows, then columns."""
+    *lead, h, w = pixels.shape
+    band = _window_band(max(h, w))
+    rows = np.reshape(pixels, (-1, w)) @ band[:w, : w - SSIM_WINDOW + 1]
+    rows = rows.reshape(-1, h, w - SSIM_WINDOW + 1).transpose(0, 2, 1)
+    return (rows.reshape(-1, h) @ band[:h, : h - SSIM_WINDOW + 1]).reshape(*lead, -1)
+
+
+def ssim(
+    a: Video, b: Video, mu_a: np.ndarray | None = None, mu_b: np.ndarray | None = None
+) -> float:
     """Mean SSIM over 8x8 stride-1 windows: per-frame window mean, then frame mean.
 
-    The window moments (Wang et al. 2004) of all frames are two BLAS
-    matrix products with a constant band matrix: one averages along rows;
-    after a transpose, the other averages along columns.  The window maps
-    come out transposed, which their mean ignores.  The formula needs the
-    two variances only as their sum, so a^2 + b^2 is one moment map.
+    The window moments (Wang et al. 2004) are ``window_means``; a caller that
+    holds a clip's passes them as ``mu_a`` or ``mu_b``, for the same bits.  The
+    formula needs the two variances only as their sum: a^2 + b^2 is one map.
     """
     _check_same_shape(a, b)
     t, h, w = a.pixels.shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"frame smaller than SSIM window: {(h, w)}")
+    windows = (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1)
+    if any(mu is not None and mu.shape != (t, windows) for mu in (mu_a, mu_b)):
+        raise ValueError(f"window means must have shape {(t, windows)}")
     if _same_bytes(a, b):
         return 1.0  # exactly what the arithmetic below gives for equal clips
-    band = _window_band(max(h, w))
-    maps = np.empty((4, t, h, w))
-    maps[0], maps[1] = a.pixels, b.pixels
-    np.square(maps[:2]).sum(axis=0, out=maps[2])
-    np.multiply(maps[0], maps[1], out=maps[3])
-    rows = (maps.reshape(-1, w) @ band[:w, : w - SSIM_WINDOW + 1]).reshape(4 * t, h, -1)
-    means = rows.transpose(0, 2, 1).reshape(-1, h) @ band[:h, : h - SSIM_WINDOW + 1]
-    mu_a, mu_b, e_sq, e_ab = means.reshape(4, t, -1)
+    mu_a = window_means(a.pixels) if mu_a is None else mu_a
+    mu_b = window_means(b.pixels) if mu_b is None else mu_b
+    pa, pb = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
+    e_sq, e_ab = window_means(np.stack([pa * pa + pb * pb, pa * pb]))
     mu_ab = mu_a * mu_b
     mu_sq = mu_a * mu_a + mu_b * mu_b
     num = (2.0 * mu_ab + SSIM_C1) * (2.0 * (e_ab - mu_ab) + SSIM_C2)
     den = (mu_sq + SSIM_C1) * (e_sq - mu_sq + SSIM_C2)
-    return float(np.mean(np.mean(num / den, axis=1)))
+    return float(np.add.reduce(np.add.reduce(num / den, axis=1) / windows) / t)  # as np.mean
 
 
 @dataclass(frozen=True)

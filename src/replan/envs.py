@@ -410,10 +410,11 @@ def _faucet_states(mode: str, success: bool) -> list[SceneState]:
     return states
 
 
-# Kept: tier-1 tests take 109 s without it, 100 s with it (criteria 06/07 repeat rollouts).
+# Kept: tier-1 tests took 157-185 s without it, 150-157 s with it (criteria 06/07 repeat rollouts).
 @lru_cache(maxsize=None)
-def _execute_cached(kind: EnvKind, theta: float | str, value: float | str) -> ExecutionOutcome:
-    success = rollout_success(kind, theta, value)
+def _execute_cached(
+    kind: EnvKind, theta: float | str, value: float | str, success: bool
+) -> ExecutionOutcome:
     if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
         states = _bar_states(kind, float(theta), float(value))
     elif kind is EnvKind.SLIDE_BRICK:
@@ -430,9 +431,14 @@ def execute(env: EnvInstance, action: EnvAction) -> ExecutionOutcome:
 
     The returned video has 8 frames; frame 0 equals the reset observation.
     """
+    return _execute_cached(env.kind, env.theta_value, action.value, succeeds(env, action))
+
+
+def succeeds(env: EnvInstance, action: EnvAction) -> bool:
+    """``execute(env, action).success``, from ``rollout_success`` alone: nothing renders."""
     if action.kind is not env.kind:
         raise ValueError("action kind does not match environment kind")
-    return _execute_cached(env.kind, env.theta_value, action.value)
+    return rollout_success(env.kind, env.theta_value, action.value)
 
 
 def scripted_action(env: EnvInstance) -> EnvAction:

@@ -1,11 +1,12 @@
 """Replanning loop, experiment runner, and ablation sweeps.
 
-An episode replans for up to ``max_replans`` rounds: propose candidate
-plans (conditioned on retrieved or refined state embeddings after the
-first failure), reject candidates near previously failed plans, decode
-the selected plan to an action, execute, and on failure grow the failed
-plan/interaction buffers.  Both buffers are episode-scoped; plans are
-indices into the task's ``PlanTable``.
+An episode replans for up to ``max_replans`` rounds: propose candidate plans
+(conditioned on retrieved or refined state embeddings after the first failure),
+reject candidates near previously failed plans, decode the selected plan to an
+action and judge it by the success rule.  A failed plan joins the failed-plan
+buffer; its rendered rollout joins the interaction buffer only when retrieval or
+refinement reads it.  Both buffers are episode-scoped; plans are indices into
+the task's ``PlanTable``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, load_dataset, psnr, ssim
+from .core import ExperienceDataset, Video, load_dataset, psnr, ssim, window_means
 from .datasets import build_dataset, candidate_actions, subsample_dataset
 from .encoders import default_pca_k, encode_video, pca_fit
 from .envs import (
@@ -35,6 +36,7 @@ from .envs import (
     reset,
     sample_hidden,
     scripted_action,
+    succeeds,
 )
 from .actor import PlanDecodeError, plan_to_action as decode_plan
 from .generator import GeneratorMode, KernelGenerator, fit_generator
@@ -44,7 +46,6 @@ from .refinement import RefineConfig, refine_embedding
 from .rejection import RejectionMetric, distance_matrix
 from .retrieval import (
     BufferPolicy,
-    DistanceMetric,
     EmbeddingTable,
     InteractionBuffer,
     RetrievalConfig,
@@ -90,12 +91,13 @@ ALL_METHODS = tuple(m.value for m in Method)
 
 @dataclass(frozen=True)
 class PlanTable:
-    """Planner-support entry i as a plan: its video with the reset frame as
-    frame 0, what ``actor.plan_to_action`` decodes it to (or the
-    ``PlanDecodeError`` text) and row i of the rejection distances under
-    each metric.  Set-up grows as (support size)^2 x T*H*W."""
+    """Planner-support entry i as a plan: its video with the reset frame as frame 0, its
+    ``core.window_means`` for ``ssim``, what ``actor.plan_to_action`` decodes it to (or the
+    ``PlanDecodeError`` text) and row i of the rejection distances under each metric.
+    Set-up grows as (support size)^2 x T*H*W."""
 
     videos: tuple[Video, ...]
+    means: np.ndarray  # (support size, T, windows) float64
     actions: tuple[EnvAction | str, ...]
     distances: dict[RejectionMetric, np.ndarray]
 
@@ -149,7 +151,9 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = 
         except PlanDecodeError as err:
             actions.append(str(err))
     distances = {metric: distance_matrix(videos, metric) for metric in RejectionMetric}
-    plans = PlanTable(videos, tuple(actions), distances)
+    # one video per product, as ssim's own: a stacked product may round otherwise
+    means = np.stack([window_means(video.pixels) for video in videos])
+    plans = PlanTable(videos, means, tuple(actions), distances)
     return TaskAssets(
         kind, dataset, table, planner, identifier, gt_plans, plans, candidate_actions(kind)
     )
@@ -199,15 +203,10 @@ def run_episode(
     distances = plans.distances[RejectionMetric(config.rejection_metric)]
     interactions = InteractionBuffer()
     gt_plan = assets.gt_plans[env.theta_value]
-    retr_config = RetrievalConfig(
-        metric=DistanceMetric.L2,
-        tau=config.tau,
-        buffer_policy=BufferPolicy(config.buffer_policy),
-    )
+    gt_means = window_means(gt_plan.pixels)
+    retr_config = RetrievalConfig(tau=config.tau, buffer_policy=config.buffer_policy)
     n = method.candidate_count(config.n_candidates)
-    refine_config = RefineConfig(
-        init_mode="random", steps=config.refine_steps, restarts=config.refine_restarts
-    )
+    refine_config = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
     wall = dict.fromkeys(WALL_PHASES, 0.0)
     rounds: list[RoundRecord] = []
     succeeded = False
@@ -244,8 +243,8 @@ def run_episode(
                 pick = select_plan(distances, candidates, failed)
             wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
-            plan = plans.videos[pick]
-            plan_psnr, plan_ssim = psnr(plan, gt_plan), ssim(plan, gt_plan)
+            plan_psnr = psnr(plans.videos[pick], gt_plan)
+            plan_ssim = ssim(plans.videos[pick], gt_plan, plans.means[pick], gt_means)
 
             t0 = time.perf_counter()
             try:
@@ -261,14 +260,13 @@ def run_episode(
                 rounds.append(RoundRecord(round_index, None, False, plan_psnr, plan_ssim))
                 continue
 
-        outcome = execute(env, action)
-        rounds.append(
-            RoundRecord(round_index, action.value, outcome.success, plan_psnr, plan_ssim)
-        )
-        if outcome.success:
+        success = succeeds(env, action)
+        rounds.append(RoundRecord(round_index, action.value, success, plan_psnr, plan_ssim))
+        if success:
             succeeded, replans = True, round_index
             break
-        interactions.push(outcome.video)
+        if method.uses_retrieval or method.uses_refinement:  # the readers of a failed rollout
+            interactions.push(execute(env, action).video)
 
     return EpisodeRecord(
         kind=env.kind,

@@ -25,7 +25,15 @@ from replan import (
     video_mse,
     write_video,
 )
-from replan.core import PSNR_CAP_DB, ExperienceDataset, ExperienceTuple, load_video, save_video
+from replan.core import (
+    PSNR_CAP_DB,
+    ExperienceDataset,
+    ExperienceTuple,
+    _window_band,
+    load_video,
+    save_video,
+    window_means,
+)
 
 
 def const_video(value, shape=(2, 8, 8)):
@@ -317,6 +325,71 @@ def test_ssim_matches_oracle_on_plan_pairs(task):
         plan = support.with_first_frame(first_frame)
         for gt in assets.gt_plans.values():
             assert ssim(plan, gt) == pytest.approx(reference_ssim(plan, gt), abs=1e-12, rel=0)
+
+
+def four_map_ssim(a, b):
+    """Bit-level oracle: the four window-moment maps of both clips in one pair of products."""
+    t, h, w = a.pixels.shape
+    if a.pixels.tobytes() == b.pixels.tobytes():
+        return 1.0
+    band = _window_band(max(h, w))
+    maps = np.empty((4, t, h, w))
+    maps[0], maps[1] = a.pixels, b.pixels
+    np.square(maps[:2]).sum(axis=0, out=maps[2])
+    np.multiply(maps[0], maps[1], out=maps[3])
+    rows = (maps.reshape(-1, w) @ band[:w, : w - 7]).reshape(4 * t, h, -1)
+    means = rows.transpose(0, 2, 1).reshape(-1, h) @ band[:h, : h - 7]
+    mu_a, mu_b, e_sq, e_ab = means.reshape(4, t, -1)
+    mu_ab = mu_a * mu_b
+    mu_sq = mu_a * mu_a + mu_b * mu_b
+    num = (2.0 * mu_ab + 1e-4) * (2.0 * (e_ab - mu_ab) + 9e-4)
+    den = (mu_sq + 1e-4) * (e_sq - mu_sq + 9e-4)
+    return float(np.mean(np.mean(num / den, axis=1)))
+
+
+def ssim_bit_mismatches():
+    """Plan pairs of all five tasks where ssim with held means, ssim without them and
+    ``four_map_ssim`` differ in any bit, and plan-table means that are not ``window_means``."""
+    bad = []
+    for task in ExperimentConfig().tasks:
+        assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
+        plans = assets.plans
+        for i, plan in enumerate(plans.videos):
+            if plans.means[i].tobytes() != window_means(plan.pixels).tobytes():
+                bad.append(f"{task} means {i}")
+            for theta, gt in assets.gt_plans.items():
+                scores = (ssim(plan, gt, plans.means[i], window_means(gt.pixels)),
+                          ssim(plan, gt), four_map_ssim(plan, gt))
+                if len({struct.pack("<d", score) for score in scores}) != 1:
+                    bad.append(f"{task} plan {i} theta {theta}: {scores}")
+    return bad
+
+
+def test_ssim_is_bit_equal_to_the_four_map_oracle_across_blas_threads():
+    # fresh processes under 1 and 2 threads, as test_demo_prints_the_recorded_bytes runs
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests, src = Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "src"
+    script = "import json, test_core as t; print(json.dumps(t.ssim_bit_mismatches()))"
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), str(tests),
+                                                           os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        assert json.loads(out.splitlines()[-1]) == [], threads
+
+
+def test_ssim_rejects_means_of_another_shape():
+    a, b = const_video(0.2, (2, 9, 10)), const_video(0.4, (2, 9, 10))
+    assert window_means(a.pixels).shape == (2, 6)
+    assert ssim(a, b, window_means(a.pixels), window_means(b.pixels)) == ssim(a, b)
+    with pytest.raises(ValueError, match="window means must have shape"):
+        ssim(a, b, None, window_means(b.pixels)[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from replan.envs import (
     HiddenParam,
     SceneState,
     _execute_cached,
+    succeeds,
 )
 
 ALL_KINDS = list(EnvKind)
@@ -89,6 +90,8 @@ def test_param_and_action_validation():
     env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
     with pytest.raises(ValueError):
         execute(env, EnvAction(EnvKind.PICK_BAR, 0.0))
+    with pytest.raises(ValueError, match="action kind"):
+        succeeds(env, EnvAction(EnvKind.PICK_BAR, 0.0))
     with pytest.raises(ValueError):
         EnvInstance(EnvKind.PUSH_BAR, HiddenParam(EnvKind.PICK_BAR, 0.0))
 

@@ -201,6 +201,33 @@ def test_episode_plan_metrics(openbox_assets):
     assert rand.mean_plan_psnr is None and rand.mean_plan_ssim is None
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_episode_renders_only_rollouts_a_later_round_reads(
+    pushbar_assets, openbox_assets, monkeypatch, method
+):
+    # success is a rule on (theta, action); only retrieval and refinement read
+    # a failed rollout, so only they render one, once per failed decoded round
+    import replan.loop
+
+    executed = []
+    real = replan.loop.execute
+    monkeypatch.setattr(
+        replan.loop, "execute", lambda env, action: executed.append(action) or real(env, action)
+    )
+    cfg, failed_total = ExperimentConfig(max_replans=6, refine_steps=5), 0
+    for assets in (pushbar_assets, openbox_assets):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
+            executed.clear()
+            rec = run_episode(env, method, assets, cfg, rng)
+            failed = sum(r.action is not None and not r.success for r in rec.rounds)
+            reads = method in (Method.AVDC_RETRIEVAL, Method.OURS, Method.OURS_REFINE)
+            assert len(executed) == (failed if reads else 0), (assets.kind, seed)
+            failed_total += failed
+    assert failed_total > 0
+
+
 def test_random_episodes_build_no_hypothesis_set(monkeypatch):
     # the task's hypothesis set is built with its assets, once, not per episode
     import replan.loop

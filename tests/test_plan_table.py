@@ -44,6 +44,7 @@ from replan import (
     select_plan,
     ssim,
 )
+from replan.envs import rollout_success, succeeds
 from replan.loop import RoundRecord
 
 METRICS = [m.value for m in RejectionMetric]
@@ -106,6 +107,19 @@ def test_table_entries_equal_per_call_values_across_blas_threads():
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=300).stdout
         assert json.loads(out.splitlines()[-1]) == [], threads
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_success_rule_is_what_execute_reports(task):
+    # the loop decides success without a render, for every action it can take
+    assets = task_assets(task)
+    decodable = [action for action in assets.plans.actions if not isinstance(action, str)]
+    for theta in hidden_values(assets.kind):
+        env = EnvInstance.create(assets.kind, theta)
+        for action in [*assets.hypotheses, *decodable]:
+            success = execute(env, action).success
+            assert rollout_success(assets.kind, theta, action.value) == success, (theta, action)
+            assert succeeds(env, action) == success, (theta, action)
 
 
 @pytest.mark.parametrize("metric", METRICS)
