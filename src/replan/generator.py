@@ -6,8 +6,9 @@ Identification mode it is every rollout.  Candidate plans are support
 videos sampled with Gaussian kernel weights centred on the conditioning
 embedding; the identification generator instead returns the kernel-mean
 video over the whole support, which varies smoothly with the embedding so
-it can be optimized by gradient descent; ``mse_objective`` returns the
-closed-form gradient.
+it can be optimized by gradient descent.  Support entries of one object share
+its embedding, so ``mse_objective`` computes that loss and its closed-form
+gradient over the distinct embeddings only.
 """
 
 from __future__ import annotations
@@ -60,14 +61,20 @@ class KernelGenerator:
 
     @cached_property
     def pixels(self) -> np.ndarray:
-        """(n, T*H*W) float64 support matrix, built on first use."""
+        """(n, T*H*W) float64 support matrix for ``id_generate``, built on first use."""
         return np.stack([v.pixels.reshape(-1) for v in self.videos]).astype(np.float64)
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """Support Gram matrix over frames 1..T-1, built on first use."""
-        tail = self.pixels[:, self.videos[0].pixels[0].size :]
-        return tail @ tail.T
+    def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct embedding rows, log member counts, each group's float64 mean of frames
+        1..T-1 (summed in support order) and the Gram of those means; built on first use."""
+        rows, owner, counts = np.unique(self.embeddings, axis=0, return_inverse=True,
+                                        return_counts=True)
+        tails = np.zeros((len(rows), self.videos[0].pixels[1:].size))
+        for video, group in zip(self.videos, owner.reshape(-1)):
+            tails[group] += video.pixels[1:].reshape(-1)
+        tails /= counts[:, None]
+        return rows.astype(np.float64), np.log(counts), tails, tails @ tails.T
 
 
 def fit_generator(
@@ -152,43 +159,36 @@ def mse_objective(
     """Batched loss L(e) = video_mse(observed, id_generate(g, observed[0], e))
     and its closed-form gradient.
 
-    Uses the generator's support Gram matrix, shared by every observation,
-    so each evaluation costs O(support^2) instead of touching every pixel;
-    equals the direct definition to floating-point accuracy.  Accepts a
-    batch (m, k) of embeddings and returns (m,) losses with their (m, k)
-    gradients.
+    Entries with equal embeddings get equal kernel weights, so the kernel mean mixes
+    the ``groups`` means with W = softmax(log n_o - ||e - E_o||^2 / 2h^2) and costs
+    O(groups^2) through their Gram; equal to the direct definition to floating-point
+    accuracy.  Takes a (k,) embedding or an (m, k) batch; returns (m,) losses, (m, k) grads.
     """
     if g.mode is not GeneratorMode.IDENTIFICATION:
         raise ValueError("mse_objective requires a generator in Identification mode")
     t, h, w = observed.pixels.shape
     if (t, h, w) != g.videos[0].pixels.shape:
         raise ValueError("observed video shape does not match the support")
-    head = h * w
     # Frame 0 of the kernel mean is replaced by the observation, so both
     # sides share it; restrict the quadratic form to frames 1..T-1.
-    obs_tail = observed.pixels.astype(np.float64).reshape(-1)[head:]
-    gram = g.gram
-    cross = g.pixels[:, head:] @ obs_tail
+    emb, log_counts, tails, gram = g.groups
+    obs_tail = observed.pixels[1:].astype(np.float64).reshape(-1)
+    cross = tails @ obs_tail
     const = float(obs_tail @ obs_tail)
     total = float(t * h * w)
-    emb = g.embeddings.astype(np.float64)
     emb_sq = (emb * emb).sum(axis=1)
     bw2 = 2.0 * g.bandwidth * g.bandwidth
 
     def objective(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        # ||b - e||^2 expanded so both heavy products hit BLAS.
-        d2 = emb_sq[None, :] - 2.0 * (b @ emb.T) + (b * b).sum(axis=1)[:, None]
-        wts = softmax(-d2 / bw2)
-        wg = wts @ gram
-        quad = (wg * wts).sum(axis=1)
-        losses = (const - 2.0 * (wts @ cross) + quad) / total
-        # dL/dw = (2 G w - 2 c) / N; through the softmax and the Gaussian kernel,
-        # dL/de = sum_i w_i (dL/dw_i - w . dL/dw) (E_i - e) / h^2.
-        dw = (2.0 / total) * (wg - cross)
-        coef = wts * (dw - (wts * dw).sum(axis=1, keepdims=True))
-        grads = (coef @ emb - coef.sum(axis=1, keepdims=True) * b) * (2.0 / bw2)
-        return np.maximum(losses, 0.0), grads
+        # -||b - E_o||^2 less the per-row ||b||^2, which the softmax cancels
+        wts = softmax(log_counts + (2.0 * (b @ emb.T) - emb_sq) / bw2)
+        u = wts @ gram - cross
+        losses = (const + ((u - cross) * wts).sum(axis=1)) / total
+        # dL/dW = 2u / N, so dL/de = sum_o W_o (dL/dW_o - W . dL/dW) 2 (E_o - e) / bw2,
+        # where the e term vanishes because the W_o (...) sum to zero
+        coef = wts * (u - (wts * u).sum(axis=1, keepdims=True))
+        return np.maximum(losses, 0.0), (coef @ emb) * (4.0 / (total * bw2))
 
     return objective
 

@@ -127,6 +127,7 @@ class TaskAssets:
     planner: KernelGenerator
     identifier: KernelGenerator
     gt_plans: dict[float | str, Video]
+    gt_means: dict[float | str, np.ndarray]  # window_means of each gt_plans video
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
 
@@ -151,12 +152,15 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = 
         except PlanDecodeError as err:
             actions.append(str(err))
     distances = {metric: distance_matrix(videos, metric) for metric in RejectionMetric}
-    # one video per product, as ssim's own: a stacked product may round otherwise
+    # one video per product, as ssim's own: a stacked product may round otherwise; a
+    # ground-truth plan that is a plan-table video (the rollout cache's) shares its row
     means = np.stack([window_means(video.pixels) for video in videos])
+    row = {id(video): i for i, video in enumerate(videos)}
+    gt_means = {theta: means[row[id(gt)]] if id(gt) in row else window_means(gt.pixels)
+                for theta, gt in gt_plans.items()}
     plans = PlanTable(videos, means, tuple(actions), distances)
-    return TaskAssets(
-        kind, dataset, table, planner, identifier, gt_plans, plans, candidate_actions(kind)
-    )
+    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, gt_means, plans,
+                      candidate_actions(kind))
 
 
 @dataclass(frozen=True)
@@ -202,8 +206,7 @@ def run_episode(
     plans, failed = assets.plans, []
     distances = plans.distances[RejectionMetric(config.rejection_metric)]
     interactions = InteractionBuffer()
-    gt_plan = assets.gt_plans[env.theta_value]
-    gt_means = window_means(gt_plan.pixels)
+    gt_plan, gt_means = assets.gt_plans[env.theta_value], assets.gt_means[env.theta_value]
     retr_config = RetrievalConfig(tau=config.tau, buffer_policy=config.buffer_policy)
     n = method.candidate_count(config.n_candidates)
     refine_config = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
@@ -265,7 +268,8 @@ def run_episode(
         if success:
             succeeded, replans = True, round_index
             break
-        if method.uses_retrieval or method.uses_refinement:  # the readers of a failed rollout
+        # retrieval and refinement read a failed rollout, from the next round on
+        if (method.uses_retrieval or method.uses_refinement) and round_index < config.max_replans:
             interactions.push(execute(env, action).video)
 
     return EpisodeRecord(

@@ -349,16 +349,21 @@ def four_map_ssim(a, b):
 
 def ssim_bit_mismatches():
     """Plan pairs of all five tasks where ssim with held means, ssim without them and
-    ``four_map_ssim`` differ in any bit, and plan-table means that are not ``window_means``."""
+    ``four_map_ssim`` differ in any bit, and plan-table or ground-truth means that are
+    not ``window_means``."""
     bad = []
     for task in ExperimentConfig().tasks:
         assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
-        plans = assets.plans
+        plans, gt_means = assets.plans, assets.gt_means
+        assert gt_means.keys() == assets.gt_plans.keys()
+        for theta, gt in assets.gt_plans.items():
+            if gt_means[theta].tobytes() != window_means(gt.pixels).tobytes():
+                bad.append(f"{task} gt means {theta}")
         for i, plan in enumerate(plans.videos):
             if plans.means[i].tobytes() != window_means(plan.pixels).tobytes():
                 bad.append(f"{task} means {i}")
             for theta, gt in assets.gt_plans.items():
-                scores = (ssim(plan, gt, plans.means[i], window_means(gt.pixels)),
+                scores = (ssim(plan, gt, plans.means[i], gt_means[theta]),
                           ssim(plan, gt), four_map_ssim(plan, gt))
                 if len({struct.pack("<d", score) for score in scores}) != 1:
                     bad.append(f"{task} plan {i} theta {theta}: {scores}")

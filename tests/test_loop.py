@@ -207,6 +207,7 @@ def test_episode_renders_only_rollouts_a_later_round_reads(
 ):
     # success is a rule on (theta, action); only retrieval and refinement read
     # a failed rollout, so only they render one, once per failed decoded round
+    # that a later round follows
     import replan.loop
 
     executed = []
@@ -214,18 +215,19 @@ def test_episode_renders_only_rollouts_a_later_round_reads(
     monkeypatch.setattr(
         replan.loop, "execute", lambda env, action: executed.append(action) or real(env, action)
     )
-    cfg, failed_total = ExperimentConfig(max_replans=6, refine_steps=5), 0
+    cfg, failed_total, last_failed = ExperimentConfig(max_replans=6, refine_steps=5), 0, 0
     for assets in (pushbar_assets, openbox_assets):
         for seed in range(6):
             rng = np.random.default_rng(seed)
             env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
             executed.clear()
             rec = run_episode(env, method, assets, cfg, rng)
-            failed = sum(r.action is not None and not r.success for r in rec.rounds)
+            failed = sum(r.action is not None and not r.success for r in rec.rounds[:-1])
             reads = method in (Method.AVDC_RETRIEVAL, Method.OURS, Method.OURS_REFINE)
             assert len(executed) == (failed if reads else 0), (assets.kind, seed)
             failed_total += failed
-    assert failed_total > 0
+            last_failed += len(rec.rounds) == cfg.max_replans and rec.rounds[-1].action is not None
+    assert failed_total > 0 and last_failed > 0
 
 
 def test_random_episodes_build_no_hypothesis_set(monkeypatch):
@@ -402,26 +404,28 @@ def test_refining_round_builds_one_objective(monkeypatch):
 
 
 def test_support_matrices_are_built_for_refinement_only():
-    # every task builds an identifier, but only ours_refine reads its pixels and Gram
+    # every task builds an identifier, but only ours_refine reads its group table,
+    # and no method stacks its (n, T*H*W) pixel matrix
     from replan import mse_objective
 
     assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
     g, cfg = assets.identifier, ExperimentConfig(tasks=("slidebrick",))
+    assert "pixels" not in g.__dict__ and "groups" not in g.__dict__
     env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.4)
     for seed in range(3):
         run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))
-    assert "pixels" not in g.__dict__ and "gram" not in g.__dict__
+    assert "pixels" not in g.__dict__ and "groups" not in g.__dict__
 
     records = [
         run_episode(env, Method.OURS_REFINE, assets, cfg, np.random.default_rng(seed))
         for seed in range(3)
     ]
     assert any(len(rec.rounds) > 1 for rec in records)
-    gram = g.__dict__["gram"]
+    groups = g.__dict__["groups"]
     first, second = [t.video for t in assets.dataset.tuples if not t.success][:2]
     mse_objective(g, first)
     mse_objective(g, second)
-    assert g.gram is gram
+    assert g.groups is groups and "pixels" not in g.__dict__
 
 
 def test_assets_task_mismatch(openbox_assets):

@@ -217,6 +217,23 @@ def test_one_build_serves_every_rejection_metric():
     assert rounds[0] != rounds[1]  # the metric reaches the episodes
 
 
+def test_ground_truth_means_with_and_without_a_shared_row(tmp_path):
+    # a ground-truth plan that the rollout cache shares with the plan table reuses
+    # its row of means; a data_root dataset holds loaded copies, so each gets its own
+    from replan.core import window_means
+
+    dataset, thetas = build_dataset(EnvKind.SLIDE_BRICK)
+    save_dataset(tmp_path / "slidebrick", "slidebrick", dataset.tuples, thetas)
+    config = ExperimentConfig(tasks=("slidebrick",), data_root=str(tmp_path))
+    for assets, shared in ((task_assets("slidebrick"), True),
+                           (build_task_assets(config, "slidebrick"), False)):
+        assert assets.gt_means.keys() == assets.gt_plans.keys()
+        for theta, gt in assets.gt_plans.items():
+            means = assets.gt_means[theta]
+            assert means.tobytes() == window_means(gt.pixels).tobytes()
+            assert (means.base is assets.plans.means) == shared
+
+
 def test_undecodable_support_plan_takes_the_undecodable_branch(tmp_path):
     # a data_root dataset whose planner support holds a blank clip: with the
     # reset frame as frame 0 it shows the lid in one frame only

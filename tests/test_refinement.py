@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replan import (
+    ALL_TASKS,
     ExperimentConfig,
     GeneratorMode,
+    KernelGenerator,
     RefineConfig,
     RefineResult,
     Video,
@@ -22,7 +24,7 @@ from replan import (
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
 from replan.refinement import _descend
-from replan.retrieval import build_table
+from replan.retrieval import build_table, softmax
 
 
 def gradient_video(slope):
@@ -228,3 +230,125 @@ def test_round_call_matches_separate_calls(pushbar, init_mode):
         assert np.allclose(a.trace, b.trace, rtol=1e-12, atol=0)
     # the round drew its starts in the order the separate calls did
     assert rng_round.random() == rng_each.random()
+
+
+# ---------------------------------------------------------------------------
+# The grouped objective against the ungrouped one
+
+
+def ungrouped_objective(g, observed):
+    """The identification loss and gradient over every support entry, each with
+    its own kernel weight: the Gram of the whole (n, T*H*W) support tail.
+    ``objective.terms`` also returns, per row, the size of the products its
+    gradient is formed from: the largest component of
+    sum_i w_i (|G w|_i + |c|_i) |E_i - e| 4 / (N bw2)."""
+    t, h, w = observed.pixels.shape
+    obs_tail = observed.pixels.astype(np.float64).reshape(-1)[h * w :]
+    tail = g.pixels[:, h * w :]
+    gram, cross = tail @ tail.T, tail @ obs_tail
+    const, total = float(obs_tail @ obs_tail), float(t * h * w)
+    emb = g.embeddings.astype(np.float64)
+    bw2 = 2.0 * g.bandwidth * g.bandwidth
+
+    def terms(batch):
+        b = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        offsets = emb[None, :, :] - b[:, None, :]
+        wts = softmax(-(offsets * offsets).sum(axis=2) / bw2)
+        wg = wts @ gram
+        losses = (const - 2.0 * (wts @ cross) + (wg * wts).sum(axis=1)) / total
+        # dL/de = sum_i w_i (dL/dw_i - w . dL/dw) 2 (E_i - e) / bw2, dL/dw = 2 (G w - c) / N
+        dw = (2.0 / total) * (wg - cross)
+        coef = wts * (dw - (wts * dw).sum(axis=1, keepdims=True))
+        grads = (coef[:, :, None] * offsets).sum(axis=1) * (2.0 / bw2)
+        sizes = wts * (np.abs(wg) + np.abs(cross)) * (4.0 / (total * bw2))
+        pieces = (sizes[:, :, None] * np.abs(offsets)).sum(axis=1)
+        return np.maximum(losses, 0.0), grads, pieces.max(axis=1)
+
+    def objective(batch):
+        return terms(batch)[:2]
+
+    objective.terms = terms
+    return objective
+
+
+def assert_matches_oracle(g, observed, batch):
+    losses, grads = mse_objective(g, observed)(batch)
+    ref_losses, ref_grads, pieces = ungrouped_objective(g, observed).terms(batch)
+    assert np.all(np.abs(losses - ref_losses) <= 1e-12 * np.abs(ref_losses))
+    for grad, ref, piece in zip(grads, ref_grads, pieces):
+        # where the centred weights cancel (one group, or weights saturated on one)
+        # the oracle's gradient is rounding noise of its products: bound by a
+        # hundredth of those instead
+        scale = max(np.abs(ref).max(), 1e-2 * piece)
+        assert np.abs(grad - ref).max() <= 1e-10 * scale
+
+
+@st.composite
+def grouped_generators(draw):
+    """An identifier whose support holds groups of uneven size, interleaved in
+    support order, or one entry per embedding as a loaded dataset may have."""
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.one_of(
+        st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        st.integers(1, 12).map(lambda n: [1] * n),
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(len(sizes), k))
+    owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    videos = tuple(Video(rng.random((3, 8, 8), dtype=np.float32)) for _ in owner)
+    bandwidth = float(rng.uniform(0.3, 2.0))
+    g = KernelGenerator(GeneratorMode.IDENTIFICATION, videos, centres[owner], bandwidth)
+    observed = Video(rng.random((3, 8, 8), dtype=np.float32))
+    # points up to four bandwidths from a support entry
+    batch = centres[owner[rng.integers(len(owner), size=3)]]
+    batch += rng.uniform(0.0, 4.0, size=(3, 1)) * bandwidth * rng.normal(size=(3, k)) / np.sqrt(k)
+    return g, observed, batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grouped_generators())
+def test_grouped_objective_matches_the_ungrouped_oracle(case):
+    g, observed, batch = case
+    assert len(g.groups[0]) == len(np.unique(g.embeddings, axis=0))
+    assert np.exp(g.groups[1]).round().sum() == len(g)
+    assert_matches_oracle(g, observed, batch)
+    # one (k,) point is row 0 of its batch
+    losses, grads = mse_objective(g, observed)(batch[0])
+    assert losses.shape == (1,) and grads.shape == (1, batch.shape[1])
+
+
+@pytest.fixture(scope="module")
+def task_identifiers():
+    out = {}
+    for task in ALL_TASKS:
+        assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
+        out[task] = assets.identifier, [t.video for t in assets.dataset.tuples if not t.success]
+    return out
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_every_task_identifier_matches_the_ungrouped_oracle(task, task_identifiers):
+    g, failures = task_identifiers[task]
+    assert len(g.groups[0]) < len(g)  # entries of one object share its embedding
+    rng = np.random.default_rng(67)
+    for observed in failures[:3]:
+        batch = g.embeddings[rng.integers(len(g), size=8)]
+        batch = batch + rng.uniform(0.0, 3.0, size=(8, 1)) * g.bandwidth * rng.normal(
+            size=batch.shape) / np.sqrt(batch.shape[1])
+        assert_matches_oracle(g, observed, np.vstack([batch, rng.normal(size=batch.shape)]))
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_refinement_matches_a_descent_over_the_oracle(task, task_identifiers):
+    g, failures = task_identifiers[task]
+    config = RefineConfig(steps=80, restarts=1)
+    for observed in failures[:2]:
+        refined = refine_embedding(g, observed, None, config, np.random.default_rng(68), count=2)
+        starts = np.random.default_rng(68).normal(0.0, 1.0, size=(2, g.embeddings.shape[1]))
+        oracle = ungrouped_objective(g, observed)
+        best_e, best, trace = _descend(oracle, starts, config.steps, 0.1 * g.bandwidth)
+        for c, result in enumerate(refined):
+            assert np.abs(result.embedding - best_e[c]).max() <= 1e-9
+            assert result.loss == pytest.approx(best[c], rel=1e-9)
+            assert np.allclose(result.trace, trace[:, c], rtol=1e-9, atol=0)

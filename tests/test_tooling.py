@@ -93,10 +93,9 @@ def test_round_clock_ticks_once_per_planned_round(monkeypatch):
         assert (planned == 0) == (method == "random"), method
 
 
-@pytest.mark.parametrize("workload", ["grid", "refine", "wide"])
-def test_chunk_zero_matches_the_recorded_digest(workload, tmp_path):
-    # the benchmark checks bit-identity only when someone runs it; this runs
-    # its seed-0 chunk 0 in-process against the digest it records
+def recorded_digest_matches(workload, chunk, tmp_path):
+    """Run seed-0 chunk ``chunk`` of ``workload`` in-process; True when its CSV
+    hashes to the digest the benchmark records."""
     import hashlib
     import json
 
@@ -105,10 +104,26 @@ def test_chunk_zero_matches_the_recorded_digest(workload, tmp_path):
     workloads = load_perfbench("workloads")
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     assert reference["seed"] == 0
-    result = run_experiment(ExperimentConfig.from_dict(workloads.payload(workload, 0)))
+    payload = workloads.payload(workload, workloads.chunk_seed(0, chunk))
+    result = run_experiment(ExperimentConfig.from_dict(payload))
     write_episodes_csv(result.rows, tmp_path / "episodes.csv", timing=False)
     digest = hashlib.sha256((tmp_path / "episodes.csv").read_bytes()).hexdigest()
-    assert digest == reference["sha256"][workload][0]
+    return digest == reference["sha256"][workload][chunk]
+
+
+@pytest.mark.parametrize("workload", ["grid", "refine", "wide"])
+def test_chunk_zero_matches_the_recorded_digest(workload, tmp_path):
+    # the benchmark checks bit-identity only when someone runs it; this runs
+    # its seed-0 chunk 0 in-process against the digest it records
+    assert recorded_digest_matches(workload, 0, tmp_path)
+
+
+def test_every_refine_chunk_matches_the_recorded_digest(tmp_path):
+    # a refined embedding is exact only to rounding, and a draw that lands near a
+    # cumulative kernel weight turns on its last bits; all six recorded chunks
+    # guard the episodes refinement decides
+    mismatched = [c for c in range(6) if not recorded_digest_matches("refine", c, tmp_path)]
+    assert mismatched == []
 
 
 DEMO_DIGESTS = {
