@@ -60,11 +60,6 @@ class KernelGenerator:
         return len(self.videos)
 
     @cached_property
-    def pixels(self) -> np.ndarray:
-        """(n, T*H*W) float64 support matrix for ``id_generate``, built on first use."""
-        return np.stack([v.pixels.reshape(-1) for v in self.videos]).astype(np.float64)
-
-    @cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Distinct embedding rows, log member counts, each group's float64 mean of frames
         1..T-1 (summed in support order) and the Gram of those means; built on first use."""
@@ -102,14 +97,13 @@ def fit_generator(
     return KernelGenerator(mode=mode, videos=videos, embeddings=embeddings, bandwidth=bandwidth)
 
 
-def _log_weights(g: KernelGenerator, e: np.ndarray | None) -> np.ndarray:
-    """Kernel log-weights over the support: (n,) for one embedding, (m, n) for a batch."""
+def _log_weights(emb: np.ndarray, bandwidth: float, e: np.ndarray | None) -> np.ndarray:
+    """Kernel log-weights -||e - E_i||^2 / 2h^2 over the rows of ``emb``: (n,) for one
+    embedding (zeros for None), (m, n) for a batch."""
     if e is None:
-        return np.zeros(len(g))
-    e = np.asarray(e, dtype=np.float64)
-    diffs = g.embeddings - e[..., None, :]
-    sq = (diffs * diffs).sum(axis=-1)
-    return -sq / (2.0 * g.bandwidth * g.bandwidth)
+        return np.zeros(len(emb))
+    diffs = emb - np.asarray(e, dtype=np.float64)[..., None, :]
+    return -(diffs * diffs).sum(axis=-1) / (2.0 * bandwidth * bandwidth)
 
 
 def generate_indices(
@@ -118,7 +112,7 @@ def generate_indices(
     """Support indices of sampled plans: ``count`` of them for ``e`` None (uniform
     weights) or one (k,) embedding, one per row of an (m, k) batch.  The draws
     are ``rng.random(count)``, the same uniforms as ``count`` single draws."""
-    cumulative = np.cumsum(softmax(_log_weights(g, e)), axis=-1)
+    cumulative = np.cumsum(softmax(_log_weights(g.embeddings, g.bandwidth, e)), axis=-1)
     draws = rng.random(len(cumulative) if cumulative.ndim == 2 else count)
     # count of cumulative weights <= u, as searchsorted(side="right") on each row
     return np.minimum((cumulative <= draws[:, None]).sum(axis=-1), len(g) - 1)
@@ -138,57 +132,64 @@ def generate(
 
 
 def id_generate(g: KernelGenerator, first_frame: np.ndarray, e: np.ndarray | None) -> Video:
-    """Deterministic kernel-mean video over the support, starting at ``first_frame``.
-
-    Identification mode only.  Smooth in ``e``, which makes the
-    reconstruction loss differentiable (see ``mse_objective``).
-    """
+    """Deterministic kernel-mean video over the support (a mix of the ``groups`` means),
+    starting at ``first_frame``.  Identification mode only.  Smooth in ``e``, which
+    makes the reconstruction loss differentiable (see ``mse_objective``)."""
     if g.mode is not GeneratorMode.IDENTIFICATION:
         raise ValueError("id_generate requires a generator in Identification mode")
-    first_frame = np.asarray(first_frame, dtype=np.float32)
-    weights = softmax(_log_weights(g, e))
     shape = g.videos[0].pixels.shape
-    mixed = (weights[:, None] * g.pixels).sum(axis=0).reshape(shape)
-    mixed = np.clip(mixed, 0.0, 1.0).astype(np.float32)
+    tail = np.clip(softmax(_group_logits(g, e)) @ g.groups[2], 0.0, 1.0)
+    mixed = np.concatenate([np.zeros(shape[1] * shape[2]), tail]).reshape(shape)
     return Video(mixed).with_first_frame(first_frame)
+
+
+def _group_logits(g: KernelGenerator, e: np.ndarray | None) -> np.ndarray:
+    """Kernel log-weights over the ``groups``: log n_o - ||e - E_o||^2 / 2h^2."""
+    return g.groups[1] + _log_weights(g.groups[0], g.bandwidth, e)
+
+
+def _identification_loss(
+    g: KernelGenerator, observed: Video
+) -> tuple[float, float, float, Callable[..., tuple[np.ndarray, np.ndarray]]]:
+    """L(e) = video_mse(observed, id_generate(g, observed[0], e)) over the ``groups``:
+    |obs|^2, N = T*H*W, 2h^2 and ``terms(z, coef=None)``, which at (m, G) group logits
+    returns the raw loss terms, L = (|obs|^2 + term) / N, and coef, written to ``coef``
+    when given, with dL/de = (coef @ E) 4 / (N 2h^2).  Frame 0 of the kernel mean is the
+    observation's, so the quadratic form covers frames 1..T-1 through the Gram."""
+    if g.mode is not GeneratorMode.IDENTIFICATION:
+        raise ValueError("the identification loss requires a generator in Identification mode")
+    if observed.pixels.shape != g.videos[0].pixels.shape:
+        raise ValueError("observed video shape does not match the support")
+    _, _, tails, gram = g.groups
+    obs_tail = observed.pixels[1:].astype(np.float64).reshape(-1)
+    cross = tails @ obs_tail
+
+    def terms(z: np.ndarray, coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        # W = softmax(z), u = W @ gram - c, term = W.(u - c).  dL/dW = 2u / N, so dL/de =
+        # sum_o W_o (dL/dW_o - W.dL/dW) 2 (E_o - e) / 2h^2, where the e term vanishes
+        # because the W_o (...) sum to zero
+        wts = softmax(z)
+        u = wts @ gram - cross
+        wu = np.vecdot(wts, u)
+        return wu - wts @ cross, np.multiply(wts, u - wu[:, None], out=coef)
+
+    bw2 = 2.0 * g.bandwidth * g.bandwidth
+    return float(obs_tail @ obs_tail), float(observed.pixels.size), bw2, terms
 
 
 def mse_objective(
     g: KernelGenerator, observed: Video
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Batched loss L(e) = video_mse(observed, id_generate(g, observed[0], e))
-    and its closed-form gradient.
-
-    Entries with equal embeddings get equal kernel weights, so the kernel mean mixes
-    the ``groups`` means with W = softmax(log n_o - ||e - E_o||^2 / 2h^2) and costs
-    O(groups^2) through their Gram; equal to the direct definition to floating-point
-    accuracy.  Takes a (k,) embedding or an (m, k) batch; returns (m,) losses, (m, k) grads.
-    """
-    if g.mode is not GeneratorMode.IDENTIFICATION:
-        raise ValueError("mse_objective requires a generator in Identification mode")
-    t, h, w = observed.pixels.shape
-    if (t, h, w) != g.videos[0].pixels.shape:
-        raise ValueError("observed video shape does not match the support")
-    # Frame 0 of the kernel mean is replaced by the observation, so both
-    # sides share it; restrict the quadratic form to frames 1..T-1.
-    emb, log_counts, tails, gram = g.groups
-    obs_tail = observed.pixels[1:].astype(np.float64).reshape(-1)
-    cross = tails @ obs_tail
-    const = float(obs_tail @ obs_tail)
-    total = float(t * h * w)
-    emb_sq = (emb * emb).sum(axis=1)
-    bw2 = 2.0 * g.bandwidth * g.bandwidth
+    and its closed-form gradient, over the distinct embeddings of ``groups`` (equal
+    to the direct definition to floating-point accuracy).  Takes a (k,) embedding or
+    an (m, k) batch; returns (m,) losses and (m, k) grads."""
+    const, total, bw2, terms = _identification_loss(g, observed)
+    emb = g.groups[0]
 
     def objective(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        # -||b - E_o||^2 less the per-row ||b||^2, which the softmax cancels
-        wts = softmax(log_counts + (2.0 * (b @ emb.T) - emb_sq) / bw2)
-        u = wts @ gram - cross
-        losses = (const + ((u - cross) * wts).sum(axis=1)) / total
-        # dL/dW = 2u / N, so dL/de = sum_o W_o (dL/dW_o - W . dL/dW) 2 (E_o - e) / bw2,
-        # where the e term vanishes because the W_o (...) sum to zero
-        coef = wts * (u - (wts * u).sum(axis=1, keepdims=True))
-        return np.maximum(losses, 0.0), (coef @ emb) * (4.0 / (total * bw2))
+        loss_terms, coef = terms(_group_logits(g, np.atleast_2d(batch)))
+        return np.maximum((const + loss_terms) / total, 0.0), (coef @ emb) * (4.0 / (total * bw2))
 
     return objective
 

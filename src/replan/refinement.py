@@ -1,25 +1,23 @@
 """Optimization-based embedding refinement against an observed interaction.
 
-Minimizes L(e) = video_mse(observed, id_generate(g, observed[0], e)) by
-plain gradient descent on ``mse_objective``, which returns the closed-form
-gradient with each loss.  All starts descend together as one batch, with
-one objective evaluation per step.  The best iterate seen (including
-the initial point) is returned, which guarantees the result never scores
-worse than its initialization.
+Minimizes L(e) = video_mse(observed, id_generate(g, observed[0], e)) by plain gradient
+descent with the closed-form gradient of ``mse_objective``, all starts as one batch.
+A step moves the group logits z = log n_o + (2 e.E_o - ||E_o||^2) / 2h^2 by a fixed
+G x G map of its coefficients, so the loop updates z alone and records each step's
+loss term and coefficients.  Each chain then keeps its first step with the lowest loss
+(the start included, so it never scores worse), rebuilt from the coefficients before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import Video
-from .generator import GeneratorMode, KernelGenerator, mse_objective
-
-# Batched losses and gradients: (m, k) embeddings -> ((m,), (m, k)).
-Evaluate = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# mse_objective, unused here, stays importable from this module for perfbench/layers.py
+from .generator import GeneratorMode, KernelGenerator, mse_objective  # noqa: F401
+from .generator import _group_logits, _identification_loss
 
 
 @dataclass(frozen=True)
@@ -45,22 +43,24 @@ class RefineResult:
 
 
 def _descend(
-    evaluate: Evaluate, starts: np.ndarray, steps: int, lr: float
+    g: KernelGenerator, observed: Video, starts: np.ndarray, steps: int, lr: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descend every row of ``starts`` at once; best rows, their losses and the
     (steps + 1, chains) best-so-far trace."""
-    e = starts.copy()
-    best_e = e.copy()
-    best = np.full(len(e), np.inf)
-    trace = []
-    for _ in range(steps + 1):
-        losses, grads = evaluate(e)
-        better = losses < best
-        best = np.where(better, losses, best)
-        best_e[better] = e[better]
-        trace.append(best)
-        e = e - lr * grads
-    return best_e, best, np.array(trace)
+    const, total, bw2, terms = _identification_loss(g, observed)
+    emb = g.groups[0]
+    scale = lr * 4.0 / (total * bw2)             # e <- e - scale * (coef @ E)
+    step = (2.0 * scale / bw2) * (emb @ emb.T)   # z <- z - coef @ step
+    z = _group_logits(g, starts)
+    losses = np.empty((steps + 1, len(starts)))
+    coefs = np.zeros((steps + 2, *z.shape))      # coefs[t + 1] moves step t
+    for t, coef in enumerate(coefs[1:]):
+        losses[t] = terms(z, coef)[0]
+        z -= coef @ step
+    losses = np.maximum((const + losses) / total, 0.0)
+    best, chains = losses.argmin(axis=0), np.arange(len(starts))
+    moved = np.cumsum(coefs, axis=0)[best, chains]
+    return starts - scale * (moved @ emb), losses[best, chains], np.minimum.accumulate(losses)
 
 
 def refine_embedding(
@@ -101,8 +101,7 @@ def refine_embedding(
                 raise ValueError("retrieval initialization needs an init embedding")
             starts.append(np.asarray(init, dtype=np.float64))
 
-    evaluate = mse_objective(g, observed)
-    best_e, best, trace = _descend(evaluate, np.array(starts, dtype=np.float64), config.steps, lr)
+    best_e, best, trace = _descend(g, observed, np.array(starts, dtype=np.float64), config.steps, lr)
 
     # Each result keeps the first of its own chains with the lowest loss.
     per_result = len(starts) // n

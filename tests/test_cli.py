@@ -130,12 +130,14 @@ def episodes_under_blas_threads(tmp_path, exp):
 
 def test_episodes_identical_across_blas_threads(tmp_path):
     # BLAS may split reductions differently with more threads; the CSV must not move.
+    # pushbar refines over the most embedding groups (17)
     exp = experiment_json(
-        tmp_path, tasks=["slidebrick", "openbox"], methods=["ours", "ours_refine"], trials=10
+        tmp_path, tasks=["pushbar", "slidebrick", "openbox"], methods=["ours", "ours_refine"],
+        trials=10,
     )
     outs = episodes_under_blas_threads(tmp_path, exp)
     assert outs[0] == outs[1]
-    assert len(outs[0].splitlines()) == 1 + 2 * 2 * 10
+    assert len(outs[0].splitlines()) == 1 + 3 * 2 * 10
 
 
 def test_wide_episodes_identical_across_blas_threads(tmp_path):

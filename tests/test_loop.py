@@ -117,7 +117,7 @@ def test_two_mode_analytic_constants(openbox_assets):
     g = openbox_assets.planner
     assert len(g) == 2
     e_lift = openbox_assets.table.canonical_for("openbox/lift")
-    w = softmax(_log_weights(g, e_lift))
+    w = softmax(_log_weights(g.embeddings, g.bandwidth, e_lift))
     cc = 1.0 / (1.0 + math.exp(-0.5))
     assert cc == pytest.approx(0.6224593312018546, rel=1e-15)
     assert max(w) == pytest.approx(cc, rel=1e-9)
@@ -383,20 +383,14 @@ def test_refining_round_builds_one_objective(monkeypatch):
 
     plain = episodes()
     builds = []
-    factory = replan.refinement.mse_objective
+    setup = replan.refinement._identification_loss
 
-    def counting_factory(*args, **kwargs):
-        # forwards one positional batch and returns its result unchanged,
-        # as the perfbench tracer does
-        objective = factory(*args, **kwargs)
+    def counting_setup(*args, **kwargs):
+        # the descent builds its per-observation loss once for all of a round's chains
         builds.append(args[1])
+        return setup(*args, **kwargs)
 
-        def traced(batch):
-            return objective(batch)
-
-        return traced
-
-    monkeypatch.setattr(replan.refinement, "mse_objective", counting_factory)
+    monkeypatch.setattr(replan.refinement, "_identification_loss", counting_setup)
     assert episodes() == plain
     refining_rounds = sum(len(rec.rounds) - 1 for rec in plain)
     assert refining_rounds > 0
@@ -404,17 +398,16 @@ def test_refining_round_builds_one_objective(monkeypatch):
 
 
 def test_support_matrices_are_built_for_refinement_only():
-    # every task builds an identifier, but only ours_refine reads its group table,
-    # and no method stacks its (n, T*H*W) pixel matrix
+    # every task builds an identifier, but only ours_refine reads its group table
     from replan import mse_objective
 
     assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
     g, cfg = assets.identifier, ExperimentConfig(tasks=("slidebrick",))
-    assert "pixels" not in g.__dict__ and "groups" not in g.__dict__
+    assert "groups" not in g.__dict__
     env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.4)
     for seed in range(3):
         run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))
-    assert "pixels" not in g.__dict__ and "groups" not in g.__dict__
+    assert "groups" not in g.__dict__
 
     records = [
         run_episode(env, Method.OURS_REFINE, assets, cfg, np.random.default_rng(seed))
@@ -425,7 +418,7 @@ def test_support_matrices_are_built_for_refinement_only():
     first, second = [t.video for t in assets.dataset.tuples if not t.success][:2]
     mse_objective(g, first)
     mse_objective(g, second)
-    assert g.groups is groups and "pixels" not in g.__dict__
+    assert g.groups is groups
 
 
 def test_assets_task_mismatch(openbox_assets):

@@ -23,8 +23,27 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
-from replan.refinement import _descend
+from replan import generator, refinement
 from replan.retrieval import build_table, softmax
+
+
+def oracle_descend(evaluate, starts, steps, lr):
+    """Plain gradient descent in embedding space with one ``evaluate`` per step,
+    keeping each chain's first best iterate as it goes: the slow oracle of the
+    group-space descent.  Returns the best rows, their losses and the
+    (steps + 1, chains) best-so-far trace."""
+    e = starts.copy()
+    best_e = e.copy()
+    best = np.full(len(e), np.inf)
+    trace = []
+    for _ in range(steps + 1):
+        losses, grads = evaluate(e)
+        better = losses < best
+        best = np.where(better, losses, best)
+        best_e[better] = e[better]
+        trace.append(best)
+        e = e - lr * grads
+    return best_e, best, np.array(trace)
 
 
 def gradient_video(slope):
@@ -209,7 +228,7 @@ def test_closed_form_descent_matches_central_differences(pushbar):
     # the same starts, descended with the same step on a stencil of the losses only
     starts = np.random.default_rng(65).normal(0.0, 1.0, size=(config.restarts, g.embeddings.shape[1]))
     evaluate = central_differences(mse_objective(g, video), 1e-3 * g.bandwidth)
-    best_e, best, _ = _descend(evaluate, starts, config.steps, 0.1 * g.bandwidth)
+    best_e, best, _ = oracle_descend(evaluate, starts, config.steps, 0.1 * g.bandwidth)
     assert isinstance(exact, RefineResult)
     assert np.abs(exact.embedding - best_e[best.argmin()]).max() <= 1e-6
     assert exact.loss == pytest.approx(best.min(), rel=1e-9)
@@ -244,7 +263,7 @@ def ungrouped_objective(g, observed):
     sum_i w_i (|G w|_i + |c|_i) |E_i - e| 4 / (N bw2)."""
     t, h, w = observed.pixels.shape
     obs_tail = observed.pixels.astype(np.float64).reshape(-1)[h * w :]
-    tail = g.pixels[:, h * w :]
+    tail = np.stack([v.pixels[1:].reshape(-1) for v in g.videos]).astype(np.float64)
     gram, cross = tail @ tail.T, tail @ obs_tail
     const, total = float(obs_tail @ obs_tail), float(t * h * w)
     emb = g.embeddings.astype(np.float64)
@@ -347,8 +366,134 @@ def test_refinement_matches_a_descent_over_the_oracle(task, task_identifiers):
         refined = refine_embedding(g, observed, None, config, np.random.default_rng(68), count=2)
         starts = np.random.default_rng(68).normal(0.0, 1.0, size=(2, g.embeddings.shape[1]))
         oracle = ungrouped_objective(g, observed)
-        best_e, best, trace = _descend(oracle, starts, config.steps, 0.1 * g.bandwidth)
+        best_e, best, trace = oracle_descend(oracle, starts, config.steps, 0.1 * g.bandwidth)
         for c, result in enumerate(refined):
             assert np.abs(result.embedding - best_e[c]).max() <= 1e-9
             assert result.loss == pytest.approx(best[c], rel=1e-9)
             assert np.allclose(result.trace, trace[:, c], rtol=1e-9, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The group-space descent against the oracle descent over mse_objective
+
+
+def drawn_starts(config, k, init, rng, count):
+    """The starts ``refine_embedding`` draws for ``count`` results, in its order."""
+    starts = []
+    for _ in range(count):
+        if config.init_mode in ("random", "combined"):
+            starts.extend(rng.normal(0.0, 1.0, size=k) for _ in range(config.restarts))
+        if config.init_mode in ("retrieval", "combined"):
+            starts.append(np.asarray(init, dtype=np.float64))
+    return np.array(starts)
+
+
+def oracle_refine(g, observed, init, config, seed, count):
+    """``refine_embedding`` rebuilt on the oracle descent: each result's first chain
+    with the lowest loss, as (embedding, loss, trace)."""
+    starts = drawn_starts(config, g.embeddings.shape[1], init, np.random.default_rng(seed), count)
+    best_e, best, trace = oracle_descend(
+        mse_objective(g, observed), starts, config.steps, 0.1 * g.bandwidth
+    )
+    per_result = len(starts) // count
+    chains = np.arange(0, len(starts), per_result) + best.reshape(count, -1).argmin(axis=1)
+    return [(best_e[c], best[c], trace[:, c]) for c in chains]
+
+
+def assert_matches_oracle_descent(g, observed, init, config, seed, count):
+    refined = refine_embedding(g, observed, init, config, np.random.default_rng(seed), count=count)
+    expected = oracle_refine(g, observed, init, config, seed, count)
+    assert len(refined) == len(expected)
+    for result, (embedding, loss, trace) in zip(refined, expected):
+        assert np.abs(result.embedding - embedding).max() <= 1e-12 * np.abs(embedding).max()
+        assert abs(result.loss - loss) <= 1e-12 * loss
+        assert np.all(np.abs(np.array(result.trace) - trace) <= 1e-12 * trace)
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_refinement_matches_the_oracle_descent(task, task_identifiers):
+    g, failures = task_identifiers[task]
+    init = g.embeddings[len(g) // 2]
+    for observed in failures[:2]:
+        assert_matches_oracle_descent(g, observed, None, RefineConfig(steps=80, restarts=1), 69, 2)
+        for init_mode in ("retrieval", "combined"):
+            config = RefineConfig(init_mode=init_mode, steps=40, restarts=2)
+            assert_matches_oracle_descent(g, observed, init, config, 70, 3)
+        assert_matches_oracle_descent(g, observed, init, RefineConfig("combined", steps=0), 71, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grouped_generators(), init_mode=st.sampled_from(["random", "retrieval", "combined"]),
+       steps=st.sampled_from([0, 1, 30]), count=st.integers(1, 3))
+def test_grouped_refinement_matches_the_oracle_descent(case, init_mode, steps, count):
+    g, observed, batch = case
+    config = RefineConfig(init_mode=init_mode, steps=steps, restarts=2)
+    assert_matches_oracle_descent(g, observed, batch[0], config, 72, count)
+
+
+def test_a_start_that_stays_best_is_returned_bit_for_bit(pushbar):
+    g, video = pushbar
+    init = g.embeddings[5] + 0.1
+    frozen = refine_embedding(g, video, init, RefineConfig("retrieval", steps=0))
+    assert frozen.embedding.tobytes() == init.tobytes() and len(frozen.trace) == 1
+    config = RefineConfig("combined", steps=0, restarts=2)
+    rng, draws = np.random.default_rng(73), np.random.default_rng(73)
+    starts = drawn_starts(config, g.embeddings.shape[1], init, draws, 3)
+    results = refine_embedding(g, video, init, config, rng, count=3)
+    assert all(r.embedding.tobytes() in {s.tobytes() for s in starts} for r in results)
+
+
+def floored_identification_loss(floor):
+    """``_identification_loss`` with its loss terms raised to ``floor``, so that every
+    step whose loss falls below it shares one loss while the chain keeps moving."""
+    exact = generator._identification_loss
+
+    def identification_loss(g, observed):
+        const, total, bw2, terms = exact(g, observed)
+
+        def floored(z, coef=None):
+            loss_terms, coef = terms(z, coef)
+            return np.maximum(loss_terms, floor), coef
+
+        return const, total, bw2, floored
+
+    return identification_loss
+
+
+def descent_path(objective, start, steps, lr):
+    """Every iterate of a single chain's plain descent and its loss."""
+    path, losses, e = [], [], start
+    for _ in range(steps + 1):
+        loss, grad = objective(e)
+        path.append(e)
+        losses.append(loss[0])
+        e = e - lr * grad[0]
+    return path, np.array(losses)
+
+
+@pytest.mark.parametrize("plateau_from", [0, 20])
+def test_ties_on_the_lowest_loss_keep_the_first_step(plateau_from, pushbar, monkeypatch):
+    g, video = pushbar
+    start = np.random.default_rng(74).normal(size=g.embeddings.shape[1])
+    lr = 0.1 * g.bandwidth
+    _, losses = descent_path(mse_objective(g, video), start, 80, lr)
+    # the loss falls at every step; floor it at its value at step plateau_from
+    assert np.all(np.diff(losses) < 0)
+    const = float(np.square(video.pixels[1:].astype(np.float64)).sum())
+    floor = losses[plateau_from] * video.pixels.size - const
+    floored = floored_identification_loss(floor)
+    monkeypatch.setattr(generator, "_identification_loss", floored)
+    monkeypatch.setattr(refinement, "_identification_loss", floored)
+
+    result = refine_embedding(g, video, start, RefineConfig("retrieval", steps=80))
+    path, losses = descent_path(mse_objective(g, video), start, 80, lr)
+    tied = np.flatnonzero(losses == losses.min())
+    # the last 60 steps or more hold the lowest loss and the chain moved between them
+    assert len(tied) >= 60 and np.abs(path[tied[-1]] - path[tied[0]]).max() > 1e-3
+    first = path[tied[0]]
+    assert np.abs(result.embedding - first).max() <= 1e-12 * np.abs(first).max()
+    assert result.loss == losses.min()
+    if tied[0] == 0:
+        # every step ties with step 0, so the start comes back bit for bit
+        assert result.embedding.tobytes() == start.tobytes()
+    assert (tied[0] == 0) == (plateau_from == 0)
