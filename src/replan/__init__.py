@@ -35,7 +35,6 @@ from .datasets import (
 from .encoders import (
     PcaProjection,
     default_pca_k,
-    encode_frame,
     encode_video,
     pca_apply,
     pca_fit,
@@ -65,7 +64,6 @@ from .generator import (
     generate,
     id_generate,
     mse_objective,
-    naive_mse_loss,
 )
 from .loop import (
     ALL_METHODS,

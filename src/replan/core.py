@@ -160,14 +160,23 @@ def pixel_l2(a: Video, b: Video) -> float:
     return float(np.sqrt(np.sum(diff * diff)))
 
 
+def _psnr_db(mse: float) -> float:
+    return PSNR_CAP_DB if mse <= 0.0 else min(PSNR_CAP_DB, float(10.0 * math.log10(1.0 / mse)))
+
+
 def psnr(a: Video, b: Video) -> float:
     """Peak signal-to-noise ratio in dB for unit range, capped at 100."""
     if _same_bytes(a, b):
         return PSNR_CAP_DB  # what an MSE of 0 gives, without computing it
-    mse = video_mse(a, b)
-    if mse <= 0.0:
-        return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, float(10.0 * math.log10(1.0 / mse)))
+    return _psnr_db(video_mse(a, b))
+
+
+def psnr_table(sums: np.ndarray, count: int) -> np.ndarray:
+    """``psnr`` of every pair whose summed squared pixel difference is in ``sums``, over
+    ``count`` pixels: the MSE is ``sums / count`` as ``video_mse`` divides its sum, and
+    each entry goes through ``psnr``'s own scalar arithmetic, so the bits are its."""
+    mse = np.asarray(sums, dtype=np.float64) / count
+    return np.array([_psnr_db(x) for x in mse.ravel().tolist()]).reshape(mse.shape)
 
 
 @functools.cache
@@ -188,32 +197,43 @@ def window_means(pixels: np.ndarray) -> np.ndarray:
     return (rows.reshape(-1, h) @ band[:h, : h - SSIM_WINDOW + 1]).reshape(*lead, -1)
 
 
-def ssim(
-    a: Video, b: Video, mu_a: np.ndarray | None = None, mu_b: np.ndarray | None = None
-) -> float:
-    """Mean SSIM over 8x8 stride-1 windows: per-frame window mean, then frame mean.
+def window_moments(pixels: np.ndarray) -> np.ndarray:
+    """(2, T, windows) float64 moments of a (T, H, W) clip for ``ssim``: each window's
+    mean mu and variance W(x^2) - mu^2, where W is ``window_means``.  W(x^2) is one
+    (T, H, W) product, as the cross moment in ``ssim`` is, so a clip against its own
+    bytes scores exactly 1."""
+    x = np.asarray(pixels, dtype=np.float64)
+    mu = window_means(x)
+    return np.stack([mu, window_means(x * x) - mu * mu])
 
-    The window moments (Wang et al. 2004) are ``window_means``; a caller that
-    holds a clip's passes them as ``mu_a`` or ``mu_b``, for the same bits.  The
-    formula needs the two variances only as their sum: a^2 + b^2 is one map.
+
+def ssim(
+    a: Video, b: Video, mom_a: np.ndarray | None = None, mom_b: np.ndarray | None = None
+) -> float:
+    """Mean SSIM (Wang et al. 2004) over 8x8 stride-1 windows: per-frame window mean,
+    then frame mean.  Each window scores
+
+        (2 mu_a mu_b + C1) (2 cov_ab + C2) / ((mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2))
+
+    with cov_ab = W(a b) - mu_a mu_b.  mu and var depend on one clip only: they are its
+    ``window_moments``, which a caller that holds them passes as ``mom_a`` or ``mom_b``
+    for the same bits, so a call builds only the cross moment W(a b).
     """
     _check_same_shape(a, b)
     t, h, w = a.pixels.shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"frame smaller than SSIM window: {(h, w)}")
     windows = (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1)
-    if any(mu is not None and mu.shape != (t, windows) for mu in (mu_a, mu_b)):
-        raise ValueError(f"window means must have shape {(t, windows)}")
+    if any(mom is not None and mom.shape != (2, t, windows) for mom in (mom_a, mom_b)):
+        raise ValueError(f"window moments must have shape {(2, t, windows)}")
     if _same_bytes(a, b):
-        return 1.0  # exactly what the arithmetic below gives for equal clips
-    mu_a = window_means(a.pixels) if mu_a is None else mu_a
-    mu_b = window_means(b.pixels) if mu_b is None else mu_b
-    pa, pb = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
-    e_sq, e_ab = window_means(np.stack([pa * pa + pb * pb, pa * pb]))
+        return 1.0  # exactly what the arithmetic below gives: num and den are equal
+    mu_a, var_a = window_moments(a.pixels) if mom_a is None else mom_a
+    mu_b, var_b = window_moments(b.pixels) if mom_b is None else mom_b
+    e_ab = window_means(a.pixels.astype(np.float64) * b.pixels.astype(np.float64))
     mu_ab = mu_a * mu_b
-    mu_sq = mu_a * mu_a + mu_b * mu_b
     num = (2.0 * mu_ab + SSIM_C1) * (2.0 * (e_ab - mu_ab) + SSIM_C2)
-    den = (mu_sq + SSIM_C1) * (e_sq - mu_sq + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return float(np.add.reduce(np.add.reduce(num / den, axis=1) / windows) / t)  # as np.mean
 
 

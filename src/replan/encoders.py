@@ -26,14 +26,6 @@ def _block_means(frames: np.ndarray) -> np.ndarray:
     return (_BLOCK_MEAN.T @ cols.reshape(t, IMAGE_SIZE, -1)).reshape(t * FEATURES_PER_FRAME)
 
 
-def encode_frame(frame: np.ndarray) -> np.ndarray:
-    """4x4 block-average a 32x32 frame to a 64-vector (row-major blocks)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (IMAGE_SIZE, IMAGE_SIZE):
-        raise ValueError(f"expected {IMAGE_SIZE}x{IMAGE_SIZE} frame, got {frame.shape}")
-    return _block_means(frame[None])
-
-
 def encode_video(video: Video) -> np.ndarray:
     """Concatenate per-frame block features; an 8-frame clip gives 512 dims."""
     if video.height != IMAGE_SIZE or video.width != IMAGE_SIZE:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, video_mse
+from .core import ExperienceDataset, Video
 from .retrieval import EmbeddingTable, softmax
 
 
@@ -192,8 +192,3 @@ def mse_objective(
         return np.maximum((const + loss_terms) / total, 0.0), (coef @ emb) * (4.0 / (total * bw2))
 
     return objective
-
-
-def naive_mse_loss(g: KernelGenerator, observed: Video, e: np.ndarray | None) -> float:
-    """Reference loss built directly from id_generate; used to pin the fast path."""
-    return video_mse(observed, id_generate(g, observed.first_frame(), e))

@@ -6,7 +6,9 @@ reject candidates near previously failed plans, decode the selected plan to an
 action and judge it by the success rule.  A failed plan joins the failed-plan
 buffer; its rendered rollout joins the interaction buffer only when retrieval or
 refinement reads it.  Both buffers are episode-scoped; plans are indices into
-the task's ``PlanTable``.
+the task's ``PlanTable``.  A round scores its plan against the ground-truth plan
+by PSNR, a lookup in that table, and by SSIM, whose one-clip moments set-up holds,
+so a round builds one product map.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, load_dataset, psnr, ssim, window_means
+from .core import (
+    ExperienceDataset, Video, load_dataset, psnr, psnr_table, ssim, window_moments
+)
 from .datasets import build_dataset, candidate_actions, subsample_dataset
 from .encoders import default_pca_k, encode_video, pca_fit
 from .envs import (
@@ -43,7 +47,7 @@ from .generator import GeneratorMode, KernelGenerator, fit_generator
 # the per-round call sites keep the names perfbench/layers.py traces
 from .generator import generate_indices as generate
 from .refinement import RefineConfig, refine_embedding
-from .rejection import RejectionMetric, distance_matrix
+from .rejection import RejectionMetric, distance_matrix, pixel_sums_of_squares
 from .retrieval import (
     BufferPolicy,
     EmbeddingTable,
@@ -92,12 +96,15 @@ ALL_METHODS = tuple(m.value for m in Method)
 @dataclass(frozen=True)
 class PlanTable:
     """Planner-support entry i as a plan: its video with the reset frame as frame 0, its
-    ``core.window_means`` for ``ssim``, what ``actor.plan_to_action`` decodes it to (or the
-    ``PlanDecodeError`` text) and row i of the rejection distances under each metric.
-    Set-up grows as (support size)^2 x T*H*W."""
+    ``core.window_moments`` for ``ssim``, row i of ``core.psnr`` against every entry, what
+    ``actor.plan_to_action`` decodes it to (or the ``PlanDecodeError`` text) and row i of
+    the rejection distances under each metric.  The PSNR and raw-pixel distance rows come
+    from one table of summed squared differences.  Set-up grows as (support size)^2 x
+    T*H*W."""
 
     videos: tuple[Video, ...]
-    means: np.ndarray  # (support size, T, windows) float64
+    moments: np.ndarray  # (support size, 2, T, windows) float64
+    psnr: np.ndarray  # (support size, support size) float64
     actions: tuple[EnvAction | str, ...]
     distances: dict[RejectionMetric, np.ndarray]
 
@@ -119,7 +126,10 @@ def plan_to_action(plans: PlanTable, index: int) -> EnvAction:
 
 @dataclass
 class TaskAssets:
-    """Everything an episode needs for one task, fit on its dataset."""
+    """Everything an episode needs for one task, fit on its dataset.  A ground-truth plan
+    that is a plan-table video (the rollout cache's) has its row in ``gt_rows`` and shares
+    that row's moments; one that is not (a ``data_root`` dataset's) has row None, its own
+    moments, and is scored by per-call ``psnr``."""
 
     kind: EnvKind
     dataset: ExperienceDataset
@@ -127,7 +137,8 @@ class TaskAssets:
     planner: KernelGenerator
     identifier: KernelGenerator
     gt_plans: dict[float | str, Video]
-    gt_means: dict[float | str, np.ndarray]  # window_means of each gt_plans video
+    gt_rows: dict[float | str, int | None]  # plan-table row of each gt_plans video
+    gt_moments: dict[float | str, np.ndarray]  # window_moments of each gt_plans video
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
 
@@ -151,16 +162,19 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = 
             actions.append(decode_plan(kind, video))
         except PlanDecodeError as err:
             actions.append(str(err))
-    distances = {metric: distance_matrix(videos, metric) for metric in RejectionMetric}
-    # one video per product, as ssim's own: a stacked product may round otherwise; a
-    # ground-truth plan that is a plan-table video (the rollout cache's) shares its row
-    means = np.stack([window_means(video.pixels) for video in videos])
+    sums = pixel_sums_of_squares(videos)
+    distances = {RejectionMetric.RAW_PIXEL: np.sqrt(sums),
+                 RejectionMetric.EMBEDDING: distance_matrix(videos, RejectionMetric.EMBEDDING)}
+    # one clip per product, as ssim's own: a stacked product may round otherwise
+    moments = np.stack([window_moments(video.pixels) for video in videos])
     row = {id(video): i for i, video in enumerate(videos)}
-    gt_means = {theta: means[row[id(gt)]] if id(gt) in row else window_means(gt.pixels)
-                for theta, gt in gt_plans.items()}
-    plans = PlanTable(videos, means, tuple(actions), distances)
-    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, gt_means, plans,
-                      candidate_actions(kind))
+    gt_rows = {theta: row.get(id(gt)) for theta, gt in gt_plans.items()}
+    gt_moments = {theta: window_moments(gt.pixels) if gt_rows[theta] is None
+                  else moments[gt_rows[theta]] for theta, gt in gt_plans.items()}
+    plans = PlanTable(videos, moments, psnr_table(sums, videos[0].pixels.size),
+                      tuple(actions), distances)
+    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, gt_rows,
+                      gt_moments, plans, candidate_actions(kind))
 
 
 @dataclass(frozen=True)
@@ -206,7 +220,8 @@ def run_episode(
     plans, failed = assets.plans, []
     distances = plans.distances[RejectionMetric(config.rejection_metric)]
     interactions = InteractionBuffer()
-    gt_plan, gt_means = assets.gt_plans[env.theta_value], assets.gt_means[env.theta_value]
+    gt_plan, gt_row = assets.gt_plans[env.theta_value], assets.gt_rows[env.theta_value]
+    gt_moments = assets.gt_moments[env.theta_value]
     retr_config = RetrievalConfig(tau=config.tau, buffer_policy=config.buffer_policy)
     n = method.candidate_count(config.n_candidates)
     refine_config = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
@@ -246,8 +261,11 @@ def run_episode(
                 pick = select_plan(distances, candidates, failed)
             wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
-            plan_psnr = psnr(plans.videos[pick], gt_plan)
-            plan_ssim = ssim(plans.videos[pick], gt_plan, plans.means[pick], gt_means)
+            if gt_row is None:
+                plan_psnr = psnr(plans.videos[pick], gt_plan)
+            else:
+                plan_psnr = float(plans.psnr[pick, gt_row])
+            plan_ssim = ssim(plans.videos[pick], gt_plan, plans.moments[pick], gt_moments)
 
             t0 = time.perf_counter()
             try:
@@ -461,14 +479,18 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     return build_assets(kind, dataset, config.pca_k)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(
+    config: ExperimentConfig, assets_by_task: dict[str, TaskAssets] | None = None
+) -> ExperimentResult:
     """Run the full task x method x trial grid declared by ``config``.
 
+    ``assets_by_task`` holds prebuilt assets of ``config``'s tasks, which must be what
+    ``build_task_assets(config, task)`` gives; without it each task builds its own.
     Each finished task x method cell logs its mean replans at INFO level.
     """
     rows: list[EpisodeRow] = []
     for task in config.tasks:
-        assets = build_task_assets(config, task)
+        assets = build_task_assets(config, task) if assets_by_task is None else assets_by_task[task]
         kind = assets.kind
         for method_name in config.methods:
             method = Method(method_name)
@@ -515,7 +537,9 @@ SWEEP_NAMES = ("n-candidates", "rejection-metric", "modules", "data-fraction")
 def ablation_sweep(
     name: str, base: ExperimentConfig
 ) -> dict[str, ExperimentResult]:
-    """Run one named sweep; grid points share trial seeds for pairing."""
+    """Run one named sweep; grid points share trial seeds for pairing.  Only
+    ``data-fraction`` changes the dataset, so every other sweep builds each task's
+    assets once and runs all its grid points on them."""
     if name == "n-candidates":
         grid = {
             f"n={n}": replace(base, methods=("ours",), n_candidates=n)
@@ -541,4 +565,7 @@ def ablation_sweep(
         }
     else:
         raise ValueError(f"unknown sweep {name!r}; choose from {SWEEP_NAMES}")
-    return {label: run_experiment(cfg) for label, cfg in grid.items()}
+    if name == "data-fraction":
+        return {label: run_experiment(cfg) for label, cfg in grid.items()}
+    shared = {task: build_task_assets(base, task) for task in base.tasks}
+    return {label: run_experiment(cfg, shared) for label, cfg in grid.items()}

@@ -54,18 +54,23 @@ def _rows(plans: Sequence[Video], metric: RejectionMetric) -> Sequence[np.ndarra
     return [plan.pixels.reshape(-1).astype(np.float64) for plan in plans]
 
 
+def _sums_of_squares(rows: Sequence[np.ndarray], others: Sequence[np.ndarray]) -> np.ndarray:
+    """(m, f) summed squared differences of pixel rows, ``diff * diff`` summed one
+    cache-sized pair at a time, as ``pixel_l2`` sums it."""
+    diffs = (row - other for row in rows for other in others)
+    return np.array([np.sum(np.square(d, out=d)) for d in diffs]).reshape(len(rows), len(others))
+
+
 def _distances(
     rows: Sequence[np.ndarray], others: Sequence[np.ndarray], metric: RejectionMetric
 ) -> np.ndarray:
     """(m, f) distances from ``rows`` to ``others``, bit-equal to the per-pair forms:
-    raw pixels sum ``diff * diff`` one cache-sized pair at a time, as ``pixel_l2``
-    does; features take the square root of a batched self-product, as
-    ``np.linalg.norm`` does."""
+    raw pixels take the square root of ``_sums_of_squares``, as ``pixel_l2`` does;
+    features take the square root of a batched self-product, as ``np.linalg.norm`` does."""
     if metric is RejectionMetric.EMBEDDING:
         diff = rows[:, None, :] - others
         return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    diffs = (row - other for row in rows for other in others)
-    return np.sqrt([np.sum(np.square(d, out=d)) for d in diffs]).reshape(len(rows), len(others))
+    return np.sqrt(_sums_of_squares(rows, others))
 
 
 def _nearest_failed_distances(
@@ -81,18 +86,27 @@ def _nearest_failed_distances(
     return _distances(_rows(plans, metric), _rows(buffer.plans, metric), metric).min(axis=1)
 
 
-def distance_matrix(plans: Sequence[Video], metric: RejectionMetric | str) -> np.ndarray:
-    """(n, n) matrix whose entry (i, j) is, bit for bit, the distance ``select_plan``
-    scores ``plans[i]`` at against a failed ``plans[j]``.  Raw pixels take each plan
-    against the earlier ones only: a difference squares to the same bits either way."""
-    metric = _rejection_metric(metric)
-    rows = _rows(plans, metric)
-    if metric is RejectionMetric.EMBEDDING:
-        return _distances(rows, rows, metric)
+def pixel_sums_of_squares(plans: Sequence[Video]) -> np.ndarray:
+    """(n, n) matrix whose entry (i, j) is the summed squared pixel difference of
+    ``plans[i]`` and ``plans[j]``, as ``pixel_l2`` sums it before its square root.  Each
+    plan is taken against the earlier ones only: a difference squares to the same bits
+    either way."""
+    rows = _rows(plans, RejectionMetric.RAW_PIXEL)
     out = np.zeros((len(rows), len(rows)))
     for j in range(1, len(rows)):
-        out[j, :j] = _distances(rows[j : j + 1], rows[:j], metric)[0]
+        out[j, :j] = _sums_of_squares(rows[j : j + 1], rows[:j])[0]
     return out + out.T  # each entry meets a 0, so the mirror is exact
+
+
+def distance_matrix(plans: Sequence[Video], metric: RejectionMetric | str) -> np.ndarray:
+    """(n, n) matrix whose entry (i, j) is, bit for bit, the distance ``select_plan``
+    scores ``plans[i]`` at against a failed ``plans[j]``; under raw pixels, the square
+    root of ``pixel_sums_of_squares``."""
+    metric = _rejection_metric(metric)
+    if metric is RejectionMetric.RAW_PIXEL:
+        return np.sqrt(pixel_sums_of_squares(plans))
+    rows = _rows(plans, metric)
+    return _distances(rows, rows, metric)
 
 
 def nearest_failed_distance(

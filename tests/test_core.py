@@ -33,6 +33,7 @@ from replan.core import (
     load_video,
     save_video,
     window_means,
+    window_moments,
 )
 
 
@@ -328,7 +329,8 @@ def test_ssim_matches_oracle_on_plan_pairs(task):
 
 
 def four_map_ssim(a, b):
-    """Bit-level oracle: the four window-moment maps of both clips in one pair of products."""
+    """The pre-moment arithmetic: the four window-moment maps of both clips in one pair
+    of products, with the two variances taken as one map W(a^2 + b^2) - mu_a^2 - mu_b^2."""
     t, h, w = a.pixels.shape
     if a.pixels.tobytes() == b.pixels.tobytes():
         return 1.0
@@ -347,30 +349,56 @@ def four_map_ssim(a, b):
     return float(np.mean(np.mean(num / den, axis=1)))
 
 
-def ssim_bit_mismatches():
-    """Plan pairs of all five tasks where ssim with held means, ssim without them and
-    ``four_map_ssim`` differ in any bit, and plan-table or ground-truth means that are
-    not ``window_means``."""
-    bad = []
+def moment_ssim(a, b):
+    """Bit-level oracle of the moment arithmetic: each of W(a), W(a^2), W(b), W(b^2) and
+    W(ab) is one (T, H, W) map through the band products, written out here."""
+    t, h, w = a.pixels.shape
+    if a.pixels.tobytes() == b.pixels.tobytes():
+        return 1.0
+    band = _window_band(max(h, w))
+
+    def windows(frames):
+        rows = (frames.reshape(-1, w) @ band[:w, : w - 7]).reshape(t, h, -1)
+        return (rows.transpose(0, 2, 1).reshape(-1, h) @ band[:h, : h - 7]).reshape(t, -1)
+
+    pa, pb = a.pixels.astype(np.float64), b.pixels.astype(np.float64)
+    mu_a, mu_b = windows(pa), windows(pb)
+    var_a, var_b = windows(pa * pa) - mu_a * mu_a, windows(pb * pb) - mu_b * mu_b
+    cov = windows(pa * pb) - mu_a * mu_b
+    num = (2.0 * (mu_a * mu_b) + 1e-4) * (2.0 * cov + 9e-4)
+    den = (mu_a * mu_a + mu_b * mu_b + 1e-4) * (var_a + var_b + 9e-4)
+    return float(np.mean(np.mean(num / den, axis=1)))
+
+
+def plan_pairs():
+    """(task, assets, plan index, theta) of every pair the loop can score, on all five tasks."""
     for task in ExperimentConfig().tasks:
         assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
-        plans, gt_means = assets.plans, assets.gt_means
-        assert gt_means.keys() == assets.gt_plans.keys()
-        for theta, gt in assets.gt_plans.items():
-            if gt_means[theta].tobytes() != window_means(gt.pixels).tobytes():
-                bad.append(f"{task} gt means {theta}")
-        for i, plan in enumerate(plans.videos):
-            if plans.means[i].tobytes() != window_means(plan.pixels).tobytes():
-                bad.append(f"{task} means {i}")
-            for theta, gt in assets.gt_plans.items():
-                scores = (ssim(plan, gt, plans.means[i], gt_means[theta]),
-                          ssim(plan, gt), four_map_ssim(plan, gt))
-                if len({struct.pack("<d", score) for score in scores}) != 1:
-                    bad.append(f"{task} plan {i} theta {theta}: {scores}")
+        for i in range(len(assets.plans.videos)):
+            for theta in assets.gt_plans:
+                yield task, assets, i, theta
+
+
+def ssim_bit_mismatches():
+    """Plan pairs of all five tasks where ssim with held moments, ssim without them and
+    ``moment_ssim`` differ in any bit, and plan-table or ground-truth moments that are
+    not ``window_moments``."""
+    bad = []
+    for task, assets, i, theta in plan_pairs():
+        plans, gt = assets.plans, assets.gt_plans[theta]
+        plan, gt_moments = plans.videos[i], assets.gt_moments[theta]
+        if i == 0 and gt_moments.tobytes() != window_moments(gt.pixels).tobytes():
+            bad.append(f"{task} gt moments {theta}")
+        if plans.moments[i].tobytes() != window_moments(plan.pixels).tobytes():
+            bad.append(f"{task} moments {i}")
+        scores = (ssim(plan, gt, plans.moments[i], gt_moments), ssim(plan, gt),
+                  moment_ssim(plan, gt))
+        if len({struct.pack("<d", score) for score in scores}) != 1:
+            bad.append(f"{task} plan {i} theta {theta}: {scores}")
     return bad
 
 
-def test_ssim_is_bit_equal_to_the_four_map_oracle_across_blas_threads():
+def test_ssim_is_bit_equal_to_the_moment_oracle_across_blas_threads():
     # fresh processes under 1 and 2 threads, as test_demo_prints_the_recorded_bytes runs
     import json
     import os
@@ -389,12 +417,39 @@ def test_ssim_is_bit_equal_to_the_four_map_oracle_across_blas_threads():
         assert json.loads(out.splitlines()[-1]) == [], threads
 
 
-def test_ssim_rejects_means_of_another_shape():
+def test_moment_ssim_differs_from_the_four_map_form_by_rounding_only():
+    # the variances as two moments, not one a^2 + b^2 map: every pair the loop can
+    # score lands within 2.3e-16 of the old arithmetic
+    gaps = [abs(ssim(assets.plans.videos[i], assets.gt_plans[theta], assets.plans.moments[i],
+                     assets.gt_moments[theta])
+                - four_map_ssim(assets.plans.videos[i], assets.gt_plans[theta]))
+            for _, assets, i, theta in plan_pairs()]
+    assert len(gaps) == 1329
+    assert max(gaps) <= 2.3e-16
+
+
+def test_ssim_rejects_moments_of_another_shape():
     a, b = const_video(0.2, (2, 9, 10)), const_video(0.4, (2, 9, 10))
-    assert window_means(a.pixels).shape == (2, 6)
-    assert ssim(a, b, window_means(a.pixels), window_means(b.pixels)) == ssim(a, b)
-    with pytest.raises(ValueError, match="window means must have shape"):
-        ssim(a, b, None, window_means(b.pixels)[:1])
+    assert window_moments(a.pixels).shape == (2, 2, 6)
+    assert ssim(a, b, window_moments(a.pixels), window_moments(b.pixels)) == ssim(a, b)
+    with pytest.raises(ValueError, match=r"window moments must have shape \(2, 2, 6\)"):
+        ssim(a, b, None, window_moments(b.pixels)[:, :1])
+    with pytest.raises(ValueError, match="window moments must have shape"):
+        ssim(a, b, window_means(a.pixels), None)  # means alone are not moments
+
+
+def test_window_moments_are_window_mean_and_variance():
+    rng = np.random.default_rng(11)
+    pixels = rng.random((3, 10, 12), dtype=np.float32)
+    mu, var = window_moments(pixels)
+    windows = np.lib.stride_tricks.sliding_window_view(pixels.astype(np.float64), (8, 8),
+                                                       axis=(1, 2))
+    # window_means lists each frame's windows column-major
+    expected_mu = windows.mean(axis=(3, 4)).transpose(0, 2, 1).reshape(3, -1)
+    expected_var = windows.var(axis=(3, 4)).transpose(0, 2, 1).reshape(3, -1)
+    assert mu.tobytes() == window_means(pixels).tobytes()
+    assert np.allclose(mu, expected_mu, rtol=0, atol=1e-15)
+    assert np.allclose(var, expected_var, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from replan import (
     EnvKind,
     Video,
     default_pca_k,
-    encode_frame,
     encode_video,
     execute,
     hidden_values,
@@ -26,6 +25,11 @@ def reference_encode_video(video):
     return video.pixels.astype(np.float64).reshape(t, 8, 4, 8, 4).mean(axis=(2, 4)).reshape(-1)
 
 
+def encode_frame(frame):
+    """One frame's 64 row-major block features, as ``encode_video`` gives a one-frame clip."""
+    return encode_video(Video(np.asarray(frame, dtype=np.float32)[None]))
+
+
 def test_encode_frame_single_pixel():
     frame = np.zeros((32, 32), dtype=np.float32)
     frame[9, 18] = 1.0
@@ -38,7 +42,7 @@ def test_encode_frame_single_pixel():
 
 
 def test_encode_frame_shape_check():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 32x32 frames, got 16x16"):
         encode_frame(np.zeros((16, 16)))
 
 

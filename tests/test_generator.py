@@ -17,12 +17,13 @@ from replan import (
     hidden_values,
     id_generate,
     mse_objective,
-    naive_mse_loss,
     reset,
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
 from replan.retrieval import softmax
+
+from oracles import naive_mse_loss
 
 SHADES = {"a": (0.2, 0.9), "b": (0.6, 0.3)}  # object -> (success, fail) shade
 

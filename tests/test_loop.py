@@ -684,6 +684,38 @@ def test_ablation_n_candidates_grid():
         assert tuple(result.config.methods) == ("ours",)
 
 
+def episode_fields(result):
+    """Every deterministic field of a result's rows: the rows without wall times."""
+    return [(r.task, r.method, r.trial, r.seed, r.theta, r.replans, r.succeeded,
+             r.mean_psnr, r.mean_ssim) for r in result.rows]
+
+
+@pytest.mark.parametrize("name, builds", [
+    ("n-candidates", 2), ("rejection-metric", 2), ("modules", 2), ("data-fraction", 4),
+])
+def test_ablation_sweep_builds_assets_once_per_task(monkeypatch, name, builds):
+    # only data-fraction changes the dataset; the others reuse one build per task, and
+    # each grid point gives what a run with assets of its own gives
+    import replan.loop
+
+    base = ExperimentConfig(tasks=("openbox", "slidebrick"), trials=4, refine_steps=5)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build_assets(*args, **kwargs)
+
+    build_assets = replan.loop.build_assets
+    monkeypatch.setattr(replan.loop, "build_assets", counted)
+    sweep = ablation_sweep(name, base)
+    assert len(calls) == builds
+    monkeypatch.undo()
+    for label, result in sweep.items():
+        alone = run_experiment(result.config)
+        assert episode_fields(result) == episode_fields(alone), label
+        assert result.table == alone.table
+
+
 def test_data_root_assets(tmp_path, openbox_assets):
     from replan import build_dataset, save_dataset
 

@@ -44,6 +44,7 @@ from replan import (
     select_plan,
     ssim,
 )
+from replan.core import PSNR_CAP_DB
 from replan.envs import rollout_success, succeeds
 from replan.loop import RoundRecord
 
@@ -79,6 +80,9 @@ def table_mismatches(task, metric):
         for j, other in enumerate(videos):
             if metric == "raw_pixel":
                 expected = pixel_l2(video, other)
+                # the PSNR table shares the raw-pixel sums of squares
+                if plans.psnr[i, j] != psnr(video, other):
+                    bad.append(f"{task} psnr ({i}, {j}): {plans.psnr[i, j]!r}")
             else:
                 expected = float(np.linalg.norm(features[i] - features[j]))
             if distances[i, j] != expected:
@@ -217,21 +221,81 @@ def test_one_build_serves_every_rejection_metric():
     assert rounds[0] != rounds[1]  # the metric reaches the episodes
 
 
-def test_ground_truth_means_with_and_without_a_shared_row(tmp_path):
-    # a ground-truth plan that the rollout cache shares with the plan table reuses
-    # its row of means; a data_root dataset holds loaded copies, so each gets its own
-    from replan.core import window_means
-
+def data_root_assets(tmp_path):
+    """slidebrick's assets from a saved copy of its generated dataset: every video is a
+    loaded copy, so no ground-truth plan is a plan-table video."""
     dataset, thetas = build_dataset(EnvKind.SLIDE_BRICK)
     save_dataset(tmp_path / "slidebrick", "slidebrick", dataset.tuples, thetas)
     config = ExperimentConfig(tasks=("slidebrick",), data_root=str(tmp_path))
+    return build_task_assets(config, "slidebrick")
+
+
+def test_ground_truth_moments_with_and_without_a_shared_row(tmp_path):
+    # a ground-truth plan that the rollout cache shares with the plan table reuses
+    # its row of moments; a data_root dataset holds loaded copies, so each gets its own
+    from replan.core import window_moments
+
     for assets, shared in ((task_assets("slidebrick"), True),
-                           (build_task_assets(config, "slidebrick"), False)):
-        assert assets.gt_means.keys() == assets.gt_plans.keys()
+                           (data_root_assets(tmp_path), False)):
+        assert assets.gt_moments.keys() == assets.gt_rows.keys() == assets.gt_plans.keys()
         for theta, gt in assets.gt_plans.items():
-            means = assets.gt_means[theta]
-            assert means.tobytes() == window_means(gt.pixels).tobytes()
-            assert (means.base is assets.plans.means) == shared
+            moments, row = assets.gt_moments[theta], assets.gt_rows[theta]
+            assert moments.tobytes() == window_moments(gt.pixels).tobytes()
+            assert (moments.base is assets.plans.moments) == shared
+            assert (row is not None) == shared
+            if shared:
+                assert assets.plans.videos[row] is gt
+
+
+def scored_episodes(monkeypatch, assets, config, seeds=range(6)):
+    """``run_episode`` over ``seeds`` for every planning method, counting the loop's
+    ``psnr`` calls and ``core.window_means`` calls; returns (records, counts)."""
+    import replan.core
+
+    counts = {"psnr": 0, "window_means": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(loop, "psnr", counted("psnr", loop.psnr))
+    monkeypatch.setattr(replan.core, "window_means",
+                        counted("window_means", replan.core.window_means))
+    records = []
+    for method in PLANNING_METHODS:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
+            records.append(loop.run_episode(env, method, assets, config, rng))
+    return records, counts
+
+
+def distinct_plans_scored(records):
+    """Scored rounds whose plan is not byte-equal to the ground truth: a plan that is
+    scores PSNR at the cap, and SSIM 1 without building a map."""
+    return sum(r.plan_psnr is not None and r.plan_psnr < PSNR_CAP_DB
+               for record in records for r in record.rounds)
+
+
+def test_a_simulator_episode_scores_with_one_product_map_per_round(monkeypatch):
+    # every ground-truth plan is a table row: PSNR is a lookup, SSIM one cross moment
+    assets = task_assets("pushbar")
+    records, counts = scored_episodes(monkeypatch, assets, ExperimentConfig(refine_steps=5))
+    assert counts == {"psnr": 0, "window_means": distinct_plans_scored(records)}
+    assert counts["window_means"] > len(records)
+
+
+def test_a_ground_truth_plan_off_the_table_scores_through_psnr(tmp_path, monkeypatch):
+    assets = data_root_assets(tmp_path)
+    assert set(assets.gt_rows.values()) == {None}
+    config = ExperimentConfig(refine_steps=5)
+    records, counts = scored_episodes(monkeypatch, assets, config)
+    scored = sum(r.plan_psnr is not None for record in records for r in record.rounds)
+    assert counts == {"psnr": scored, "window_means": distinct_plans_scored(records)}
+    # and the scores are per-call psnr's and ssim's, as the Video-level loop computes them
+    assert_episodes_match_video_level(assets, config, range(6))
 
 
 def test_undecodable_support_plan_takes_the_undecodable_branch(tmp_path):

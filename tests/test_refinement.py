@@ -18,13 +18,14 @@ from replan import (
     fit_generator,
     id_generate,
     mse_objective,
-    naive_mse_loss,
     refine_embedding,
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
 from replan import generator, refinement
 from replan.retrieval import build_table, softmax
+
+from oracles import naive_mse_loss
 
 
 def oracle_descend(evaluate, starts, steps, lr):

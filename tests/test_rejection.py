@@ -17,7 +17,7 @@ from replan import (
     pixel_l2,
     select_plan,
 )
-from replan.rejection import _nearest_failed_distances
+from replan.rejection import _nearest_failed_distances, distance_matrix, pixel_sums_of_squares
 
 
 def vid(fill=0.0):
@@ -234,3 +234,24 @@ def test_raw_pixel_scores_refuse_mismatched_shapes():
     buffer = FailedPlanBuffer().push(vid(0.5))
     with pytest.raises(ValueError, match="shape mismatch"):
         select_plan([Video(np.zeros((2, 32, 32), dtype=np.float32))], buffer)
+
+
+def per_pair_distance_matrix(plans):
+    """The raw-pixel matrix as it was built before the sums-of-squares table: each row's
+    square roots taken per pair, then the lower triangle mirrored."""
+    rows = [plan.pixels.reshape(-1).astype(np.float64) for plan in plans]
+    out = np.zeros((len(rows), len(rows)))
+    for j in range(1, len(rows)):
+        out[j, :j] = np.sqrt([np.sum(np.square(rows[j] - row)) for row in rows[:j]])
+    return out + out.T
+
+
+def test_raw_pixel_matrix_is_the_root_of_the_sums_of_squares(task_assets):
+    for assets in task_assets:
+        plans = assets.plans
+        sums = pixel_sums_of_squares(plans.videos)
+        expected = per_pair_distance_matrix(plans.videos)
+        assert np.sqrt(sums).tobytes() == expected.tobytes(), assets.kind
+        assert plans.distances[RejectionMetric.RAW_PIXEL].tobytes() == expected.tobytes()
+        assert distance_matrix(plans.videos, "raw_pixel").tobytes() == expected.tobytes()
+        assert (sums == sums.T).all() and not np.diag(sums).any()
