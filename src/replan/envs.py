@@ -412,9 +412,8 @@ def _faucet_states(mode: str, success: bool) -> list[SceneState]:
 
 # Kept: tier-1 tests took 157-185 s without it, 150-157 s with it (criteria 06/07 repeat rollouts).
 @lru_cache(maxsize=None)
-def _execute_cached(
-    kind: EnvKind, theta: float | str, value: float | str, success: bool
-) -> ExecutionOutcome:
+def _execute_cached(kind: EnvKind, theta: float | str, value: float | str) -> ExecutionOutcome:
+    success = rollout_success(kind, theta, value)
     if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
         states = _bar_states(kind, float(theta), float(value))
     elif kind is EnvKind.SLIDE_BRICK:
@@ -431,7 +430,9 @@ def execute(env: EnvInstance, action: EnvAction) -> ExecutionOutcome:
 
     The returned video has 8 frames; frame 0 equals the reset observation.
     """
-    return _execute_cached(env.kind, env.theta_value, action.value, succeeds(env, action))
+    if action.kind is not env.kind:
+        raise ValueError("action kind does not match environment kind")
+    return _execute_cached(env.kind, env.theta_value, action.value)
 
 
 def succeeds(env: EnvInstance, action: EnvAction) -> bool:

@@ -6,9 +6,9 @@ reject candidates near previously failed plans, decode the selected plan to an
 action and judge it by the success rule.  A failed plan joins the failed-plan
 buffer; its rendered rollout joins the interaction buffer only when retrieval or
 refinement reads it.  Both buffers are episode-scoped; plans are indices into
-the task's ``PlanTable``.  A round scores its plan against the ground-truth plan
-by PSNR, a lookup in that table, and by SSIM, whose one-clip moments set-up holds,
-so a round builds one product map.
+the task's ``PlanTable``, whose rows include every ground-truth plan.  A round
+scores its plan against the ground-truth row by PSNR, a lookup in that table, and by
+SSIM, whose one-clip moments set-up holds, so a round builds one product map.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    ExperienceDataset, Video, load_dataset, psnr, psnr_table, ssim, window_moments
-)
+from .core import ExperienceDataset, Video, load_dataset, psnr_table, ssim, window_moments
+# psnr, unused here, stays importable from this module for perfbench/layers.py
+from .core import psnr  # noqa: F401
 from .datasets import build_dataset, candidate_actions, subsample_dataset
 from .encoders import default_pca_k, encode_video, pca_fit
 from .envs import (
@@ -95,16 +95,16 @@ ALL_METHODS = tuple(m.value for m in Method)
 
 @dataclass(frozen=True)
 class PlanTable:
-    """Planner-support entry i as a plan: its video with the reset frame as frame 0, its
-    ``core.window_moments`` for ``ssim``, row i of ``core.psnr`` against every entry, what
-    ``actor.plan_to_action`` decodes it to (or the ``PlanDecodeError`` text) and row i of
-    the rejection distances under each metric.  The PSNR and raw-pixel distance rows come
-    from one table of summed squared differences.  Set-up grows as (support size)^2 x
-    T*H*W."""
+    """Row i is planner-support entry i as a plan, then each ground-truth plan whose bytes
+    no support entry has: its video (frame 0 the reset frame), its ``core.window_moments``
+    for ``ssim``, row i of ``core.psnr`` against every row, what ``actor.plan_to_action``
+    decodes it to (or the ``PlanDecodeError`` text) and row i of the rejection distances
+    under each metric.  The PSNR and raw-pixel distance rows come from one table of summed
+    squared differences.  Set-up grows as (rows)^2 x T*H*W."""
 
     videos: tuple[Video, ...]
-    moments: np.ndarray  # (support size, 2, T, windows) float64
-    psnr: np.ndarray  # (support size, support size) float64
+    moments: np.ndarray  # (rows, 2, T, windows) float64
+    psnr: np.ndarray  # (rows, rows) float64
     actions: tuple[EnvAction | str, ...]
     distances: dict[RejectionMetric, np.ndarray]
 
@@ -126,10 +126,10 @@ def plan_to_action(plans: PlanTable, index: int) -> EnvAction:
 
 @dataclass
 class TaskAssets:
-    """Everything an episode needs for one task, fit on its dataset.  A ground-truth plan
-    that is a plan-table video (the rollout cache's) has its row in ``gt_rows`` and shares
-    that row's moments; one that is not (a ``data_root`` dataset's) has row None, its own
-    moments, and is scored by per-call ``psnr``."""
+    """Everything an episode needs for one task, fit on its dataset.  Each hidden value's
+    scripted plan is the plan-table row ``gt_rows[theta]``: the planner-support entry with
+    its bytes, or a row appended after the support when none has them (only a
+    ``data_root`` dataset can lack one), where ``generate_indices`` never draws."""
 
     kind: EnvKind
     dataset: ExperienceDataset
@@ -137,25 +137,32 @@ class TaskAssets:
     planner: KernelGenerator
     identifier: KernelGenerator
     gt_plans: dict[float | str, Video]
-    gt_rows: dict[float | str, int | None]  # plan-table row of each gt_plans video
-    gt_moments: dict[float | str, np.ndarray]  # window_moments of each gt_plans video
+    gt_rows: dict[float | str, int]  # plan-table row of each gt_plans video
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
 
 
 def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None) -> TaskAssets:
+    gt_plans = {}
+    for theta in hidden_values(kind):
+        env = EnvInstance.create(kind, theta)
+        gt_plans[theta] = execute(env, scripted_action(env)).video
+    shape = gt_plans[theta].pixels.shape
+    if clips := {item.video.pixels.shape for item in dataset.tuples} - {shape}:
+        raise ValueError(f"dataset clips of shape {sorted(clips)} are not the simulator's {shape}")
     raw = np.stack([encode_video(item.video) for item in dataset.tuples])
     k = pca_k if pca_k is not None else default_pca_k(raw.shape[0], raw.shape[1])
     projection = pca_fit(raw, k)
     table = build_table(dataset, projection, raw)
     planner = fit_generator(dataset, table, GeneratorMode.PLANNING)
     identifier = fit_generator(dataset, table, GeneratorMode.IDENTIFICATION)
-    gt_plans = {}
-    for theta in hidden_values(kind):
-        env = EnvInstance.create(kind, theta)
-        gt_plans[theta] = execute(env, scripted_action(env)).video
     first_frame = reset(env)  # the same for every hidden value of a kind
-    videos = tuple(video.with_first_frame(first_frame) for video in planner.videos)
+    videos = [video.with_first_frame(first_frame) for video in planner.videos]
+    row = {video.pixels.tobytes(): i for i, video in enumerate(videos)}
+    for gt in gt_plans.values():  # a plan no support video matches takes a new row
+        if row.setdefault(gt.pixels.tobytes(), len(videos)) == len(videos):
+            videos.append(gt)
+    gt_rows = {theta: row[gt.pixels.tobytes()] for theta, gt in gt_plans.items()}
     actions = []
     for video in videos:
         try:
@@ -167,14 +174,10 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = 
                  RejectionMetric.EMBEDDING: distance_matrix(videos, RejectionMetric.EMBEDDING)}
     # one clip per product, as ssim's own: a stacked product may round otherwise
     moments = np.stack([window_moments(video.pixels) for video in videos])
-    row = {id(video): i for i, video in enumerate(videos)}
-    gt_rows = {theta: row.get(id(gt)) for theta, gt in gt_plans.items()}
-    gt_moments = {theta: window_moments(gt.pixels) if gt_rows[theta] is None
-                  else moments[gt_rows[theta]] for theta, gt in gt_plans.items()}
-    plans = PlanTable(videos, moments, psnr_table(sums, videos[0].pixels.size),
+    plans = PlanTable(tuple(videos), moments, psnr_table(sums, videos[0].pixels.size),
                       tuple(actions), distances)
-    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, gt_rows,
-                      gt_moments, plans, candidate_actions(kind))
+    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, gt_rows, plans,
+                      candidate_actions(kind))
 
 
 @dataclass(frozen=True)
@@ -220,8 +223,7 @@ def run_episode(
     plans, failed = assets.plans, []
     distances = plans.distances[RejectionMetric(config.rejection_metric)]
     interactions = InteractionBuffer()
-    gt_plan, gt_row = assets.gt_plans[env.theta_value], assets.gt_rows[env.theta_value]
-    gt_moments = assets.gt_moments[env.theta_value]
+    gt = assets.gt_rows[env.theta_value]
     retr_config = RetrievalConfig(tau=config.tau, buffer_policy=config.buffer_policy)
     n = method.candidate_count(config.n_candidates)
     refine_config = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
@@ -261,11 +263,9 @@ def run_episode(
                 pick = select_plan(distances, candidates, failed)
             wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
-            if gt_row is None:
-                plan_psnr = psnr(plans.videos[pick], gt_plan)
-            else:
-                plan_psnr = float(plans.psnr[pick, gt_row])
-            plan_ssim = ssim(plans.videos[pick], gt_plan, plans.moments[pick], gt_moments)
+            plan_psnr = float(plans.psnr[pick, gt])
+            plan_ssim = ssim(plans.videos[pick], plans.videos[gt], plans.moments[pick],
+                             plans.moments[gt])
 
             t0 = time.perf_counter()
             try:
@@ -276,18 +276,16 @@ def run_episode(
             # a later round runs only if this plan failed, decoded or not
             failed.append(pick)
 
-            if action is None:
-                # Undecodable plan: count the round as failed, learn from the plan.
-                rounds.append(RoundRecord(round_index, None, False, plan_psnr, plan_ssim))
-                continue
-
-        success = succeeds(env, action)
-        rounds.append(RoundRecord(round_index, action.value, success, plan_psnr, plan_ssim))
+        # an undecodable plan (action None) counts as a failed round that rendered nothing
+        success = action is not None and succeeds(env, action)
+        value = None if action is None else action.value
+        rounds.append(RoundRecord(round_index, value, success, plan_psnr, plan_ssim))
         if success:
             succeeded, replans = True, round_index
             break
         # retrieval and refinement read a failed rollout, from the next round on
-        if (method.uses_retrieval or method.uses_refinement) and round_index < config.max_replans:
+        if (action is not None and (method.uses_retrieval or method.uses_refinement)
+                and round_index < config.max_replans):
             interactions.push(execute(env, action).video)
 
     return EpisodeRecord(

@@ -386,7 +386,7 @@ def ssim_bit_mismatches():
     bad = []
     for task, assets, i, theta in plan_pairs():
         plans, gt = assets.plans, assets.gt_plans[theta]
-        plan, gt_moments = plans.videos[i], assets.gt_moments[theta]
+        plan, gt_moments = plans.videos[i], plans.moments[assets.gt_rows[theta]]
         if i == 0 and gt_moments.tobytes() != window_moments(gt.pixels).tobytes():
             bad.append(f"{task} gt moments {theta}")
         if plans.moments[i].tobytes() != window_moments(plan.pixels).tobytes():
@@ -420,10 +420,11 @@ def test_ssim_is_bit_equal_to_the_moment_oracle_across_blas_threads():
 def test_moment_ssim_differs_from_the_four_map_form_by_rounding_only():
     # the variances as two moments, not one a^2 + b^2 map: every pair the loop can
     # score lands within 2.3e-16 of the old arithmetic
-    gaps = [abs(ssim(assets.plans.videos[i], assets.gt_plans[theta], assets.plans.moments[i],
-                     assets.gt_moments[theta])
-                - four_map_ssim(assets.plans.videos[i], assets.gt_plans[theta]))
-            for _, assets, i, theta in plan_pairs()]
+    def gap(plans, i, gt):
+        held = ssim(plans.videos[i], plans.videos[gt], plans.moments[i], plans.moments[gt])
+        return abs(held - four_map_ssim(plans.videos[i], plans.videos[gt]))
+
+    gaps = [gap(assets.plans, i, assets.gt_rows[theta]) for _, assets, i, theta in plan_pairs()]
     assert len(gaps) == 1329
     assert max(gaps) <= 2.3e-16
 

@@ -88,7 +88,7 @@ def test_param_and_action_validation():
         EnvAction(EnvKind.TURN_FAUCET, "lift")
     # kind mismatch between instance and action
     env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="action kind does not match environment kind"):
         execute(env, EnvAction(EnvKind.PICK_BAR, 0.0))
     with pytest.raises(ValueError, match="action kind"):
         succeeds(env, EnvAction(EnvKind.PICK_BAR, 0.0))

@@ -3,13 +3,16 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import replan.envs as envs
 import replan.loop as loop
 from replan import (
     ALL_TASKS,
@@ -39,6 +42,7 @@ from replan import (
     refine_embedding,
     reset,
     retrieve,
+    run_experiment,
     sample_hidden,
     save_dataset,
     select_plan,
@@ -221,38 +225,47 @@ def test_one_build_serves_every_rejection_metric():
     assert rounds[0] != rounds[1]  # the metric reaches the episodes
 
 
-def data_root_assets(tmp_path):
-    """slidebrick's assets from a saved copy of its generated dataset: every video is a
-    loaded copy, so no ground-truth plan is a plan-table video."""
+def data_root_assets(tmp_path, keep=lambda theta: True):
+    """slidebrick's assets from a saved copy of its generated dataset, every video a
+    loaded copy; ``keep`` picks the hidden values whose rollouts are saved."""
     dataset, thetas = build_dataset(EnvKind.SLIDE_BRICK)
-    save_dataset(tmp_path / "slidebrick", "slidebrick", dataset.tuples, thetas)
+    kept = [(item, theta) for item, theta in zip(dataset.tuples, thetas) if keep(theta)]
+    save_dataset(tmp_path / "slidebrick", "slidebrick", *zip(*kept))
     config = ExperimentConfig(tasks=("slidebrick",), data_root=str(tmp_path))
     return build_task_assets(config, "slidebrick")
 
 
-def test_ground_truth_moments_with_and_without_a_shared_row(tmp_path):
-    # a ground-truth plan that the rollout cache shares with the plan table reuses
-    # its row of moments; a data_root dataset holds loaded copies, so each gets its own
+def assert_ground_truth_rows(assets):
+    """Each ground-truth plan is the plan-table row with its bytes and shares that row's
+    moments and PSNR entries; returns the rows appended after the planner support."""
     from replan.core import window_moments
 
-    for assets, shared in ((task_assets("slidebrick"), True),
-                           (data_root_assets(tmp_path), False)):
-        assert assets.gt_moments.keys() == assets.gt_rows.keys() == assets.gt_plans.keys()
-        for theta, gt in assets.gt_plans.items():
-            moments, row = assets.gt_moments[theta], assets.gt_rows[theta]
-            assert moments.tobytes() == window_moments(gt.pixels).tobytes()
-            assert (moments.base is assets.plans.moments) == shared
-            assert (row is not None) == shared
-            if shared:
-                assert assets.plans.videos[row] is gt
+    plans, support = assets.plans, len(assets.planner)
+    assert assets.gt_rows.keys() == assets.gt_plans.keys()
+    for theta, gt in assets.gt_plans.items():
+        row = assets.gt_rows[theta]
+        assert type(row) is int and 0 <= row < len(plans.videos)
+        assert plans.videos[row].pixels.tobytes() == gt.pixels.tobytes()
+        assert plans.moments[row].tobytes() == window_moments(gt.pixels).tobytes()
+        assert [psnr(video, gt) for video in plans.videos] == plans.psnr[:, row].tolist()
+    appended = sorted(row for row in set(assets.gt_rows.values()) if row >= support)
+    assert appended == list(range(support, len(plans.videos)))
+    return appended
+
+
+def test_saved_ground_truth_copies_match_support_rows(tmp_path):
+    # loaded copies have other objects but the same bytes, so nothing is appended
+    for assets in (task_assets("slidebrick"), data_root_assets(tmp_path)):
+        assert assert_ground_truth_rows(assets) == []
 
 
 def scored_episodes(monkeypatch, assets, config, seeds=range(6)):
     """``run_episode`` over ``seeds`` for every planning method, counting the loop's
-    ``psnr`` calls and ``core.window_means`` calls; returns (records, counts)."""
+    ``psnr`` calls and ``core.window_means`` calls and keeping every candidate index
+    ``generate`` draws; returns (records, counts, candidates)."""
     import replan.core
 
-    counts = {"psnr": 0, "window_means": 0}
+    counts, candidates = {"psnr": 0, "window_means": 0}, []
 
     def counted(name, fn):
         def call(*args):
@@ -260,16 +273,24 @@ def scored_episodes(monkeypatch, assets, config, seeds=range(6)):
             return fn(*args)
         return call
 
+    def kept(fn):
+        def call(*args):
+            out = fn(*args)
+            candidates.extend(int(i) for i in out)
+            return out
+        return call
+
     monkeypatch.setattr(loop, "psnr", counted("psnr", loop.psnr))
     monkeypatch.setattr(replan.core, "window_means",
                         counted("window_means", replan.core.window_means))
+    monkeypatch.setattr(loop, "generate", kept(loop.generate))
     records = []
     for method in PLANNING_METHODS:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
             records.append(loop.run_episode(env, method, assets, config, rng))
-    return records, counts
+    return records, counts, candidates
 
 
 def distinct_plans_scored(records):
@@ -282,20 +303,57 @@ def distinct_plans_scored(records):
 def test_a_simulator_episode_scores_with_one_product_map_per_round(monkeypatch):
     # every ground-truth plan is a table row: PSNR is a lookup, SSIM one cross moment
     assets = task_assets("pushbar")
-    records, counts = scored_episodes(monkeypatch, assets, ExperimentConfig(refine_steps=5))
+    records, counts, _ = scored_episodes(monkeypatch, assets, ExperimentConfig(refine_steps=5))
     assert counts == {"psnr": 0, "window_means": distinct_plans_scored(records)}
     assert counts["window_means"] > len(records)
 
 
-def test_a_ground_truth_plan_off_the_table_scores_through_psnr(tmp_path, monkeypatch):
-    assets = data_root_assets(tmp_path)
-    assert set(assets.gt_rows.values()) == {None}
+def test_a_ground_truth_plan_off_the_support_is_an_appended_row(tmp_path, monkeypatch):
+    # a data_root dataset that saves the rollouts of every other hidden value only
+    thetas = hidden_values(EnvKind.SLIDE_BRICK)
+    assets = data_root_assets(tmp_path, keep=lambda theta: theta in thetas[::2])
+    appended = assert_ground_truth_rows(assets)
+    assert len(appended) == len(thetas[1::2])
+    assert {assets.gt_rows[theta] for theta in thetas[1::2]} == set(appended)
     config = ExperimentConfig(refine_steps=5)
-    records, counts = scored_episodes(monkeypatch, assets, config)
-    scored = sum(r.plan_psnr is not None for record in records for r in record.rounds)
-    assert counts == {"psnr": scored, "window_means": distinct_plans_scored(records)}
+    records, counts, candidates = scored_episodes(monkeypatch, assets, config)
+    assert counts == {"psnr": 0, "window_means": distinct_plans_scored(records)}
+    assert candidates and max(candidates) < len(assets.planner)
     # and the scores are per-call psnr's and ssim's, as the Video-level loop computes them
     assert_episodes_match_video_level(assets, config, range(6))
+
+
+def test_ground_truth_rows_do_not_rest_on_the_rollout_cache(monkeypatch):
+    # rollouts rendered after the dataset are new objects with the dataset's bytes
+    def episodes(config):
+        return [replace(row, wall_ms={}) for row in run_experiment(config).rows]
+
+    config = ExperimentConfig(trials=3, refine_steps=5)
+    expected = episodes(config)
+    real_build_dataset = loop.build_dataset
+
+    def build_dataset_then_clear(*args, **kwargs):
+        out = real_build_dataset(*args, **kwargs)
+        envs._execute_cached.cache_clear()
+        return out
+
+    monkeypatch.setattr(loop, "build_dataset", build_dataset_then_clear)
+    for task in ALL_TASKS:
+        assets = build_task_assets(config, task)
+        assert all(row < len(assets.planner) for row in assets.gt_rows.values()), task
+    assert episodes(config) == expected
+
+
+@pytest.mark.parametrize("shape", [(6, 32, 32), (8, 16, 16)])
+def test_data_root_clips_of_another_shape_fail_at_set_up(tmp_path, shape):
+    dataset, thetas = build_dataset(EnvKind.OPEN_BOX)
+    tuples = [ExperienceTuple(Video(np.zeros(shape, dtype=np.float32)), item.object_id,
+                              item.success) for item in dataset.tuples]
+    save_dataset(tmp_path / "openbox", "openbox", tuples, thetas)
+    config = ExperimentConfig(tasks=("openbox",), data_root=str(tmp_path))
+    message = rf"clips of shape \[{re.escape(str(shape))}\] are not the simulator's \(8, 32, 32\)"
+    with pytest.raises(ValueError, match=message):
+        build_task_assets(config, "openbox")
 
 
 def test_undecodable_support_plan_takes_the_undecodable_branch(tmp_path):
