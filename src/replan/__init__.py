@@ -108,7 +108,6 @@ from .retrieval import (
     RetrievalConfig,
     build_table,
     default_tau,
-    embedding_distance,
     retrieval_probabilities,
     retrieve,
 )

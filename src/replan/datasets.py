@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ExperienceDataset, ExperienceTuple
+from .core import ExperienceDataset, ExperienceTuple, Video
 from .envs import (
     EnvAction,
     EnvInstance,
@@ -48,7 +48,8 @@ def build_dataset(
     Per theta: ``per_theta_success`` scripted successes first (the first
     one becomes the object's canonical entry), then ``per_theta_fail``
     failures executing wrong-hypothesis actions (sampled without
-    replacement until exhausted, then cycled).
+    replacement until exhausted, then cycled; a cycled action's entry
+    holds the video its first draw rendered).
     """
     if per_theta_success < 1:
         raise ValueError(f"per_theta_success must be >= 1, got {per_theta_success}")
@@ -68,13 +69,16 @@ def build_dataset(
             tuples.append(ExperienceTuple(good.video, oid, True))
             thetas.append(theta)
         pool = failing_actions(kind, theta, hypotheses)
+        rendered: dict[int, Video] = {}  # pool index -> its rollout, for this theta only
         for j in range(per_theta_fail):
             if not pool:
                 break
             if j % len(pool) == 0:
                 order = rng.permutation(len(pool))
-            action = pool[int(order[j % len(pool)])]
-            tuples.append(ExperienceTuple(execute(env, action).video, oid, False))
+            i = int(order[j % len(pool)])
+            if (video := rendered.get(i)) is None:
+                video = rendered[i] = execute(env, pool[i]).video
+            tuples.append(ExperienceTuple(video, oid, False))
             thetas.append(theta)
     dataset = ExperienceDataset(tuple(tuples))
     dataset.validate()

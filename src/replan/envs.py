@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -410,9 +409,15 @@ def _faucet_states(mode: str, success: bool) -> list[SceneState]:
     return states
 
 
-# Kept: tier-1 tests took 157-185 s without it, 150-157 s with it (criteria 06/07 repeat rollouts).
-@lru_cache(maxsize=None)
-def _execute_cached(kind: EnvKind, theta: float | str, value: float | str) -> ExecutionOutcome:
+def execute(env: EnvInstance, action: EnvAction) -> ExecutionOutcome:
+    """Deterministically roll out ``action`` under the hidden parameter.
+
+    The returned video has 8 frames; frame 0 equals the reset observation.
+    Every call renders; a caller that reads a rollout twice keeps it itself.
+    """
+    if action.kind is not env.kind:
+        raise ValueError("action kind does not match environment kind")
+    kind, theta, value = env.kind, env.theta_value, action.value
     success = rollout_success(kind, theta, value)
     if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
         states = _bar_states(kind, float(theta), float(value))
@@ -423,16 +428,6 @@ def _execute_cached(kind: EnvKind, theta: float | str, value: float | str) -> Ex
     else:
         states = _faucet_states(str(value), success)
     return ExecutionOutcome(Video(render(kind, (_rest_state(kind), *states))), success)
-
-
-def execute(env: EnvInstance, action: EnvAction) -> ExecutionOutcome:
-    """Deterministically roll out ``action`` under the hidden parameter.
-
-    The returned video has 8 frames; frame 0 equals the reset observation.
-    """
-    if action.kind is not env.kind:
-        raise ValueError("action kind does not match environment kind")
-    return _execute_cached(env.kind, env.theta_value, action.value)
 
 
 def succeeds(env: EnvInstance, action: EnvAction) -> bool:

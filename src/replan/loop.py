@@ -4,11 +4,12 @@ An episode replans for up to ``max_replans`` rounds: propose candidate plans
 (conditioned on retrieved or refined state embeddings after the first failure),
 reject candidates near previously failed plans, decode the selected plan to an
 action and judge it by the success rule.  A failed plan joins the failed-plan
-buffer; its rendered rollout joins the interaction buffer only when retrieval or
-refinement reads it.  Both buffers are episode-scoped; plans are indices into
-the task's ``PlanTable``, whose rows include every ground-truth plan.  A round
-scores its plan against the ground-truth row by PSNR, a lookup in that table, and by
-SSIM, whose one-clip moments set-up holds, so a round builds one product map.
+buffer; its rollout, rendered once per task and kept in ``TaskAssets.rollouts``,
+joins the interaction buffer only when retrieval or refinement reads it.  Both
+buffers are episode-scoped; plans are indices into the task's ``PlanTable``, whose
+rows include every ground-truth plan.  A round scores its plan against the
+ground-truth row by PSNR, a lookup in that table, and by SSIM, whose one-clip
+moments set-up holds, so a round builds one product map.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -129,17 +130,20 @@ class TaskAssets:
     """Everything an episode needs for one task, fit on its dataset.  Each hidden value's
     scripted plan is the plan-table row ``gt_rows[theta]``: the planner-support entry with
     its bytes, or a row appended after the support when none has them (only a
-    ``data_root`` dataset can lack one), where ``generate_indices`` never draws."""
+    ``data_root`` dataset can lack one), where ``generate_indices`` never draws.
+    ``rollouts`` holds the rendered rollout of each (theta, plan-table row) pair an
+    episode has pushed, at most ``len(hidden_values(kind)) * len(plans.videos)``."""
 
     kind: EnvKind
     dataset: ExperienceDataset
     table: EmbeddingTable
     planner: KernelGenerator
     identifier: KernelGenerator
-    gt_plans: dict[float | str, Video]
-    gt_rows: dict[float | str, int]  # plan-table row of each gt_plans video
+    gt_plans: dict[float | str, Video]  # plans.videos[gt_rows[theta]]
+    gt_rows: dict[float | str, int]
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
+    rollouts: dict[tuple[float | str, int], Video] = field(default_factory=dict)
 
 
 def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None) -> TaskAssets:
@@ -163,6 +167,7 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = 
         if row.setdefault(gt.pixels.tobytes(), len(videos)) == len(videos):
             videos.append(gt)
     gt_rows = {theta: row[gt.pixels.tobytes()] for theta, gt in gt_plans.items()}
+    gt_plans = {theta: videos[i] for theta, i in gt_rows.items()}  # not a second copy
     actions = []
     for video in videos:
         try:
@@ -286,7 +291,10 @@ def run_episode(
         # retrieval and refinement read a failed rollout, from the next round on
         if (action is not None and (method.uses_retrieval or method.uses_refinement)
                 and round_index < config.max_replans):
-            interactions.push(execute(env, action).video)
+            key = (env.theta_value, pick)
+            if (video := assets.rollouts.get(key)) is None:
+                video = assets.rollouts[key] = execute(env, action).video
+            interactions.push(video)
 
     return EpisodeRecord(
         kind=env.kind,
@@ -455,12 +463,21 @@ class ExperimentResult:
     table: ResultsTable
 
 
+def _check_manifest(config: ExperimentConfig, task: str) -> None:
+    """Fail unless ``<data_root>/<task>/manifest.json`` exists and holds ``task``'s dataset."""
+    path = Path(config.data_root) / task / "manifest.json"
+    where = f"ExperimentConfig.data_root {config.data_root!r}, task {task!r}: {path}"
+    if not path.is_file():
+        raise ValueError(f"{where} does not exist")
+    if (env := json.loads(path.read_text()).get("env")) != task:
+        raise ValueError(f"{where} holds a dataset for {env!r}")
+
+
 def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     kind = EnvKind(task)
     if config.data_root is not None:
-        dataset, env_name, thetas = load_dataset(Path(config.data_root) / task)
-        if env_name != task:
-            raise ValueError(f"dataset at {config.data_root}/{task} is for {env_name}")
+        _check_manifest(config, task)
+        dataset, _, thetas = load_dataset(Path(config.data_root) / task)
     else:
         data_seed = trial_seed(config.master_seed, task, "dataset", 0)
         dataset, thetas = build_dataset(
@@ -484,8 +501,12 @@ def run_experiment(
 
     ``assets_by_task`` holds prebuilt assets of ``config``'s tasks, which must be what
     ``build_task_assets(config, task)`` gives; without it each task builds its own.
-    Each finished task x method cell logs its mean replans at INFO level.
+    Each finished task x method cell logs its mean replans at INFO level.  Every
+    task's ``data_root`` manifest is checked before the first task builds.
     """
+    if config.data_root is not None:
+        for task in config.tasks:
+            _check_manifest(config, task)
     rows: list[EpisodeRow] = []
     for task in config.tasks:
         assets = build_task_assets(config, task) if assets_by_task is None else assets_by_task[task]

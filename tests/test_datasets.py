@@ -68,11 +68,31 @@ def test_failing_actions_render_nothing(monkeypatch):
         return real_render(kind, states)
 
     monkeypatch.setattr(envs, "render", counting_render)
-    envs._execute_cached.cache_clear()
     for kind in EnvKind:
         for theta in hidden_values(kind):
             failing_actions(kind, theta)
     assert renders == []
+
+
+def test_build_dataset_renders_each_distinct_rollout_once(monkeypatch):
+    # a failing action drawn again for the same theta reuses its first rollout
+    import replan.datasets
+
+    executed = []
+    real = replan.datasets.execute
+    monkeypatch.setattr(replan.datasets, "execute", lambda env, action:
+                        executed.append((env.theta_value, action.value)) or real(env, action))
+    for kind in EnvKind:
+        executed.clear()
+        dataset, thetas = build_dataset(kind, per_theta_fail=10)
+        assert len(executed) == len(set(executed))
+        pools = {theta: len(failing_actions(kind, theta)) for theta in hidden_values(kind)}
+        assert len(executed) == sum(1 + min(10, pool) for pool in pools.values())
+        for theta, pool in pools.items():
+            fails = [item.video for item, t in zip(dataset.tuples, thetas)
+                     if t == theta and not item.success]
+            assert len(fails) == (10 if pool else 0)
+            assert len({id(video) for video in fails}) == min(10, pool)
 
 
 def test_build_dataset_counts_and_order():

@@ -41,7 +41,6 @@ from replan.envs import (
     TARGET_SHADE,
     HiddenParam,
     SceneState,
-    _execute_cached,
     succeeds,
 )
 
@@ -120,7 +119,6 @@ def test_rollout_shape_and_first_frame():
 
 
 def test_rollout_pixels_golden():
-    _execute_cached.cache_clear()
     digest = hashlib.sha256()
     for kind in ALL_KINDS:
         actions = candidate_actions(kind)
@@ -133,10 +131,26 @@ def test_rollout_pixels_golden():
 def test_execute_deterministic():
     env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.32)
     action = EnvAction(EnvKind.SLIDE_BRICK, 0.4)
-    a = execute(env, action).video.pixels.tobytes()
-    _execute_cached.cache_clear()
-    b = execute(env, action).video.pixels.tobytes()
-    assert a == b
+    a, b = execute(env, action), execute(env, action)
+    assert a.video is not b.video  # nothing is kept between calls
+    assert a.video.pixels.tobytes() == b.video.pixels.tobytes()
+
+
+def test_execute_keeps_no_rollout():
+    # 500 distinct rollouts of 32 KB each: a memo of them would hold about 16 MB
+    import tracemalloc
+
+    env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
+    execute(env, EnvAction(EnvKind.PUSH_BAR, 0.2))  # first-call set-up stays out
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for offset in np.linspace(-0.2, 0.2, 500)[:-1]:
+            execute(env, EnvAction(EnvKind.PUSH_BAR, float(offset)))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4 * 2**20, f"{grown / 2**20:.1f} MB kept"
 
 
 def test_scripted_policy_succeeds_everywhere():

@@ -25,7 +25,6 @@ from replan import (
     RetrievalConfig,
     ablation_sweep,
     build_task_assets,
-    candidate_actions,
     execute,
     hidden_values,
     plan_quality,
@@ -206,26 +205,35 @@ def test_episode_renders_only_rollouts_a_later_round_reads(
     pushbar_assets, openbox_assets, monkeypatch, method
 ):
     # success is a rule on (theta, action); only retrieval and refinement read
-    # a failed rollout, so only they render one, once per failed decoded round
-    # that a later round follows
+    # a failed rollout, so only they push one, once per failed decoded round
+    # that a later round follows, and execute renders it the first time its
+    # (theta, plan-table row) pair fails in the task
     import replan.loop
 
-    executed = []
-    real = replan.loop.execute
+    executed, pushed = [], []
+    real, real_push = replan.loop.execute, InteractionBuffer.push
     monkeypatch.setattr(
         replan.loop, "execute", lambda env, action: executed.append(action) or real(env, action)
+    )
+    monkeypatch.setattr(
+        InteractionBuffer, "push", lambda self, video: pushed.append(video) or real_push(self, video)
     )
     cfg, failed_total, last_failed = ExperimentConfig(max_replans=6, refine_steps=5), 0, 0
     for assets in (pushbar_assets, openbox_assets):
         for seed in range(6):
             rng = np.random.default_rng(seed)
             env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
-            executed.clear()
+            executed.clear(), pushed.clear()
+            stored = set(assets.rollouts)
             rec = run_episode(env, method, assets, cfg, rng)
-            failed = sum(r.action is not None and not r.success for r in rec.rounds[:-1])
+            failed = [r.action for r in rec.rounds[:-1] if r.action is not None and not r.success]
             reads = method in (Method.AVDC_RETRIEVAL, Method.OURS, Method.OURS_REFINE)
-            assert len(executed) == (failed if reads else 0), (assets.kind, seed)
-            failed_total += failed
+            assert len(pushed) == (len(failed) if reads else 0), (assets.kind, seed)
+            assert len(executed) == len(set(assets.rollouts) - stored), (assets.kind, seed)
+            for video, value in zip(pushed, failed):
+                fresh = real(env, EnvAction(assets.kind, value)).video
+                assert video.pixels.tobytes() == fresh.pixels.tobytes()
+            failed_total += len(failed)
             last_failed += len(rec.rounds) == cfg.max_replans and rec.rounds[-1].action is not None
     assert failed_total > 0 and last_failed > 0
 
@@ -446,31 +454,34 @@ def test_run_experiment_deterministic():
     }
 
 
-def test_rollout_cache_stays_bounded(monkeypatch):
-    renders = []
-    real_render = envs.render
+def test_rollout_store_stays_bounded(monkeypatch):
+    import replan.datasets
+    import replan.loop
 
-    def counting_render(kind, states):
-        renders.append(kind)
-        return real_render(kind, states)
-
-    monkeypatch.setattr(envs, "render", counting_render)
-    envs._execute_cached.cache_clear()
-    cfg = ExperimentConfig(tasks=ALL_TASKS, methods=ALL_METHODS, trials=3)
-    result = run_experiment(cfg)
-    info = envs._execute_cached.cache_info()
+    renders, dataset_executes, built = [], [], []
+    real_render, real_execute = envs.render, replan.datasets.execute
+    real_build = replan.loop.build_task_assets
+    monkeypatch.setattr(envs, "render", lambda kind, states: renders.append(kind)
+                        or real_render(kind, states))
+    monkeypatch.setattr(replan.datasets, "execute", lambda env, action:
+                        dataset_executes.append(action) or real_execute(env, action))
+    monkeypatch.setattr(replan.loop, "build_task_assets", lambda config, task:
+                        built.append(real_build(config, task)) or built[-1])
+    run_experiment(ExperimentConfig(tasks=ALL_TASKS, methods=ALL_METHODS, trials=3))
     rendered = len(renders)
-    # Each theta executes hypothesis-set actions (the dataset, the scripted
-    # plans) and decoded plans.  A plan is a planner support video, so plans
-    # decode to at most |support| values.
-    bound = 0
-    for task in ALL_TASKS:
-        kind = EnvKind(task)
-        support = len(build_task_assets(cfg, task).planner)
-        bound += len(hidden_values(kind)) * (len(candidate_actions(kind)) + support)
-    assert info.currsize <= bound
-    # One render per rollout: each cache miss, plus one reset per task's plan table.
-    assert rendered == info.misses + len(ALL_TASKS)
+    assert [assets.kind.value for assets in built] == list(ALL_TASKS)
+    misses = 0
+    for assets in built:
+        thetas = hidden_values(assets.kind)
+        assert 0 < len(assets.rollouts) <= len(thetas) * len(assets.plans.videos)
+        for (theta, row), video in assets.rollouts.items():
+            fresh = execute(EnvInstance.create(assets.kind, theta), assets.plans.actions[row])
+            assert video.pixels.tobytes() == fresh.video.pixels.tobytes()
+        misses += len(assets.rollouts)
+    # one render per rollout: the dataset's, each task's ground-truth plans and reset
+    # frame, and each store miss; nothing is kept outside the task
+    ground_truth = sum(len(hidden_values(assets.kind)) + 1 for assets in built)
+    assert rendered == len(dataset_executes) + ground_truth + misses
 
 
 def test_experiment_logs_one_line_per_cell(caplog, capsys):
@@ -730,3 +741,27 @@ def test_data_root_assets(tmp_path, openbox_assets):
     save_dataset(tmp_path / "pushbar", "openbox", dataset.tuples, thetas)
     with pytest.raises(ValueError):
         build_task_assets(ExperimentConfig(tasks=("pushbar",), data_root=str(tmp_path)), "pushbar")
+
+
+@pytest.mark.parametrize("manifest", ["missing", "for another task"])
+def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypatch, manifest):
+    import re
+
+    import replan.loop
+    from replan import build_dataset, save_dataset
+
+    dataset, thetas = build_dataset(EnvKind.OPEN_BOX)
+    save_dataset(tmp_path / "openbox", "openbox", dataset.tuples, thetas)
+    if manifest == "for another task":
+        save_dataset(tmp_path / "turnfaucet", "openbox", dataset.tuples, thetas)
+    calls = []
+    for name in ("build_task_assets", "run_episode"):
+        real = getattr(replan.loop, name)
+        monkeypatch.setattr(replan.loop, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    config = ExperimentConfig(tasks=("openbox", "turnfaucet"), trials=20, data_root=str(tmp_path))
+    path = tmp_path / "turnfaucet" / "manifest.json"
+    message = re.escape(f"ExperimentConfig.data_root {str(tmp_path)!r}, task 'turnfaucet': {path}")
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config)
+    assert calls == []

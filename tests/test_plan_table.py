@@ -6,13 +6,11 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import replan.envs as envs
 import replan.loop as loop
 from replan import (
     ALL_TASKS,
@@ -42,9 +40,9 @@ from replan import (
     refine_embedding,
     reset,
     retrieve,
-    run_experiment,
     sample_hidden,
     save_dataset,
+    scripted_action,
     select_plan,
     ssim,
 )
@@ -236,8 +234,9 @@ def data_root_assets(tmp_path, keep=lambda theta: True):
 
 
 def assert_ground_truth_rows(assets):
-    """Each ground-truth plan is the plan-table row with its bytes and shares that row's
-    moments and PSNR entries; returns the rows appended after the planner support."""
+    """Each ground-truth plan is the plan-table row with the bytes of a fresh scripted
+    rollout, held as that row's video, and shares the row's moments and PSNR entries;
+    returns the rows appended after the planner support."""
     from replan.core import window_moments
 
     plans, support = assets.plans, len(assets.planner)
@@ -245,7 +244,9 @@ def assert_ground_truth_rows(assets):
     for theta, gt in assets.gt_plans.items():
         row = assets.gt_rows[theta]
         assert type(row) is int and 0 <= row < len(plans.videos)
-        assert plans.videos[row].pixels.tobytes() == gt.pixels.tobytes()
+        assert gt is plans.videos[row]
+        env = EnvInstance.create(assets.kind, theta)
+        assert execute(env, scripted_action(env)).video.pixels.tobytes() == gt.pixels.tobytes()
         assert plans.moments[row].tobytes() == window_moments(gt.pixels).tobytes()
         assert [psnr(video, gt) for video in plans.videos] == plans.psnr[:, row].tolist()
     appended = sorted(row for row in set(assets.gt_rows.values()) if row >= support)
@@ -254,9 +255,10 @@ def assert_ground_truth_rows(assets):
 
 
 def test_saved_ground_truth_copies_match_support_rows(tmp_path):
-    # loaded copies have other objects but the same bytes, so nothing is appended
-    for assets in (task_assets("slidebrick"), data_root_assets(tmp_path)):
-        assert assert_ground_truth_rows(assets) == []
+    # every build renders its ground truth afresh, and loaded copies are other objects
+    # again: rows are matched by bytes, so nothing is appended for a generated dataset
+    for assets in (*map(task_assets, ALL_TASKS), data_root_assets(tmp_path)):
+        assert assert_ground_truth_rows(assets) == [], assets.kind
 
 
 def scored_episodes(monkeypatch, assets, config, seeds=range(6)):
@@ -321,27 +323,6 @@ def test_a_ground_truth_plan_off_the_support_is_an_appended_row(tmp_path, monkey
     assert candidates and max(candidates) < len(assets.planner)
     # and the scores are per-call psnr's and ssim's, as the Video-level loop computes them
     assert_episodes_match_video_level(assets, config, range(6))
-
-
-def test_ground_truth_rows_do_not_rest_on_the_rollout_cache(monkeypatch):
-    # rollouts rendered after the dataset are new objects with the dataset's bytes
-    def episodes(config):
-        return [replace(row, wall_ms={}) for row in run_experiment(config).rows]
-
-    config = ExperimentConfig(trials=3, refine_steps=5)
-    expected = episodes(config)
-    real_build_dataset = loop.build_dataset
-
-    def build_dataset_then_clear(*args, **kwargs):
-        out = real_build_dataset(*args, **kwargs)
-        envs._execute_cached.cache_clear()
-        return out
-
-    monkeypatch.setattr(loop, "build_dataset", build_dataset_then_clear)
-    for task in ALL_TASKS:
-        assets = build_task_assets(config, task)
-        assert all(row < len(assets.planner) for row in assets.gt_rows.values()), task
-    assert episodes(config) == expected
 
 
 @pytest.mark.parametrize("shape", [(6, 32, 32), (8, 16, 16)])

@@ -15,18 +15,20 @@ from hypothesis.extra import numpy as hnp
 from replan import (
     BufferPolicy,
     DistanceMetric,
+    EmbeddingTable,
     InteractionBuffer,
     RetrievalConfig,
     Video,
     build_table,
     default_tau,
-    embedding_distance,
     retrieval_probabilities,
     retrieve,
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
 from replan.retrieval import _median_pairwise_distance
+
+from oracles import embedding_distance
 
 
 def coord_video(x: float, y: float) -> Video:
@@ -244,6 +246,38 @@ def test_embedding_distance():
         embedding_distance(DistanceMetric.COSINE, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         embedding_distance(DistanceMetric.L2, [1.0], [1.0, 2.0])
+
+
+def test_cosine_logits_are_the_scalar_distances_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for k, n in ((1, 1), (2, 5), (4, 9), (12, 40)):
+        entries = rng.normal(size=(n, k))
+        query = Video(rng.uniform(0.05, 0.95, (1, 1, k)).astype(np.float32))
+        got = InteractionBuffer([query]).logits(
+            _table_of(entries), DistanceMetric.COSINE, BufferPolicy.LATEST, encoder=_flat
+        )[0]
+        want = [-embedding_distance(DistanceMetric.COSINE, _flat(query), e) for e in entries]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("points, query", [([(1, 2), (3, 1)], (0, 0)), ([(1, 2), (0, 0)], (1, 1))],
+                         ids=["zero query", "zero entry"])
+def test_cosine_logits_reject_zero_vectors(points, query):
+    with pytest.raises(ValueError, match="cosine distance undefined for zero vectors"):
+        probs(make_table(points), query, metric="cosine", tau=1.0)
+
+
+def _flat(video):
+    return np.asarray(video.pixels, dtype=np.float64).reshape(-1)
+
+
+def _table_of(entries):
+    k = entries.shape[1]
+    return EmbeddingTable(
+        object_ids=("o",), canonical=entries[:1], entry_embeddings=entries,
+        entry_object_index=np.zeros(len(entries), dtype=np.int64),
+        projection=PcaProjection(mean=np.zeros(k), components=np.eye(k), k=k),
+    )
 
 
 
