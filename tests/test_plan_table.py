@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from replan import (
     refine_embedding,
     reset,
     retrieve,
+    run_experiment,
     sample_hidden,
     save_dataset,
     scripted_action,
@@ -323,6 +325,21 @@ def test_a_ground_truth_plan_off_the_support_is_an_appended_row(tmp_path, monkey
     assert candidates and max(candidates) < len(assets.planner)
     # and the scores are per-call psnr's and ssim's, as the Video-level loop computes them
     assert_episodes_match_video_level(assets, config, range(6))
+
+
+def test_ground_truth_rows_do_not_rest_on_the_rollout_cache():
+    # no rollout is kept between runs: each run renders its dataset and ground truth
+    # afresh, as new objects with the same bytes, so the rows stay on the planner
+    # support and the episodes repeat
+    def episodes(config):
+        return [replace(row, wall_ms={}) for row in run_experiment(config).rows]
+
+    config = ExperimentConfig(trials=3, refine_steps=5)
+    expected = episodes(config)
+    for task in ALL_TASKS:
+        assets = build_task_assets(config, task)
+        assert all(row < len(assets.planner) for row in assets.gt_rows.values()), task
+    assert episodes(config) == expected
 
 
 @pytest.mark.parametrize("shape", [(6, 32, 32), (8, 16, 16)])
