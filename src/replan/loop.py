@@ -494,48 +494,56 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     return build_assets(kind, dataset, config.pca_k)
 
 
-def run_experiment(
-    config: ExperimentConfig, assets_by_task: dict[str, TaskAssets] | None = None
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full task x method x trial grid declared by ``config``.
 
-    ``assets_by_task`` holds prebuilt assets of ``config``'s tasks, which must be what
-    ``build_task_assets(config, task)`` gives; without it each task builds its own.
     Each finished task x method cell logs its mean replans at INFO level.  Every
     task's ``data_root`` manifest is checked before the first task builds.
     """
-    if config.data_root is not None:
-        for task in config.tasks:
-            _check_manifest(config, task)
-    rows: list[EpisodeRow] = []
-    for task in config.tasks:
-        assets = build_task_assets(config, task) if assets_by_task is None else assets_by_task[task]
+    (result,) = _run_tasks(config, (config,))
+    return result
+
+
+def _run_tasks(
+    base: ExperimentConfig, configs: tuple[ExperimentConfig, ...]
+) -> list[ExperimentResult]:
+    """Run each of ``configs``, which differ from ``base`` only in what episodes read,
+    task by task: a task's assets are built once from ``base``, serve every config and
+    are freed before the next task builds, so one task's assets are alive at a time."""
+    if base.data_root is not None:
+        for task in base.tasks:
+            _check_manifest(base, task)
+    rows: list[list[EpisodeRow]] = [[] for _ in configs]
+    for task in base.tasks:
+        assets = build_task_assets(base, task)
         kind = assets.kind
-        for method_name in config.methods:
-            method = Method(method_name)
-            for trial in range(config.trials):
-                seed = trial_seed(config.master_seed, task, method_name, trial)
-                rng = np.random.default_rng(seed)
-                theta = sample_hidden(kind, rng)
-                env = EnvInstance(kind, theta)
-                record = run_episode(env, method, assets, config, rng)
-                rows.append(
-                    EpisodeRow(
-                        task=task,
-                        method=method_name,
-                        trial=trial,
-                        seed=seed,
-                        theta=record.theta,
-                        replans=record.replans_until_success,
-                        succeeded=record.succeeded,
-                        mean_psnr=record.mean_plan_psnr,
-                        mean_ssim=record.mean_plan_ssim,
-                        wall_ms=record.wall_ms,
+        for config, out in zip(configs, rows):
+            for method_name in config.methods:
+                method = Method(method_name)
+                for trial in range(config.trials):
+                    seed = trial_seed(config.master_seed, task, method_name, trial)
+                    rng = np.random.default_rng(seed)
+                    theta = sample_hidden(kind, rng)
+                    env = EnvInstance(kind, theta)
+                    record = run_episode(env, method, assets, config, rng)
+                    out.append(
+                        EpisodeRow(
+                            task=task,
+                            method=method_name,
+                            trial=trial,
+                            seed=seed,
+                            theta=record.theta,
+                            replans=record.replans_until_success,
+                            succeeded=record.succeeded,
+                            mean_psnr=record.mean_plan_psnr,
+                            mean_ssim=record.mean_plan_ssim,
+                            wall_ms=record.wall_ms,
+                        )
                     )
-                )
-            mean = np.mean([r.replans for r in rows[-config.trials:]])
-            logger.info("%12s %15s: mean replans %.3f", task, method_name, mean)
-    return ExperimentResult(config=config, rows=rows, table=results_table(rows))
+                mean = np.mean([r.replans for r in out[-config.trials:]])
+                logger.info("%12s %15s: mean replans %.3f", task, method_name, mean)
+        del assets  # freed now, not when the next build rebinds the name
+    return [ExperimentResult(config, out, results_table(out)) for config, out in zip(configs, rows)]
 
 
 def plan_quality(rows: Iterable[EpisodeRow]) -> dict[str, tuple[float, float]]:
@@ -558,7 +566,7 @@ def ablation_sweep(
 ) -> dict[str, ExperimentResult]:
     """Run one named sweep; grid points share trial seeds for pairing.  Only
     ``data-fraction`` changes the dataset, so every other sweep builds each task's
-    assets once and runs all its grid points on them."""
+    assets once, runs all its grid points on them and frees them."""
     if name == "n-candidates":
         grid = {
             f"n={n}": replace(base, methods=("ours",), n_candidates=n)
@@ -586,5 +594,4 @@ def ablation_sweep(
         raise ValueError(f"unknown sweep {name!r}; choose from {SWEEP_NAMES}")
     if name == "data-fraction":
         return {label: run_experiment(cfg) for label, cfg in grid.items()}
-    shared = {task: build_task_assets(base, task) for task in base.tasks}
-    return {label: run_experiment(cfg, shared) for label, cfg in grid.items()}
+    return dict(zip(grid, _run_tasks(base, tuple(grid.values()))))

@@ -256,14 +256,14 @@ def embedding_rows(config: ExperimentConfig) -> list[tuple[str, str, float, floa
     """
     out = []
     for task in config.tasks:
-        assets = build_task_assets(config, task)
-        canonical = assets.table.canonical
+        table = build_task_assets(config, task).table  # the rest is freed at once
+        canonical = table.canonical
         k = min(2, canonical.shape[0] - 1)
         proj = pca_fit(canonical, k)
         coords = np.atleast_2d(pca_apply(proj, canonical))
         if coords.shape[1] < 2:
             coords = np.hstack([coords, np.zeros((coords.shape[0], 2 - coords.shape[1]))])
-        for object_id, (x, y) in zip(assets.table.object_ids, coords):
+        for object_id, (x, y) in zip(table.object_ids, coords):
             out.append((task, object_id, float(x), float(y)))
     return out
 

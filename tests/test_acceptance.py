@@ -141,10 +141,14 @@ def test_criterion_01_retrieval_oracle():
     query = Video(srng.uniform(0.2, 0.8, (1, 1, 2)).astype(np.float32))
     probs = retrieval_probabilities(table, query, config, encoder=_flat64)
     draws = 100_000
-    counts = np.zeros(5)
-    for _ in range(draws):
-        picked = retrieve(table, query, config, srng, encoder=_flat64)
-        counts[int(np.where((canon == picked).all(axis=1))[0][0])] += 1
+    state = srng.bit_generator.state
+    picked = retrieve(table, query, config, srng, encoder=_flat64, count=draws)
+    # one batched call draws the uniforms single calls would; pin its first rows to them
+    single = np.random.default_rng()
+    single.bit_generator.state = state
+    for row in picked[:1000]:
+        assert np.array_equal(retrieve(table, query, config, single, encoder=_flat64), row)
+    counts = np.bincount((picked[:, None] == canon).all(axis=2).argmax(axis=1), minlength=5)
     sigmas = np.sqrt(draws * probs * (1.0 - probs))
     max_z = float(np.max(np.abs(counts - draws * probs) / sigmas))
 

@@ -25,6 +25,7 @@ from replan import (
     RetrievalConfig,
     ablation_sweep,
     build_task_assets,
+    embedding_rows,
     execute,
     hidden_values,
     plan_quality,
@@ -725,6 +726,54 @@ def test_ablation_sweep_builds_assets_once_per_task(monkeypatch, name, builds):
         alone = run_experiment(result.config)
         assert episode_fields(result) == episode_fields(alone), label
         assert result.table == alone.table
+
+
+@pytest.mark.parametrize("run", ["run_experiment", "ablation_sweep", "embedding_rows"])
+def test_each_task_frees_its_assets_before_the_next_builds(monkeypatch, run):
+    # reference counting alone must free them, or the process peaks with two tasks' assets
+    import gc
+    import weakref
+
+    import replan.loop
+    import replan.report
+
+    owner = replan.report if run == "embedding_rows" else replan.loop
+    real, built, alive = owner.build_task_assets, [], []
+
+    def tracked(config, task):
+        alive.append([ref() is not None for ref in built])
+        built.append(weakref.ref(assets := real(config, task)))
+        return assets
+
+    monkeypatch.setattr(owner, "build_task_assets", tracked)
+    config = ExperimentConfig(tasks=("openbox", "turnfaucet", "slidebrick"),
+                              methods=("avdc", "ours"), trials=2)
+    calls = {"run_experiment": lambda: run_experiment(config),
+             "ablation_sweep": lambda: ablation_sweep("rejection-metric", config),
+             "embedding_rows": lambda: embedding_rows(config)}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        calls[run]()
+    finally:
+        if collecting:
+            gc.enable()
+    assert alive == [[], [False], [False, False]]
+
+
+def test_two_bar_tasks_peak_at_the_footprint_of_one():
+    import tracemalloc
+
+    def peak(tasks):
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentConfig(tasks=tasks, methods=("avdc",), trials=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    both = peak(("pushbar", "pickbar"))  # first, so one-time module caches count against it
+    assert both < 1.2 * peak(("pushbar",))
 
 
 def test_data_root_assets(tmp_path, openbox_assets):

@@ -93,6 +93,28 @@ def test_round_clock_ticks_once_per_planned_round(monkeypatch):
         assert (planned == 0) == (method == "random"), method
 
 
+def test_benchmark_clocks_see_every_build_episode_and_round(monkeypatch):
+    # perfbench/child.py times set-up, episodes and rounds by wrapping these module
+    # globals of replan.loop; a run that reached them another way would read 0 time
+    from collections import Counter
+
+    import replan.loop as loop
+    from replan import ExperimentConfig, run_experiment
+
+    calls = Counter()
+    for name in ("build_task_assets", "run_episode", "plan_to_action"):
+        def counted(*args, real=getattr(loop, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(loop, name, counted)
+    config = ExperimentConfig(tasks=("openbox", "slidebrick"), methods=("avdc", "ours"), trials=3)
+    result = run_experiment(config)
+    # every round of avdc and ours plans, and an episode's replans count its rounds
+    assert calls == {"build_task_assets": 2, "run_episode": 12,
+                     "plan_to_action": sum(row.replans for row in result.rows)}
+
+
 def recorded_digest_matches(workload, chunk, tmp_path):
     """Run seed-0 chunk ``chunk`` of ``workload`` in-process; True when its CSV
     hashes to the digest the benchmark records."""
