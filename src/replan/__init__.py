@@ -64,6 +64,7 @@ from .generator import (
     generate,
     id_generate,
     mse_objective,
+    observation_terms,
 )
 from .loop import (
     ALL_METHODS,
@@ -104,10 +105,10 @@ from .retrieval import (
     BufferPolicy,
     DistanceMetric,
     EmbeddingTable,
-    InteractionBuffer,
     RetrievalConfig,
     build_table,
     default_tau,
+    interaction_logits,
     retrieval_probabilities,
     retrieve,
 )

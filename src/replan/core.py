@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,18 @@ PSNR_CAP_DB = 100.0
 
 class VideoFormatError(ValueError):
     """Raised for malformed ISEV payloads or out-of-contract pixel data."""
+
+
+def is_number(value: object, kind: type = numbers.Real) -> bool:
+    """A finite number of ``kind``; bools and NaN are not numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
+
+
+def require_integer(config: object, name: str, low: int) -> None:
+    """Fail with a ``ValueError`` naming ``<class>.<name>`` unless it is an integer >= low."""
+    value = getattr(config, name)
+    if not (is_number(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{type(config).__name__}.{name} must be an integer >= {low}, got {value!r}")
 
 
 def _as_frames(pixels: np.ndarray) -> np.ndarray:

@@ -148,21 +148,32 @@ def _group_logits(g: KernelGenerator, e: np.ndarray | None) -> np.ndarray:
     return g.groups[1] + _log_weights(g.groups[0], g.bandwidth, e)
 
 
-def _identification_loss(
-    g: KernelGenerator, observed: Video
-) -> tuple[float, float, float, Callable[..., tuple[np.ndarray, np.ndarray]]]:
-    """L(e) = video_mse(observed, id_generate(g, observed[0], e)) over the ``groups``:
-    |obs|^2, N = T*H*W, 2h^2 and ``terms(z, coef=None)``, which at (m, G) group logits
-    returns the raw loss terms, L = (|obs|^2 + term) / N, and coef, written to ``coef``
-    when given, with dL/de = (coef @ E) 4 / (N 2h^2).  Frame 0 of the kernel mean is the
-    observation's, so the quadratic form covers frames 1..T-1 through the Gram."""
-    if g.mode is not GeneratorMode.IDENTIFICATION:
-        raise ValueError("the identification loss requires a generator in Identification mode")
+ObservationTerms = tuple[float, np.ndarray]  # |obs tail|^2 and the (G,) cross products
+
+
+def observation_terms(g: KernelGenerator, observed: Video) -> ObservationTerms:
+    """What the identification loss reads of an observed video: |obs|^2 over frames
+    1..T-1 and ``cross = tails @ obs_tail`` against the ``groups`` means."""
     if observed.pixels.shape != g.videos[0].pixels.shape:
         raise ValueError("observed video shape does not match the support")
-    _, _, tails, gram = g.groups
     obs_tail = observed.pixels[1:].astype(np.float64).reshape(-1)
-    cross = tails @ obs_tail
+    return float(obs_tail @ obs_tail), g.groups[2] @ obs_tail
+
+
+def _identification_loss(
+    g: KernelGenerator, observed: Video | ObservationTerms
+) -> tuple[float, float, float, Callable[..., tuple[np.ndarray, np.ndarray]]]:
+    """L(e) = video_mse(observed, id_generate(g, observed[0], e)) over the ``groups``, from
+    a video or its ``observation_terms``: |obs|^2, N = T*H*W, 2h^2 and ``terms(z, coef)``,
+    which at (m, G) group logits returns the raw loss terms, L = (|obs|^2 + term) / N, and
+    coef (written to ``coef`` when given), with dL/de = (coef @ E) 4 / (N 2h^2).  Frame 0
+    of the kernel mean is the observation's, so the Gram covers frames 1..T-1."""
+    if g.mode is not GeneratorMode.IDENTIFICATION:
+        raise ValueError("the identification loss requires a generator in Identification mode")
+    if isinstance(observed, Video):
+        observed = observation_terms(g, observed)
+    const, cross = observed
+    gram = g.groups[3]
 
     def terms(z: np.ndarray, coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         # W = softmax(z), u = W @ gram - c, term = W.(u - c).  dL/dW = 2u / N, so dL/de =
@@ -174,7 +185,7 @@ def _identification_loss(
         return wu - wts @ cross, np.multiply(wts, u - wu[:, None], out=coef)
 
     bw2 = 2.0 * g.bandwidth * g.bandwidth
-    return float(obs_tail @ obs_tail), float(observed.pixels.size), bw2, terms
+    return const, float(g.videos[0].pixels.size), bw2, terms
 
 
 def mse_objective(

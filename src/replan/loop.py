@@ -4,12 +4,12 @@ An episode replans for up to ``max_replans`` rounds: propose candidate plans
 (conditioned on retrieved or refined state embeddings after the first failure),
 reject candidates near previously failed plans, decode the selected plan to an
 action and judge it by the success rule.  A failed plan joins the failed-plan
-buffer; its rollout, rendered once per task and kept in ``TaskAssets.rollouts``,
-joins the interaction buffer only when retrieval or refinement reads it.  Both
-buffers are episode-scoped; plans are indices into the task's ``PlanTable``, whose
-rows include every ground-truth plan.  A round scores its plan against the
-ground-truth row by PSNR, a lookup in that table, and by SSIM, whose one-clip
-moments set-up holds, so a round builds one product map.
+buffer; when retrieval or refinement reads its rollout, the interaction buffer gets
+what that reader needs of it, which ``TaskAssets`` reduces once per task and (theta,
+plan-table row) and keeps instead of pixels.  Both buffers are episode-scoped; plans
+are indices into the task's ``PlanTable``, whose rows include every ground-truth plan.
+A round scores its plan against the ground-truth row by PSNR, a lookup in that table,
+and by SSIM, whose one-clip moments set-up holds, so a round builds one product map.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import hashlib
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -28,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import ExperienceDataset, Video, load_dataset, psnr_table, ssim, window_moments
+from .core import is_number, require_integer
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
 from .datasets import build_dataset, candidate_actions, subsample_dataset
@@ -44,7 +44,8 @@ from .envs import (
     succeeds,
 )
 from .actor import PlanDecodeError, plan_to_action as decode_plan
-from .generator import GeneratorMode, KernelGenerator, fit_generator
+from .generator import GeneratorMode, KernelGenerator, ObservationTerms, fit_generator
+from .generator import observation_terms
 # the per-round call sites keep the names perfbench/layers.py traces
 from .generator import generate_indices as generate
 from .refinement import RefineConfig, refine_embedding
@@ -52,9 +53,9 @@ from .rejection import RejectionMetric, distance_matrix, pixel_sums_of_squares
 from .retrieval import (
     BufferPolicy,
     EmbeddingTable,
-    InteractionBuffer,
     RetrievalConfig,
     build_table,
+    interaction_logits,
     retrieve,
 )
 
@@ -131,8 +132,10 @@ class TaskAssets:
     scripted plan is the plan-table row ``gt_rows[theta]``: the planner-support entry with
     its bytes, or a row appended after the support when none has them (only a
     ``data_root`` dataset can lack one), where ``generate_indices`` never draws.
-    ``rollouts`` holds the rendered rollout of each (theta, plan-table row) pair an
-    episode has pushed, at most ``len(hidden_values(kind)) * len(plans.videos)``."""
+    ``logits`` and ``terms`` keep each pushed failed rollout, keyed by (theta, plan-table
+    row), as what its reader needs: its ``interaction_logits`` row under ``table``, or its
+    ``observation_terms`` against ``identifier``.  Each entry is reduced from one ``execute``
+    render; each store holds at most ``len(hidden_values(kind)) * len(plans.videos)``."""
 
     kind: EnvKind
     dataset: ExperienceDataset
@@ -143,7 +146,8 @@ class TaskAssets:
     gt_rows: dict[float | str, int]
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
-    rollouts: dict[tuple[float | str, int], Video] = field(default_factory=dict)
+    logits: dict[tuple[float | str, int], np.ndarray] = field(default_factory=dict)
+    terms: dict[tuple[float | str, int], ObservationTerms] = field(default_factory=dict)
 
 
 def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None) -> TaskAssets:
@@ -227,7 +231,11 @@ def run_episode(
         raise ValueError("assets were built for a different task")
     plans, failed = assets.plans, []
     distances = plans.distances[RejectionMetric(config.rejection_metric)]
-    interactions = InteractionBuffer()
+    interactions: list[np.ndarray | ObservationTerms] = []  # store entries, oldest first
+    if method.uses_refinement:
+        store, reduce = assets.terms, lambda video: observation_terms(assets.identifier, video)
+    else:
+        store, reduce = assets.logits, lambda video: interaction_logits(assets.table, video)
     gt = assets.gt_rows[env.theta_value]
     retr_config = RetrievalConfig(tau=config.tau, buffer_policy=config.buffer_policy)
     n = method.candidate_count(config.n_candidates)
@@ -292,9 +300,9 @@ def run_episode(
         if (action is not None and (method.uses_retrieval or method.uses_refinement)
                 and round_index < config.max_replans):
             key = (env.theta_value, pick)
-            if (video := assets.rollouts.get(key)) is None:
-                video = assets.rollouts[key] = execute(env, action).video
-            interactions.push(video)
+            if (seen := store.get(key)) is None:
+                seen = store[key] = reduce(execute(env, action).video)
+            interactions.append(seen)
 
     return EpisodeRecord(
         kind=env.kind,
@@ -316,11 +324,6 @@ _INT_FLOORS = {
     "trials": 1, "max_replans": 1, "n_candidates": 1, "master_seed": 0, "per_theta_success": 1,
     "per_theta_fail": 0, "pca_k": 1, "refine_steps": 0, "refine_restarts": 1,
 }
-
-
-def _is_number(value: object, kind: type = numbers.Real) -> bool:
-    """A finite number of ``kind``; bools and NaN are not numbers here."""
-    return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -360,13 +363,12 @@ class ExperimentConfig:
             choices = tuple(m.value for m in enum)
             require(name, getattr(self, name) in choices, f"one of {choices}")
         for name, low in _INT_FLOORS.items():
-            value = getattr(self, name)
-            ok = name == "pca_k" and value is None or _is_number(value, numbers.Integral)
-            require(name, ok and (value is None or value >= low), f"an integer >= {low}")
+            if name != "pca_k" or self.pca_k is not None:
+                require_integer(self, name, low)
         tau, fraction = self.tau, self.dataset_fraction
-        require("tau", tau is None or _is_number(tau) and tau > 0, "None or a number > 0")
-        require("noise_std", _is_number(self.noise_std) and self.noise_std == 0, "0")
-        require("dataset_fraction", _is_number(fraction) and 0 < fraction <= 1, "in (0, 1]")
+        require("tau", tau is None or is_number(tau) and tau > 0, "None or a number > 0")
+        require("noise_std", is_number(self.noise_std) and self.noise_std == 0, "0")
+        require("dataset_fraction", is_number(fraction) and 0 < fraction <= 1, "in (0, 1]")
         require("data_root", self.data_root is None or isinstance(self.data_root, str),
                 "None or a path string")
 
@@ -376,11 +378,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {f: payload[f] for f in cls.__dataclass_fields__ if f in payload}
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
+        if not isinstance(payload, dict):
+            kind = type(payload).__name__
+            raise ValueError(f"an experiment config must be a JSON object, got {kind}")
+        if unknown := set(payload) - set(cls.__dataclass_fields__):
             raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
-        return cls(**known)
+        return cls(**payload)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "tasks": list(self.tasks), "methods": list(self.methods)}
@@ -469,7 +472,11 @@ def _check_manifest(config: ExperimentConfig, task: str) -> None:
     where = f"ExperimentConfig.data_root {config.data_root!r}, task {task!r}: {path}"
     if not path.is_file():
         raise ValueError(f"{where} does not exist")
-    if (env := json.loads(path.read_text()).get("env")) != task:
+    try:
+        env = json.loads(path.read_text()).get("env")
+    except (json.JSONDecodeError, AttributeError):  # not JSON, or not an object
+        raise ValueError(f"{where} is not a JSON object") from None
+    if env != task:
         raise ValueError(f"{where} holds a dataset for {env!r}")
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Video
+from .core import Video, require_integer
 # mse_objective, unused here, stays importable from this module for perfbench/layers.py
 from .generator import GeneratorMode, KernelGenerator, mse_objective  # noqa: F401
-from .generator import _group_logits, _identification_loss
+from .generator import ObservationTerms, _group_logits, _identification_loss
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,8 @@ class RefineConfig:
     def __post_init__(self) -> None:
         if self.init_mode not in ("random", "retrieval", "combined"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        require_integer(self, "steps", 0)
+        require_integer(self, "restarts", 1)
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,8 @@ class RefineResult:
 
 
 def _descend(
-    g: KernelGenerator, observed: Video, starts: np.ndarray, steps: int, lr: float
+    g: KernelGenerator, observed: Video | ObservationTerms, starts: np.ndarray, steps: int,
+    lr: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descend every row of ``starts`` at once; best rows, their losses and the
     (steps + 1, chains) best-so-far trace."""
@@ -65,13 +64,14 @@ def _descend(
 
 def refine_embedding(
     g: KernelGenerator,
-    observed: Video,
+    observed: Video | ObservationTerms,
     init: np.ndarray | None,
     config: RefineConfig = RefineConfig(),
     rng: np.random.Generator | None = None,
     count: int | None = None,
 ) -> RefineResult | tuple[RefineResult, ...]:
-    """Refine a state embedding to explain an observed interaction video.
+    """Refine a state embedding to explain an observed interaction: a video, or its
+    ``generator.observation_terms`` against ``g``.
 
     init_mode "random" starts from ``restarts`` unit-variance Gaussian
     draws; "retrieval" starts from ``init`` only; "combined" runs both and

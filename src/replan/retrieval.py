@@ -6,15 +6,16 @@ object in manifest order).  A query video is scored against every entry
 by negative distance; a softmax at temperature tau turns the scores into
 a categorical the retrieval samples from, returning the canonical
 embedding of the sampled entry's object.  A round draws all of its
-samples from one softmax, and an episode's ``InteractionBuffer`` keeps
-each failed interaction's scores, so no interaction is scored twice.
+samples from one softmax.  A failed interaction is read only through its
+``interaction_logits`` row, so a caller that keeps the row, as the loop's
+per-task store does, scores each interaction once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -150,8 +151,15 @@ def default_tau(table: EmbeddingTable) -> float:
     return 0.1 * med if med > 0 else 1.0
 
 
-def _entry_logits(table: EmbeddingTable, query: np.ndarray, metric: DistanceMetric) -> np.ndarray:
-    """Minus the distance under ``metric`` from a projected query to every entry."""
+def interaction_logits(
+    table: EmbeddingTable,
+    video: Video,
+    metric: DistanceMetric = DistanceMetric.L2,
+    encoder: Callable[[Video], np.ndarray] = encode_video,
+) -> np.ndarray:
+    """Minus the distance under ``metric`` from the projected encoding of an
+    interaction video to every table entry: the (n,) row retrieval reads of it."""
+    query = pca_apply(table.projection, encoder(video))
     entries = table.entry_embeddings
     if metric is DistanceMetric.L2:
         diffs = entries - query
@@ -164,79 +172,36 @@ def _entry_logits(table: EmbeddingTable, query: np.ndarray, metric: DistanceMetr
     return (rows @ query).ravel() / norms - 1.0  # the cosine distance is 1 - cos
 
 
-class InteractionBuffer(Sequence[Video]):
-    """Episode-scoped failed interactions, each scored against the table once.
-
-    A video's per-entry logits (encode, project, negative distances) are
-    computed the first time a buffer policy reads it and kept after that,
-    so an episode scores every interaction at most once.  The kept logits
-    belong to the table, metric and encoder that computed them; a read
-    with any other one starts over.
-    """
-
-    def __init__(self, videos: Iterable[Video] = ()) -> None:
-        self.videos: list[Video] = list(videos)
-        self._scorer: tuple | None = None
-        self._logits: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self.videos)
-
-    def __getitem__(self, index):
-        return self.videos[index]
-
-    def push(self, video: Video) -> "InteractionBuffer":
-        self.videos.append(video)
-        return self
-
-    def logits(
-        self,
-        table: EmbeddingTable,
-        metric: DistanceMetric,
-        policy: BufferPolicy,
-        encoder: Callable[[Video], np.ndarray] = encode_video,
-    ) -> list[np.ndarray]:
-        """Per-entry logits of every video ``policy`` reads, oldest first."""
-        if not self.videos:
-            raise ValueError("empty interaction buffer; use the null embedding instead")
-        scorer = (table, metric, encoder)
-        if self._scorer is None or any(a is not b for a, b in zip(scorer, self._scorer)):
-            self._scorer, self._logits = scorer, {}
-        read = range(len(self.videos))
-        if policy is BufferPolicy.LATEST:
-            read = read[-1:]
-        for i in read:
-            if i not in self._logits:
-                query = pca_apply(table.projection, encoder(self.videos[i]))
-                self._logits[i] = _entry_logits(table, query, metric)
-        return [self._logits[i] for i in read]
-
-
 def retrieval_probabilities(
     table: EmbeddingTable,
-    query: Video | Sequence[Video],
+    query: Video | Sequence[Video | np.ndarray],
     config: RetrievalConfig = RetrievalConfig(),
     encoder: Callable[[Video], np.ndarray] = encode_video,
 ) -> np.ndarray:
     """Softmax selection probabilities over table entries for a query.
 
-    ``query`` is one interaction video or a non-empty buffer of them; the
-    buffer policy either keeps the latest video or averages logits over
-    the buffer before the softmax.  An ``InteractionBuffer`` keeps each
-    video's logits across calls; any other query is scored afresh.
+    ``query`` is one interaction video or a non-empty buffer of them, oldest
+    first; a buffer item may instead be the ``interaction_logits`` row of its
+    video under ``config.metric`` and ``encoder``, which is read as it is.
+    The buffer policy either keeps the latest item or averages logits over
+    the buffer before the softmax; only the items it keeps are scored.
     """
     if len(table) == 0:
         raise ValueError("empty table")
-    if not isinstance(query, InteractionBuffer):
-        query = InteractionBuffer([query] if isinstance(query, Video) else query)
+    query = [query] if isinstance(query, Video) else list(query)
+    if not query:
+        raise ValueError("empty interaction buffer; use the null embedding instead")
+    if config.buffer_policy is BufferPolicy.LATEST:
+        query = query[-1:]
     tau = config.tau if config.tau is not None else default_tau(table)
-    logits = np.mean(query.logits(table, config.metric, config.buffer_policy, encoder), axis=0)
-    return softmax(logits / tau)
+    logits = [item if isinstance(item, np.ndarray) else
+              interaction_logits(table, item, config.metric, encoder) for item in query]
+    return softmax(np.mean(logits, axis=0) / tau)
 
 
 def retrieve(
     table: EmbeddingTable,
-    query: Video | Sequence[Video],
+    query: Video | Sequence[Video | np.ndarray],
     config: RetrievalConfig,
     rng: np.random.Generator,
     encoder: Callable[[Video], np.ndarray] = encode_video,
@@ -245,7 +210,8 @@ def retrieve(
     """Sample entries from the retrieval softmax; return their objects'
     canonical embeddings.
 
-    The probabilities are computed once.  ``count`` draws that many
+    ``query`` is as ``retrieval_probabilities`` takes it, and the
+    probabilities are computed once.  ``count`` draws that many
     entries from ``rng.random(count)``, the same uniforms as ``count``
     single calls in turn, and returns a (count, k) array; None draws one
     and returns its (k,) embedding.

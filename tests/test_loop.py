@@ -19,7 +19,6 @@ from replan import (
     EnvInstance,
     EnvKind,
     ExperimentConfig,
-    InteractionBuffer,
     Method,
     RejectionMetric,
     RetrievalConfig,
@@ -28,6 +27,8 @@ from replan import (
     embedding_rows,
     execute,
     hidden_values,
+    interaction_logits,
+    observation_terms,
     plan_quality,
     results_table,
     retrieval_probabilities,
@@ -51,6 +52,14 @@ def openbox_run():
         tasks=("openbox",), methods=("random", "avdc", "ours"), trials=200
     )
     return run_experiment(cfg)
+
+
+def reduction_bits(value):
+    """The bytes of a stored failed interaction: a logits row or refinement terms."""
+    if isinstance(value, tuple):
+        const, cross = value
+        return np.float64(const).tobytes() + cross.tobytes()
+    return value.tobytes()
 
 
 def make_row(task, method, replans, trial=0, psnr=None, ssim=None):
@@ -205,36 +214,53 @@ def test_episode_plan_metrics(openbox_assets):
 def test_episode_renders_only_rollouts_a_later_round_reads(
     pushbar_assets, openbox_assets, monkeypatch, method
 ):
-    # success is a rule on (theta, action); only retrieval and refinement read
-    # a failed rollout, so only they push one, once per failed decoded round
-    # that a later round follows, and execute renders it the first time its
-    # (theta, plan-table row) pair fails in the task
+    # success is a rule on (theta, action); only retrieval and refinement read a failed
+    # rollout, from the round after it on, as the reduction their task store keeps for
+    # its (theta, plan-table row) pair, and execute renders it the first time the pair
+    # is pushed
     import replan.loop
 
-    executed, pushed = [], []
-    real, real_push = replan.loop.execute, InteractionBuffer.push
+    executed, reads = [], []
+    real, retrieve, refine = replan.loop.execute, replan.loop.retrieve, replan.loop.refine_embedding
     monkeypatch.setattr(
         replan.loop, "execute", lambda env, action: executed.append(action) or real(env, action)
     )
-    monkeypatch.setattr(
-        InteractionBuffer, "push", lambda self, video: pushed.append(video) or real_push(self, video)
-    )
+    monkeypatch.setattr(replan.loop, "retrieve", lambda table, query, *args, **kwargs:
+                        reads.append(list(query)) or retrieve(table, query, *args, **kwargs))
+    monkeypatch.setattr(replan.loop, "refine_embedding", lambda g, observed, *args, **kwargs:
+                        reads.append([observed]) or refine(g, observed, *args, **kwargs))
     cfg, failed_total, last_failed = ExperimentConfig(max_replans=6, refine_steps=5), 0, 0
     for assets in (pushbar_assets, openbox_assets):
+        store = assets.terms if method.uses_refinement else assets.logits
+
+        def reduce(value, env):
+            video = real(env, EnvAction(assets.kind, value)).video
+            if method.uses_refinement:
+                return observation_terms(assets.identifier, video)
+            return interaction_logits(assets.table, video)
+
         for seed in range(6):
             rng = np.random.default_rng(seed)
             env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
-            executed.clear(), pushed.clear()
-            stored = set(assets.rollouts)
+            executed.clear(), reads.clear()
+            stored = len(assets.logits) + len(assets.terms)
             rec = run_episode(env, method, assets, cfg, rng)
-            failed = [r.action for r in rec.rounds[:-1] if r.action is not None and not r.success]
-            reads = method in (Method.AVDC_RETRIEVAL, Method.OURS, Method.OURS_REFINE)
-            assert len(pushed) == (len(failed) if reads else 0), (assets.kind, seed)
-            assert len(executed) == len(set(assets.rollouts) - stored), (assets.kind, seed)
-            for video, value in zip(pushed, failed):
-                fresh = real(env, EnvAction(assets.kind, value)).video
-                assert video.pixels.tobytes() == fresh.pixels.tobytes()
-            failed_total += len(failed)
+            assert len(executed) == len(assets.logits) + len(assets.terms) - stored
+            # round k + 1 reads the decoded failures of rounds 1..k, or only the last of
+            # them when it refines; a round with none to read conditions on nothing
+            decoded = [r.action for r in rec.rounds[:-1] if r.action is not None]
+            want = []
+            if method.uses_retrieval or method.uses_refinement:
+                for k in range(1, len(rec.rounds)):
+                    pushed = decoded[:sum(r.action is not None for r in rec.rounds[:k])]
+                    if pushed:
+                        want.append(pushed[-1:] if method.uses_refinement else pushed)
+            assert [len(read) for read in reads] == [len(values) for values in want]
+            for read, values in zip(reads, want):
+                for kept, value in zip(read, values):
+                    assert any(kept is entry for entry in store.values())
+                    assert reduction_bits(kept) == reduction_bits(reduce(value, env))
+            failed_total += len(decoded)
             last_failed += len(rec.rounds) == cfg.max_replans and rec.rounds[-1].action is not None
     assert failed_total > 0 and last_failed > 0
 
@@ -314,15 +340,10 @@ def test_round_retrieves_once_from_the_episode_buffer(pushbar_assets, monkeypatc
     counts = []
 
     def checking_retrieve(table, query, config, rng, count=None):
-        picked = retrieve(table, query, config, rng, count=count)
-        # the buffer's kept logits give exactly the probabilities of scoring afresh
-        assert isinstance(query, InteractionBuffer)
-        assert np.array_equal(
-            retrieval_probabilities(table, query, config),
-            retrieval_probabilities(table, list(query), config),
-        )
+        # the round reads the logits rows its task keeps, not videos
+        assert all(any(row is kept for kept in pushbar_assets.logits.values()) for row in query)
         counts.append(count)
-        return picked
+        return retrieve(table, query, config, rng, count=count)
 
     monkeypatch.setattr(replan.loop, "retrieve", checking_retrieve)
     cfg = ExperimentConfig(n_candidates=5, rejection_metric="embedding", buffer_policy=policy)
@@ -331,26 +352,26 @@ def test_round_retrieves_once_from_the_episode_buffer(pushbar_assets, monkeypatc
 
 
 @pytest.mark.parametrize("policy", ["latest", "aggregate"])
-def test_episode_projects_each_failure_once(pushbar_assets, monkeypatch, policy):
+def test_episode_projects_each_failure_once(monkeypatch, policy):
+    # a task encodes and projects each failed (theta, plan-table row) pair once, however
+    # many rounds of however many episodes read it
+    import replan.encoders
     import replan.retrieval
 
-    pca_apply = replan.retrieval.pca_apply
-    calls = [0]
-
-    def counting_pca_apply(projection, embedding):
-        calls[0] += 1
-        return pca_apply(projection, embedding)
-
-    monkeypatch.setattr(replan.retrieval, "pca_apply", counting_pca_apply)
     cfg = ExperimentConfig(n_candidates=5, rejection_metric="embedding", buffer_policy=policy)
-    total = 0
-    for rec in ours_episodes(pushbar_assets, cfg):
-        # every executed failure before the last round is read by a later round, once
-        read = sum(r.action is not None for r in rec.rounds[:-1])
-        assert calls[0] == read
-        total += read
-        calls[0] = 0
-    assert total > 12
+    assets = build_task_assets(cfg, "pushbar")
+    calls = {"_block_means": 0, "pca_apply": 0}  # encode_video's per-video work, then pca
+    for module, name in ((replan.encoders, "_block_means"), (replan.retrieval, "pca_apply")):
+        def counting(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    # every executed failure before the last round is read by a later round
+    read = sum(sum(r.action is not None for r in rec.rounds[:-1])
+               for rec in ours_episodes(assets, cfg, range(30)))
+    assert calls == {"_block_means": len(assets.logits), "pca_apply": len(assets.logits)}
+    assert 0 < len(assets.logits) < read
 
 
 @pytest.mark.parametrize("method", [Method.OURS, Method.AVDC_RETRIEVAL, Method.OURS_REFINE])
@@ -374,6 +395,7 @@ def test_undecodable_first_plan_keeps_null_conditioning(openbox_assets, monkeypa
 
 
 def test_refining_round_builds_one_objective(monkeypatch):
+    import replan.loop
     import replan.refinement
 
     assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
@@ -390,7 +412,13 @@ def test_refining_round_builds_one_objective(monkeypatch):
             for env in envs
         ]
 
+    reductions = []
+    reduce = replan.loop.observation_terms
+    monkeypatch.setattr(replan.loop, "observation_terms",
+                        lambda g, video: reductions.append(video) or reduce(g, video))
     plain = episodes()
+    # the task reduces each failed (theta, row) pair once, however many rounds refine on it
+    assert len(reductions) == len(assets.terms) < sum(len(rec.rounds) - 1 for rec in plain)
     builds = []
     setup = replan.refinement._identification_loss
 
@@ -404,6 +432,8 @@ def test_refining_round_builds_one_objective(monkeypatch):
     refining_rounds = sum(len(rec.rounds) - 1 for rec in plain)
     assert refining_rounds > 0
     assert len(builds) == refining_rounds
+    assert len(reductions) == len(assets.terms)  # a rerun reads only kept terms
+    assert all(any(b is kept for kept in assets.terms.values()) for b in builds)
 
 
 def test_support_matrices_are_built_for_refinement_only():
@@ -473,12 +503,20 @@ def test_rollout_store_stays_bounded(monkeypatch):
     assert [assets.kind.value for assets in built] == list(ALL_TASKS)
     misses = 0
     for assets in built:
-        thetas = hidden_values(assets.kind)
-        assert 0 < len(assets.rollouts) <= len(thetas) * len(assets.plans.videos)
-        for (theta, row), video in assets.rollouts.items():
-            fresh = execute(EnvInstance.create(assets.kind, theta), assets.plans.actions[row])
-            assert video.pixels.tobytes() == fresh.video.pixels.tobytes()
-        misses += len(assets.rollouts)
+        bound = len(hidden_values(assets.kind)) * len(assets.plans.videos)
+        g = assets.identifier
+        for store, reduce in ((assets.logits, lambda video: interaction_logits(assets.table, video)),
+                              (assets.terms, lambda video: observation_terms(g, video))):
+            assert 0 < len(store) <= bound
+            for (theta, row), kept in store.items():
+                fresh = execute(EnvInstance.create(assets.kind, theta), assets.plans.actions[row])
+                assert reduction_bits(kept) == reduction_bits(reduce(fresh.video))
+            misses += len(store)
+        # the stores keep what their readers need of a rollout, never its pixels
+        assert all(type(row) is np.ndarray and row.shape == (len(assets.table),)
+                   for row in assets.logits.values())
+        assert all(type(const) is float and type(cross) is np.ndarray
+                   and cross.shape == (len(g.groups[0]),) for const, cross in assets.terms.values())
     # one render per rollout: the dataset's, each task's ground-truth plans and reset
     # frame, and each store miss; nothing is kept outside the task
     ground_truth = sum(len(hidden_values(assets.kind)) + 1 for assets in built)
@@ -570,6 +608,16 @@ def test_experiment_config_io(tmp_path):
 
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trails": 3})  # typo rejected
+
+
+@pytest.mark.parametrize("payload, kind", [
+    (["trials"], "list"), (3, "int"), (None, "NoneType"), ("x", "str"),
+])
+def test_experiment_json_must_be_an_object(tmp_path, payload, kind):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"must be a JSON object, got {kind}$"):
+        ExperimentConfig.from_json(path)
 
 
 def distinct_names(choices):
@@ -792,7 +840,7 @@ def test_data_root_assets(tmp_path, openbox_assets):
         build_task_assets(ExperimentConfig(tasks=("pushbar",), data_root=str(tmp_path)), "pushbar")
 
 
-@pytest.mark.parametrize("manifest", ["missing", "for another task"])
+@pytest.mark.parametrize("manifest", ["missing", "for another task", "not JSON", "a list"])
 def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypatch, manifest):
     import re
 
@@ -801,8 +849,11 @@ def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypat
 
     dataset, thetas = build_dataset(EnvKind.OPEN_BOX)
     save_dataset(tmp_path / "openbox", "openbox", dataset.tuples, thetas)
-    if manifest == "for another task":
+    if manifest != "missing":
         save_dataset(tmp_path / "turnfaucet", "openbox", dataset.tuples, thetas)
+    if manifest in ("not JSON", "a list"):
+        text = '{"env": "turnfaucet"' if manifest == "not JSON" else '["turnfaucet"]'
+        (tmp_path / "turnfaucet" / "manifest.json").write_text(text)
     calls = []
     for name in ("build_task_assets", "run_episode"):
         real = getattr(replan.loop, name)

@@ -22,7 +22,6 @@ from replan import (
     ExperimentConfig,
     FailedPlanBuffer,
     GenerationConfig,
-    InteractionBuffer,
     Method,
     PlanDecodeError,
     RefineConfig,
@@ -145,9 +144,10 @@ def test_select_plan_picks_as_the_video_level_oracle(metric):
 
 def video_level_rounds(env, method, assets, config, rng):
     """The episode as the loop ran it on ``Video``s: generated copies, rejection
-    scored per round and every plan decoded per call."""
+    scored per round, every plan decoded per call and every failed interaction
+    retrieved or refined from its fresh render."""
     first_frame = reset(env)
-    buffer, interactions = FailedPlanBuffer(), InteractionBuffer()
+    buffer, interactions = FailedPlanBuffer(), []
     gt_plan = assets.gt_plans[env.theta_value]
     retrieval = RetrievalConfig(tau=config.tau, buffer_policy=BufferPolicy(config.buffer_policy))
     refine = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
@@ -180,7 +180,7 @@ def video_level_rounds(env, method, assets, config, rng):
         if outcome.success:
             break
         buffer.push(plan)
-        interactions.push(outcome.video)
+        interactions.append(outcome.video)
     return tuple(rounds)
 
 

@@ -151,6 +151,16 @@ def test_refinement_leaves_generator_alone(identifier, observed):
     assert np.array_equal(identifier.embeddings, before)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", 2.5), ("steps", True), ("steps", -1), ("steps", "80"),
+    ("restarts", 1.5), ("restarts", False), ("restarts", 0), ("restarts", None),
+])
+def test_config_counts_must_be_integers(field, value):
+    # as ExperimentConfig's integer fields: a float or bool would fail later, in np.empty or range
+    with pytest.raises(ValueError, match=rf"^RefineConfig\.{field} must be an integer >= "):
+        RefineConfig(**{field: value})
+
+
 def test_validation_errors(identifier, observed):
     with pytest.raises(ValueError):
         RefineConfig(init_mode="gradient")

@@ -16,11 +16,11 @@ from replan import (
     BufferPolicy,
     DistanceMetric,
     EmbeddingTable,
-    InteractionBuffer,
     RetrievalConfig,
     Video,
     build_table,
     default_tau,
+    interaction_logits,
     retrieval_probabilities,
     retrieve,
 )
@@ -203,7 +203,7 @@ def test_building_assets_leaves_numpy_ma_unimported():
 
 def test_empty_buffer_rejected():
     table = make_table([(1, 0), (2, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty interaction buffer"):
         retrieval_probabilities(table, [], RetrievalConfig(tau=1.0), encoder=coord_encoder)
     with pytest.raises(ValueError):
         RetrievalConfig(tau=0.0)
@@ -253,9 +253,7 @@ def test_cosine_logits_are_the_scalar_distances_bit_for_bit():
     for k, n in ((1, 1), (2, 5), (4, 9), (12, 40)):
         entries = rng.normal(size=(n, k))
         query = Video(rng.uniform(0.05, 0.95, (1, 1, k)).astype(np.float32))
-        got = InteractionBuffer([query]).logits(
-            _table_of(entries), DistanceMetric.COSINE, BufferPolicy.LATEST, encoder=_flat
-        )[0]
+        got = interaction_logits(_table_of(entries), query, DistanceMetric.COSINE, encoder=_flat)
         want = [-embedding_distance(DistanceMetric.COSINE, _flat(query), e) for e in entries]
         assert got.tolist() == want
 
@@ -317,7 +315,8 @@ def test_round_draws_match_single_calls(metric, policy):
     # one softmax per round, then the same draws n separate calls would make
     table = make_table(ROUND_POINTS)
     config = RetrievalConfig(metric=metric, tau=0.5, buffer_policy=policy)
-    for query in (ROUND_QUERIES, InteractionBuffer(ROUND_QUERIES), ROUND_QUERIES[0]):
+    rows = [interaction_logits(table, video, metric, coord_encoder) for video in ROUND_QUERIES]
+    for query in (ROUND_QUERIES, rows, ROUND_QUERIES[0]):
         for count in (1, 2, 7):
             rng_round, rng_single = np.random.default_rng(35), np.random.default_rng(35)
             picked = retrieve(table, query, config, rng_round, encoder=coord_encoder, count=count)
@@ -341,8 +340,8 @@ def test_retrieve_rejects_bad_count(count):
 @pytest.mark.parametrize("policy", list(BufferPolicy))
 @pytest.mark.parametrize("metric", list(DistanceMetric))
 def test_buffer_matches_fresh_scoring(metric, policy):
-    # an episode buffer grows one failure a round; its kept logits must give
-    # exactly the probabilities of scoring the whole list afresh
+    # an episode buffer grows one failure a round, each kept as its logits row; the
+    # rows, alone or mixed with videos, give exactly the probabilities of the videos
     table = make_table(ROUND_POINTS)
     config = RetrievalConfig(metric=metric, tau=0.5, buffer_policy=policy)
     scored = []
@@ -351,16 +350,18 @@ def test_buffer_matches_fresh_scoring(metric, policy):
         scored.append(video)
         return coord_encoder(video)
 
-    buffer = InteractionBuffer()
+    buffer = []
     for n, video in enumerate(ROUND_QUERIES, start=1):
-        buffer.push(video)
-        for _ in range(2):
-            p_buffer = retrieval_probabilities(table, buffer, config, encoder=counting_encoder)
-            p_list = retrieval_probabilities(table, ROUND_QUERIES[:n], config, encoder=coord_encoder)
-            assert np.array_equal(p_buffer, p_list)
-    assert len(buffer) == len(ROUND_QUERIES) and list(buffer) == ROUND_QUERIES
-    # every video is scored once; latest scores each as it arrives, which is all of them here
-    assert scored == ROUND_QUERIES
+        buffer.append(interaction_logits(table, video, metric, coord_encoder))
+        p_list = retrieval_probabilities(table, ROUND_QUERIES[:n], config, encoder=coord_encoder)
+        for query in (buffer, [*ROUND_QUERIES[:n - 1], buffer[-1]], [*buffer[:-1], video]):
+            p_query = retrieval_probabilities(table, query, config, encoder=counting_encoder)
+            assert np.array_equal(p_query, p_list)
+    # a kept row is read as it is: only the videos the policy reads are scored
+    if policy is BufferPolicy.LATEST:
+        assert scored == ROUND_QUERIES
+    else:
+        assert scored == [v for n in range(1, 5) for v in ROUND_QUERIES[:n]]
 
 
 def test_buffer_scores_only_what_the_policy_reads():
@@ -371,31 +372,9 @@ def test_buffer_scores_only_what_the_policy_reads():
         scored.append(video)
         return coord_encoder(video)
 
-    buffer = InteractionBuffer(ROUND_QUERIES)
     latest = RetrievalConfig(tau=0.5)
-    retrieval_probabilities(table, buffer, latest, encoder=counting_encoder)
+    retrieval_probabilities(table, ROUND_QUERIES, latest, encoder=counting_encoder)
     assert scored == ROUND_QUERIES[-1:]
     aggregate = RetrievalConfig(tau=0.5, buffer_policy=BufferPolicy.AGGREGATE)
-    retrieval_probabilities(table, buffer, aggregate, encoder=counting_encoder)
-    assert scored == ROUND_QUERIES[-1:] + ROUND_QUERIES[:-1]
-
-
-def test_buffer_rescores_for_another_scorer():
-    # kept logits belong to one table, metric and encoder
-    table, other = make_table(ROUND_POINTS), make_table([(9, 9), (1, 3)])
-    buffer = InteractionBuffer(ROUND_QUERIES)
-    for t in (table, other, table):
-        for metric in DistanceMetric:
-            config = RetrievalConfig(metric=metric, tau=0.5, buffer_policy=BufferPolicy.AGGREGATE)
-            assert np.array_equal(
-                retrieval_probabilities(t, buffer, config, encoder=coord_encoder),
-                retrieval_probabilities(t, ROUND_QUERIES, config, encoder=coord_encoder),
-            )
-    halved = retrieval_probabilities(table, buffer, RetrievalConfig(tau=0.5),
-                                     encoder=lambda v: coord_encoder(v) / 2)
-    assert np.array_equal(halved, retrieval_probabilities(
-        table, ROUND_QUERIES, RetrievalConfig(tau=0.5), encoder=lambda v: coord_encoder(v) / 2
-    ))
-    with pytest.raises(ValueError, match="empty interaction buffer"):
-        retrieval_probabilities(table, InteractionBuffer(), RetrievalConfig(tau=0.5),
-                                encoder=coord_encoder)
+    retrieval_probabilities(table, ROUND_QUERIES, aggregate, encoder=counting_encoder)
+    assert scored == ROUND_QUERIES[-1:] + ROUND_QUERIES

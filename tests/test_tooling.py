@@ -51,6 +51,34 @@ def test_tracer_records_one_retrieval_per_round(monkeypatch):
     assert summary["retrieval.retrieval_probabilities"]["calls"] == rounds
 
 
+def test_tracer_records_one_refinement_per_refining_round(monkeypatch):
+    # refine_embedding takes a video or its stored observation terms; either way the
+    # loop must reach it through the traced name
+    import numpy as np
+
+    import replan.loop as loop
+    from replan import EnvInstance, ExperimentConfig, Method, build_task_assets, sample_hidden
+
+    for owner, attr in [(o, a) for o, a, _ in layers.PATCHES] + [("replan.refinement", "mse_objective")]:
+        target = layers.resolve(owner)
+        monkeypatch.setattr(target, attr, getattr(target, attr))  # restored after the test
+    config = ExperimentConfig(tasks=("slidebrick",), n_candidates=3, refine_steps=5)
+    assets = build_task_assets(config, "slidebrick")
+    tracer = layers.Tracer()
+    tracer.install()
+    assert tracer.missing == []
+    refining = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
+        record = loop.run_episode(env, Method.OURS_REFINE, assets, config, rng)
+        # a round refines once an earlier round's plan decoded and failed
+        decoded = [r.action is not None for r in record.rounds]
+        refining += sum(any(decoded[:k]) for k in range(1, len(decoded)))
+    assert refining > 0
+    assert tracer.summary()["refinement.refine_embedding"]["calls"] == refining
+
+
 def test_microbenchmarks_run():
     # the benchmark's traced run builds the loop's configs by keyword; a src/ change
     # that breaks one would otherwise surface only outside this suite
