@@ -41,7 +41,7 @@ def run_example():
 
     # Step 4: executing an action yields an 8-frame rollout video, which
     # can be decoded back into the action that produced it.
-    env = EnvInstance.create(EnvKind.PUSH_BAR, -0.12)
+    env = EnvInstance(EnvKind.PUSH_BAR, -0.12)
     outcome = execute(env, scripted_action(env))
     video = outcome.video
     print("\nrollout:", video.pixels.shape, video.pixels.dtype, "success:", outcome.success)
@@ -55,7 +55,7 @@ def run_example():
 
     # The same pattern drives the discrete tasks: the lid of the box
     # either lifts or slides; trying the wrong mode leaves it stuck.
-    box = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    box = EnvInstance(EnvKind.OPEN_BOX, "lift")
     stuck = execute(box, EnvAction(EnvKind.OPEN_BOX, "slide"))
     moved = np.abs(stuck.video.pixels[-1] - stuck.video.pixels[0]).max()
     print("wrong-mode open attempt succeeds?", stuck.success, " max pixel change:", f"{moved:.2f}")

@@ -48,7 +48,7 @@ def run_example():
 
     # Step 4: fail on purpose, then ask the table who did it. The lid
     # needs lifting but we slide; the stuck video is the query.
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     stuck = execute(env, EnvAction(EnvKind.OPEN_BOX, "slide")).video
     config = RetrievalConfig()
     probs = retrieval_probabilities(table, stuck, config)

@@ -44,7 +44,6 @@ from .envs import (
     EnvInstance,
     EnvKind,
     ExecutionOutcome,
-    HiddenParam,
     all_instances,
     bar_deflection,
     brick_stop_position,

@@ -9,7 +9,6 @@ from .envs import (
     EnvAction,
     EnvInstance,
     EnvKind,
-    HiddenParam,
     execute,
     hidden_values,
     object_id,
@@ -22,9 +21,7 @@ Theta = float | str
 
 def candidate_actions(kind: EnvKind) -> list[EnvAction]:
     """The scripted action for every table theta (the hypothesis set)."""
-    return [
-        scripted_action(EnvInstance.create(kind, theta)) for theta in hidden_values(kind)
-    ]
+    return [scripted_action(EnvInstance(kind, theta)) for theta in hidden_values(kind)]
 
 
 def failing_actions(
@@ -32,7 +29,7 @@ def failing_actions(
 ) -> list[EnvAction]:
     """Hypothesis-set actions ``rollout_success`` rejects under ``theta``, in table order;
     ``hypotheses`` is ``candidate_actions(kind)``, built here when None."""
-    theta = HiddenParam(kind, theta).value
+    theta = EnvInstance(kind, theta).theta_value
     hypotheses = candidate_actions(kind) if hypotheses is None else hypotheses
     return [a for a in hypotheses if not rollout_success(kind, theta, a.value)]
 
@@ -60,7 +57,7 @@ def build_dataset(
     tuples: list[ExperienceTuple] = []
     thetas: list[Theta] = []
     for theta in hidden_values(kind):
-        env = EnvInstance.create(kind, theta)
+        env = EnvInstance(kind, theta)
         oid = object_id(kind, theta)
         good = execute(env, scripted_action(env))
         if not good.success:
@@ -86,16 +83,13 @@ def build_dataset(
 
 
 def subsample_dataset(
-    dataset: ExperienceDataset,
-    thetas: list[Theta],
-    fraction: float,
-    seed: int = 0,
-) -> tuple[ExperienceDataset, list[Theta]]:
+    dataset: ExperienceDataset, fraction: float, seed: int = 0
+) -> ExperienceDataset:
     """Keep each object's first success plus a deterministic fraction of the rest."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     if fraction == 1.0:
-        return dataset, list(thetas)
+        return dataset
     rng = np.random.default_rng(seed)
     keep = np.zeros(len(dataset), dtype=bool)
     for idxs in dataset.by_object.values():
@@ -107,7 +101,6 @@ def subsample_dataset(
             chosen = rng.permutation(len(rest))[:n_keep]
             for c in chosen:
                 keep[rest[int(c)]] = True
-    kept = [i for i in range(len(dataset)) if keep[i]]
-    sub = ExperienceDataset(tuple(dataset.tuples[i] for i in kept))
+    sub = ExperienceDataset(tuple(dataset.tuples[i] for i in np.flatnonzero(keep)))
     sub.validate()
-    return sub, [thetas[i] for i in kept]
+    return sub

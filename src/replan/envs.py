@@ -127,15 +127,6 @@ def _check_theta(kind: EnvKind, theta: float | str) -> float | str:
 
 
 @dataclass(frozen=True)
-class HiddenParam:
-    kind: EnvKind
-    value: float | str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _check_theta(self.kind, self.value))
-
-
-@dataclass(frozen=True)
 class EnvAction:
     kind: EnvKind
     value: float | str
@@ -162,24 +153,18 @@ class EnvAction:
 
 @dataclass(frozen=True)
 class EnvInstance:
+    """A task with its hidden parameter: a bar offset or brick friction as a float in
+    range, or a box or faucet mode from its table."""
+
     kind: EnvKind
-    theta: HiddenParam
+    theta_value: float | str
 
     def __post_init__(self) -> None:
-        if self.theta.kind is not self.kind:
-            raise ValueError("hidden parameter kind does not match environment kind")
-
-    @classmethod
-    def create(cls, kind: EnvKind, theta: float | str) -> "EnvInstance":
-        return cls(kind, HiddenParam(kind, theta))
-
-    @property
-    def theta_value(self) -> float | str:
-        return self.theta.value
+        object.__setattr__(self, "theta_value", _check_theta(self.kind, self.theta_value))
 
     @property
     def object_id(self) -> str:
-        return object_id(self.kind, self.theta.value)
+        return object_id(self.kind, self.theta_value)
 
 
 @dataclass(frozen=True)
@@ -188,10 +173,10 @@ class ExecutionOutcome:
     success: bool
 
 
-def sample_hidden(kind: EnvKind, rng: np.random.Generator) -> HiddenParam:
+def sample_hidden(kind: EnvKind, rng: np.random.Generator) -> float | str:
     """Draw a hidden parameter uniformly from the task's table."""
     table = hidden_values(kind)
-    return HiddenParam(kind, table[int(rng.integers(len(table)))])
+    return table[int(rng.integers(len(table)))]
 
 
 def bar_deflection(contact_offset: float, theta: float) -> float:
@@ -450,4 +435,4 @@ def scripted_action(env: EnvInstance) -> EnvAction:
 
 def all_instances(kind: EnvKind) -> list[EnvInstance]:
     """One environment instance per hidden-parameter table entry."""
-    return [EnvInstance.create(kind, theta) for theta in hidden_values(kind)]
+    return [EnvInstance(kind, theta) for theta in hidden_values(kind)]

@@ -153,7 +153,7 @@ class TaskAssets:
 def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None) -> TaskAssets:
     gt_plans = {}
     for theta in hidden_values(kind):
-        env = EnvInstance.create(kind, theta)
+        env = EnvInstance(kind, theta)
         gt_plans[theta] = execute(env, scripted_action(env)).video
     shape = gt_plans[theta].pixels.shape
     if clips := {item.video.pixels.shape for item in dataset.tuples} - {shape}:
@@ -200,9 +200,6 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    kind: EnvKind
-    theta: float | str
-    method: Method
     rounds: tuple[RoundRecord, ...]
     replans_until_success: int
     succeeded: bool
@@ -305,9 +302,6 @@ def run_episode(
             interactions.append(seen)
 
     return EpisodeRecord(
-        kind=env.kind,
-        theta=env.theta_value,
-        method=method,
         rounds=tuple(rounds),
         replans_until_success=replans,
         succeeded=succeeded,
@@ -484,20 +478,18 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     kind = EnvKind(task)
     if config.data_root is not None:
         _check_manifest(config, task)
-        dataset, _, thetas = load_dataset(Path(config.data_root) / task)
+        dataset = load_dataset(Path(config.data_root) / task)[0]
     else:
         data_seed = trial_seed(config.master_seed, task, "dataset", 0)
-        dataset, thetas = build_dataset(
+        dataset = build_dataset(
             kind,
             per_theta_success=config.per_theta_success,
             per_theta_fail=config.per_theta_fail,
             seed=data_seed,
-        )
+        )[0]
     if config.dataset_fraction < 1.0:
         frac_seed = trial_seed(config.master_seed, task, "fraction", 0)
-        dataset, thetas = subsample_dataset(
-            dataset, thetas, config.dataset_fraction, seed=frac_seed
-        )
+        dataset = subsample_dataset(dataset, config.dataset_fraction, seed=frac_seed)
     return build_assets(kind, dataset, config.pca_k)
 
 
@@ -530,8 +522,7 @@ def _run_tasks(
                 for trial in range(config.trials):
                     seed = trial_seed(config.master_seed, task, method_name, trial)
                     rng = np.random.default_rng(seed)
-                    theta = sample_hidden(kind, rng)
-                    env = EnvInstance(kind, theta)
+                    env = EnvInstance(kind, sample_hidden(kind, rng))
                     record = run_episode(env, method, assets, config, rng)
                     out.append(
                         EpisodeRow(
@@ -539,7 +530,7 @@ def _run_tasks(
                             method=method_name,
                             trial=trial,
                             seed=seed,
-                            theta=record.theta,
+                            theta=env.theta_value,
                             replans=record.replans_until_success,
                             succeeded=record.succeeded,
                             mean_psnr=record.mean_plan_psnr,

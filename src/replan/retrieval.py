@@ -13,8 +13,9 @@ per-task store does, scores each interaction once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,16 +64,12 @@ class EmbeddingTable:
     entry_embeddings: np.ndarray         # (n, k), dataset order
     entry_object_index: np.ndarray       # (n,) index into object_ids
     projection: PcaProjection
-    _median_canonical: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         if len(self.object_ids) != self.canonical.shape[0]:
             raise ValueError("one canonical embedding per object required")
         if self.entry_embeddings.shape[0] != self.entry_object_index.shape[0]:
             raise ValueError("entry arrays length mismatch")
-        object.__setattr__(
-            self, "_median_canonical", _median_pairwise_distance(self.canonical)
-        )
 
     def __len__(self) -> int:
         return self.entry_embeddings.shape[0]
@@ -83,9 +80,9 @@ class EmbeddingTable:
     def entry_object_id(self, entry: int) -> str:
         return self.object_ids[int(self.entry_object_index[entry])]
 
-    @property
+    @cached_property
     def median_canonical_distance(self) -> float:
-        return self._median_canonical
+        return _median_pairwise_distance(self.canonical)
 
 
 def _median_pairwise_distance(points: np.ndarray) -> float:

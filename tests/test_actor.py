@@ -127,7 +127,7 @@ def test_brick_decode_quantization():
 def test_discrete_decode_reads_attempt(kind, modes):
     # both success and stuck rollouts decode to the mode that was attempted
     for theta in modes:
-        env = EnvInstance.create(kind, theta)
+        env = EnvInstance(kind, theta)
         for attempted in modes:
             video = execute(env, EnvAction(kind, attempted)).video
             assert plan_to_action(kind, video).value == attempted
@@ -140,7 +140,7 @@ def test_undecodable_plans_raise():
             plan_to_action(kind, blank)
 
     # static scene: object visible but never moves
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     frame = execute(env, EnvAction(EnvKind.OPEN_BOX, "lift")).video.pixels[0]
     static = Video(np.stack([frame] * 8))
     with pytest.raises(PlanDecodeError):

@@ -321,7 +321,7 @@ def test_ssim_matches_oracle_on_plan_pairs(task):
     # the near-zero variances that random noise never draws
     assets = build_task_assets(ExperimentConfig(), task)
     theta = next(iter(assets.gt_plans))
-    first_frame = reset(EnvInstance.create(assets.kind, theta))
+    first_frame = reset(EnvInstance(assets.kind, theta))
     for support in assets.planner.videos:
         plan = support.with_first_frame(first_frame)
         for gt in assets.gt_plans.values():

@@ -34,7 +34,7 @@ def test_failing_actions_exact():
     fails = failing_actions(EnvKind.OPEN_BOX, "lift")
     assert [a.value for a in fails] == ["slide"]
 
-    env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.32)
+    env = EnvInstance(EnvKind.SLIDE_BRICK, 0.32)
     fails = failing_actions(EnvKind.SLIDE_BRICK, 0.32)
     for action in fails:
         assert not execute(env, action).success
@@ -141,29 +141,26 @@ def test_build_dataset_validation():
 
 
 def test_subsample_keeps_first_success():
-    ds, thetas = build_dataset(EnvKind.SLIDE_BRICK)
-    sub, sub_thetas = subsample_dataset(ds, thetas, 0.28, seed=3)
+    ds, _ = build_dataset(EnvKind.SLIDE_BRICK)
+    sub = subsample_dataset(ds, 0.28, seed=3)
     assert len(sub) < len(ds)
-    assert len(sub) == len(sub_thetas)
     assert set(sub.by_object) == set(ds.by_object)
     sub.validate()
     for oid, idxs in sub.by_object.items():
         assert sub.tuples[idxs[0]].success, oid
 
-    same, same_thetas = subsample_dataset(ds, thetas, 1.0)
-    assert len(same) == len(ds)
-    assert same_thetas == thetas
+    assert subsample_dataset(ds, 1.0) is ds
 
     with pytest.raises(ValueError):
-        subsample_dataset(ds, thetas, 0.0)
+        subsample_dataset(ds, 0.0)
     with pytest.raises(ValueError):
-        subsample_dataset(ds, thetas, 1.5)
+        subsample_dataset(ds, 1.5)
 
 
 def test_subsample_fraction_size():
-    ds, thetas = build_dataset(EnvKind.PUSH_BAR)
-    sub, _ = subsample_dataset(ds, thetas, 0.5, seed=0)
+    ds, _ = build_dataset(EnvKind.PUSH_BAR)
+    sub = subsample_dataset(ds, 0.5, seed=0)
     # per object: 1 success + round(0.5 * 10) of the rest
     assert len(sub) == 24 * (1 + 5)
-    sub2, _ = subsample_dataset(ds, thetas, 0.5, seed=0)
+    sub2 = subsample_dataset(ds, 0.5, seed=0)
     assert [t.object_id for t in sub2.tuples] == [t.object_id for t in sub.tuples]

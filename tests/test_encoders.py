@@ -76,7 +76,7 @@ def test_encode_video_matches_reshape_oracle(t, spread, seed):
 def test_encode_video_matches_oracle_on_every_rollout():
     for kind in EnvKind:
         for theta in hidden_values(kind):
-            env = EnvInstance.create(kind, theta)
+            env = EnvInstance(kind, theta)
             video = execute(env, scripted_action(env)).video
             assert encode_video(video).tobytes() == reference_encode_video(video).tobytes(), (kind, theta)
 

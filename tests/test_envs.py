@@ -39,7 +39,6 @@ from replan.envs import (
     LID_ROWS,
     OBJECT_SHADE,
     TARGET_SHADE,
-    HiddenParam,
     SceneState,
     succeeds,
 )
@@ -69,16 +68,17 @@ def test_object_id_formatting():
     assert object_id(EnvKind.PUSH_BAR, -0.05) == "pushbar/-0.05"
     assert object_id(EnvKind.SLIDE_BRICK, 0.30) == "slidebrick/0.3"
     assert object_id(EnvKind.TURN_FAUCET, "cw") == "turnfaucet/cw"
-    inst = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    inst = EnvInstance(EnvKind.OPEN_BOX, "lift")
     assert inst.object_id == "openbox/lift"
     assert inst.theta_value == "lift"
 
 
 def test_param_and_action_validation():
     with pytest.raises(ValueError):
-        HiddenParam(EnvKind.OPEN_BOX, "pry")
+        EnvInstance(EnvKind.OPEN_BOX, "pry")
     with pytest.raises(ValueError):
-        HiddenParam(EnvKind.PUSH_BAR, 0.25)
+        EnvInstance(EnvKind.PUSH_BAR, 0.25)
+    assert EnvInstance(EnvKind.SLIDE_BRICK, 1).theta_value == 1.0
     with pytest.raises(ValueError):
         EnvAction(EnvKind.PUSH_BAR, 0.21)
     with pytest.raises(ValueError):
@@ -86,13 +86,11 @@ def test_param_and_action_validation():
     with pytest.raises(ValueError):
         EnvAction(EnvKind.TURN_FAUCET, "lift")
     # kind mismatch between instance and action
-    env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
+    env = EnvInstance(EnvKind.PUSH_BAR, 0.0)
     with pytest.raises(ValueError, match="action kind does not match environment kind"):
         execute(env, EnvAction(EnvKind.PICK_BAR, 0.0))
     with pytest.raises(ValueError, match="action kind"):
         succeeds(env, EnvAction(EnvKind.PICK_BAR, 0.0))
-    with pytest.raises(ValueError):
-        EnvInstance(EnvKind.PUSH_BAR, HiddenParam(EnvKind.PICK_BAR, 0.0))
 
 
 def test_physics_worked_examples():
@@ -129,7 +127,7 @@ def test_rollout_pixels_golden():
 
 
 def test_execute_deterministic():
-    env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.32)
+    env = EnvInstance(EnvKind.SLIDE_BRICK, 0.32)
     action = EnvAction(EnvKind.SLIDE_BRICK, 0.4)
     a, b = execute(env, action), execute(env, action)
     assert a.video is not b.video  # nothing is kept between calls
@@ -140,7 +138,7 @@ def test_execute_keeps_no_rollout():
     # 500 distinct rollouts of 32 KB each: a memo of them would hold about 16 MB
     import tracemalloc
 
-    env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
+    env = EnvInstance(EnvKind.PUSH_BAR, 0.0)
     execute(env, EnvAction(EnvKind.PUSH_BAR, 0.2))  # first-call set-up stays out
     tracemalloc.start()
     try:
@@ -164,7 +162,7 @@ def test_scripted_policy_succeeds_everywhere():
 
 
 def test_bar_success_boundary():
-    env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
+    env = EnvInstance(EnvKind.PUSH_BAR, 0.0)
     assert execute(env, EnvAction(EnvKind.PUSH_BAR, 0.03)).success
     assert not execute(env, EnvAction(EnvKind.PUSH_BAR, 0.031)).success
     assert execute(env, EnvAction(EnvKind.PUSH_BAR, -0.03)).success
@@ -172,7 +170,7 @@ def test_bar_success_boundary():
 
 def test_brick_success_band():
     # theta=0.32 doubles the push, so height 0.5 stops exactly at 1.0
-    env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.32)
+    env = EnvInstance(EnvKind.SLIDE_BRICK, 0.32)
     assert execute(env, EnvAction(EnvKind.SLIDE_BRICK, 0.5)).success
     assert not execute(env, EnvAction(EnvKind.SLIDE_BRICK, 0.6)).success
     assert not execute(env, EnvAction(EnvKind.SLIDE_BRICK, 0.4)).success
@@ -181,7 +179,7 @@ def test_brick_success_band():
 def test_discrete_mode_match():
     for kind, modes in ((EnvKind.OPEN_BOX, ("lift", "slide")), (EnvKind.TURN_FAUCET, ("cw", "ccw"))):
         for theta in modes:
-            env = EnvInstance.create(kind, theta)
+            env = EnvInstance(kind, theta)
             for mode in modes:
                 out = execute(env, EnvAction(kind, mode))
                 assert out.success == (mode == theta)
@@ -209,7 +207,7 @@ def test_failed_discrete_rollouts_show_attempt():
     from replan import track_centroid
     from replan.envs import OBJECT_BAND
 
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     stuck = execute(env, EnvAction(EnvKind.OPEN_BOX, "slide")).video
     traj = track_centroid(stuck, OBJECT_BAND)
     delta = traj.points[-1] - traj.points[0]
@@ -222,10 +220,10 @@ def test_sample_hidden_matches_table():
     seen = set()
     for _ in range(2000):
         theta = sample_hidden(EnvKind.PUSH_BAR, rng)
-        assert theta.value in BAR_OFFSETS
-        seen.add(theta.value)
+        assert theta in BAR_OFFSETS
+        seen.add(theta)
     assert seen == set(BAR_OFFSETS)
-    modes = {sample_hidden(EnvKind.OPEN_BOX, rng).value for _ in range(50)}
+    modes = {sample_hidden(EnvKind.OPEN_BOX, rng) for _ in range(50)}
     assert modes == {"lift", "slide"}
 
 

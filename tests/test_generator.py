@@ -150,7 +150,7 @@ def test_batched_generate_matches_single_draws(task):
     # leaves the rng where they leave it
     assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
     g = assets.planner
-    frame = reset(EnvInstance.create(assets.kind, hidden_values(assets.kind)[0]))
+    frame = reset(EnvInstance(assets.kind, hidden_values(assets.kind)[0]))
     seed_rng = np.random.default_rng(57)
     k = g.embeddings.shape[1]
     for m in (1, 2, 5, 9):

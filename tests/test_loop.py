@@ -133,7 +133,7 @@ def test_two_mode_analytic_constants(openbox_assets):
 
     # retrieval pinpoints the failed object: the failure video sits at
     # distance zero from ten table entries of the true object
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     stuck = execute(env, EnvAction(EnvKind.OPEN_BOX, "slide")).video
     p = retrieval_probabilities(openbox_assets.table, [stuck], RetrievalConfig())
     table = openbox_assets.table
@@ -172,7 +172,7 @@ def test_two_mode_empirical_means(openbox_run):
 # Episode mechanics
 
 def test_first_round_action_agrees_across_methods(openbox_assets):
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "slide")
+    env = EnvInstance(EnvKind.OPEN_BOX, "slide")
     cfg = ExperimentConfig()
     actions = {}
     for method in (Method.AVDC, Method.OURS, Method.AVDC_REJECTION):
@@ -185,7 +185,7 @@ def test_first_round_action_agrees_across_methods(openbox_assets):
 
 
 def test_failed_episode_reports_cap(openbox_assets):
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     cfg = ExperimentConfig(max_replans=2)
     rec = run_episode(env, Method.AVDC, openbox_assets, cfg, np.random.default_rng(1))
     assert not rec.succeeded
@@ -195,7 +195,7 @@ def test_failed_episode_reports_cap(openbox_assets):
 
 
 def test_episode_plan_metrics(openbox_assets):
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     rec = run_episode(env, Method.AVDC, openbox_assets, ExperimentConfig(), np.random.default_rng(3))
     assert rec.succeeded
     for rnd in rec.rounds:
@@ -308,7 +308,7 @@ def test_episode_converts_config_enums(monkeypatch):
 
     monkeypatch.setattr(replan.loop, "retrieve", recording_retrieve)
     monkeypatch.setattr(replan.loop, "select_plan", recording_select_plan)
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     for seed in range(20):  # retrieval runs only after a failed round
         run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))
     assert seen == {
@@ -389,7 +389,7 @@ def test_undecodable_first_plan_keeps_null_conditioning(openbox_assets, monkeypa
         return decode(plans, index)
 
     monkeypatch.setattr(replan.loop, "plan_to_action", first_fails)
-    env = EnvInstance.create(EnvKind.OPEN_BOX, "lift")
+    env = EnvInstance(EnvKind.OPEN_BOX, "lift")
     rec = run_episode(env, method, openbox_assets, ExperimentConfig(), np.random.default_rng(0))
     assert rec.rounds[0].action is None and len(rec.rounds) >= 2
 
@@ -400,7 +400,7 @@ def test_refining_round_builds_one_objective(monkeypatch):
 
     assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
     cfg = ExperimentConfig(tasks=("slidebrick",), n_candidates=3, refine_restarts=2)
-    envs = [EnvInstance.create(EnvKind.SLIDE_BRICK, theta) for theta in (0.24, 0.32, 0.4)]
+    envs = [EnvInstance(EnvKind.SLIDE_BRICK, theta) for theta in (0.24, 0.32, 0.4)]
 
     def episodes():
         return [
@@ -443,7 +443,7 @@ def test_support_matrices_are_built_for_refinement_only():
     assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
     g, cfg = assets.identifier, ExperimentConfig(tasks=("slidebrick",))
     assert "groups" not in g.__dict__
-    env = EnvInstance.create(EnvKind.SLIDE_BRICK, 0.4)
+    env = EnvInstance(EnvKind.SLIDE_BRICK, 0.4)
     for seed in range(3):
         run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))
     assert "groups" not in g.__dict__
@@ -461,7 +461,7 @@ def test_support_matrices_are_built_for_refinement_only():
 
 
 def test_assets_task_mismatch(openbox_assets):
-    env = EnvInstance.create(EnvKind.PUSH_BAR, 0.0)
+    env = EnvInstance(EnvKind.PUSH_BAR, 0.0)
     with pytest.raises(ValueError):
         run_episode(env, Method.AVDC, openbox_assets, ExperimentConfig(), np.random.default_rng(0))
 
@@ -509,7 +509,7 @@ def test_rollout_store_stays_bounded(monkeypatch):
                               (assets.terms, lambda video: observation_terms(g, video))):
             assert 0 < len(store) <= bound
             for (theta, row), kept in store.items():
-                fresh = execute(EnvInstance.create(assets.kind, theta), assets.plans.actions[row])
+                fresh = execute(EnvInstance(assets.kind, theta), assets.plans.actions[row])
                 assert reduction_bits(kept) == reduction_bits(reduce(fresh.video))
             misses += len(store)
         # the stores keep what their readers need of a rollout, never its pixels

@@ -71,7 +71,7 @@ def table_mismatches(task, metric):
     """Entries of ``task``'s plan table that differ from their per-call values."""
     assets = task_assets(task)
     plans, distances = assets.plans, assets.plans.distances[RejectionMetric(metric)]
-    first_frame = reset(EnvInstance.create(assets.kind, hidden_values(assets.kind)[0]))
+    first_frame = reset(EnvInstance(assets.kind, hidden_values(assets.kind)[0]))
     videos = [support.with_first_frame(first_frame) for support in assets.planner.videos]
     features = [encode_video(video) for video in videos]
     bad = []
@@ -122,7 +122,7 @@ def test_success_rule_is_what_execute_reports(task):
     assets = task_assets(task)
     decodable = [action for action in assets.plans.actions if not isinstance(action, str)]
     for theta in hidden_values(assets.kind):
-        env = EnvInstance.create(assets.kind, theta)
+        env = EnvInstance(assets.kind, theta)
         for action in [*assets.hypotheses, *decodable]:
             success = execute(env, action).success
             assert rollout_success(assets.kind, theta, action.value) == success, (theta, action)
@@ -247,7 +247,7 @@ def assert_ground_truth_rows(assets):
         row = assets.gt_rows[theta]
         assert type(row) is int and 0 <= row < len(plans.videos)
         assert gt is plans.videos[row]
-        env = EnvInstance.create(assets.kind, theta)
+        env = EnvInstance(assets.kind, theta)
         assert execute(env, scripted_action(env)).video.pixels.tobytes() == gt.pixels.tobytes()
         assert plans.moments[row].tobytes() == window_moments(gt.pixels).tobytes()
         assert [psnr(video, gt) for video in plans.videos] == plans.psnr[:, row].tolist()
