@@ -320,12 +320,44 @@ def save_dataset(
     return manifest
 
 
+def read_manifest(path: str | Path) -> dict:
+    """Parse a dataset manifest and check every entry before any video is read.
+
+    An entry's ``video`` must name an existing file relative to the manifest, its
+    ``object_id`` be a string, its ``success`` a JSON bool and its ``theta`` a finite number
+    or a string; a ``ValueError`` names the path, the entry index and the field otherwise.
+    """
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError:
+        manifest = None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
+        raise ValueError(f"{path} is not a JSON object with a list of entries")
+    for index, entry in enumerate(manifest["entries"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: entry {index} is not a JSON object")
+        video, theta = entry.get("video"), entry.get("theta")
+        for name, ok, need in (
+            ("video", isinstance(video, str) and (path.parent / video).is_file(),
+             "the path of an existing file"),
+            ("object_id", isinstance(entry.get("object_id"), str), "a string"),
+            ("success", isinstance(entry.get("success"), bool), "true or false"),
+            ("theta", is_number(theta) or isinstance(theta, str), "a number or a string"),
+        ):
+            if not ok:
+                got = f"got {entry[name]!r}" if name in entry else "it is missing"
+                raise ValueError(f"{path}: entry {index} field {name!r} must be {need}, {got}")
+    return manifest
+
+
 def load_dataset(
     in_dir: str | Path,
 ) -> tuple[ExperienceDataset, str, list[float | str]]:
-    """Read a manifest directory back into (dataset, env name, per-entry theta)."""
+    """Read a manifest directory back into (dataset, env name, per-entry theta); the
+    manifest is checked by ``read_manifest`` first."""
     root = Path(in_dir)
-    manifest = json.loads((root / "manifest.json").read_text())
+    manifest = read_manifest(root / "manifest.json")
     env = manifest["env"]
     tuples = []
     thetas: list[float | str] = []
@@ -335,7 +367,7 @@ def load_dataset(
             ExperienceTuple(
                 video=video,
                 object_id=entry["object_id"],
-                success=bool(entry["success"]),
+                success=entry["success"],
             )
         )
         thetas.append(entry["theta"])

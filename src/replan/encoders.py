@@ -16,6 +16,7 @@ from .envs import IMAGE_SIZE
 
 BLOCK = 4
 FEATURES_PER_FRAME = (IMAGE_SIZE // BLOCK) ** 2  # 64
+PCA_K_CAP = 16  # default_pca_k never keeps more components
 _BLOCK_MEAN = np.kron(np.eye(IMAGE_SIZE // BLOCK), np.full((BLOCK, 1), 1.0 / BLOCK))
 
 
@@ -112,5 +113,5 @@ def pca_apply(projection: PcaProjection, embedding: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_pca_k(n_samples: int, dim: int = 512, cap: int = 16) -> int:
-    return max(1, min(cap, n_samples - 1, dim))
+def default_pca_k(n_samples: int, dim: int = 512) -> int:
+    return max(1, min(PCA_K_CAP, n_samples - 1, dim))

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ExperienceDataset, Video
+from .core import ExperienceDataset, Video, is_number, require_integer
 from .retrieval import EmbeddingTable, softmax
 
 
@@ -35,9 +35,8 @@ class GenerationConfig:
     noise_std: float = 0.0     # must be 0: nothing perturbs the first frame
 
     def __post_init__(self) -> None:
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        if self.noise_std != 0:
+        require_integer(self, "n_candidates", 1)
+        if not (is_number(self.noise_std) and self.noise_std == 0):
             raise ValueError(f"GenerationConfig.noise_std must be 0, got {self.noise_std!r}")
 
 

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import ExperienceDataset, Video, load_dataset, psnr_table, ssim, window_moments
-from .core import is_number, require_integer
+from .core import is_number, read_manifest, require_integer
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
 from .datasets import build_dataset, candidate_actions, subsample_dataset
@@ -461,17 +461,25 @@ class ExperimentResult:
 
 
 def _check_manifest(config: ExperimentConfig, task: str) -> None:
-    """Fail unless ``<data_root>/<task>/manifest.json`` exists and holds ``task``'s dataset."""
+    """Fail unless ``<data_root>/<task>/manifest.json`` exists, passes ``core.read_manifest``
+    and holds ``task``'s dataset."""
     path = Path(config.data_root) / task / "manifest.json"
-    where = f"ExperimentConfig.data_root {config.data_root!r}, task {task!r}: {path}"
+    where = f"ExperimentConfig.data_root {config.data_root!r}, task {task!r}"
     if not path.is_file():
-        raise ValueError(f"{where} does not exist")
+        raise ValueError(f"{where}: {path} does not exist")
     try:
-        env = json.loads(path.read_text()).get("env")
-    except (json.JSONDecodeError, AttributeError):  # not JSON, or not an object
-        raise ValueError(f"{where} is not a JSON object") from None
+        env = read_manifest(path).get("env")
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
     if env != task:
-        raise ValueError(f"{where} holds a dataset for {env!r}")
+        raise ValueError(f"{where}: {path} holds a dataset for {env!r}")
+
+
+def check_data_root(config: ExperimentConfig) -> None:
+    """Check every task's ``data_root`` manifest, so a bad one fails before any task builds."""
+    if config.data_root is not None:
+        for task in config.tasks:
+            _check_manifest(config, task)
 
 
 def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
@@ -509,9 +517,7 @@ def _run_tasks(
     """Run each of ``configs``, which differ from ``base`` only in what episodes read,
     task by task: a task's assets are built once from ``base``, serve every config and
     are freed before the next task builds, so one task's assets are alive at a time."""
-    if base.data_root is not None:
-        for task in base.tasks:
-            _check_manifest(base, task)
+    check_data_root(base)
     rows: list[list[EpisodeRow]] = [[] for _ in configs]
     for task in base.tasks:
         assets = build_task_assets(base, task)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .encoders import pca_apply, pca_fit
 from .loop import WALL_PHASES, EpisodeRow, ExperimentConfig, ResultsTable, build_task_assets
+from .loop import check_data_root
 
 EPISODE_COLUMNS = (
     "task",
@@ -252,8 +253,9 @@ def embedding_rows(config: ExperimentConfig) -> list[tuple[str, str, float, floa
     """Canonical embedding of every object, projected to 2 components.
 
     Tasks with only two objects cannot support two components; the second
-    coordinate is zero there.
+    coordinate is zero there.  Every task's ``data_root`` manifest is checked first.
     """
+    check_data_root(config)
     out = []
     for task in config.tasks:
         table = build_task_assets(config, task).table  # the rest is freed at once

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ExperienceDataset, Video
+from .core import ExperienceDataset, Video, is_number
 from .encoders import PcaProjection, encode_video, pca_apply
 
 
@@ -51,8 +51,8 @@ class RetrievalConfig:
                 raise ValueError(
                     f"RetrievalConfig.{name} must be one of {choices}, got {value!r}"
                 ) from None
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not (self.tau is None or is_number(self.tau) and self.tau > 0):
+            raise ValueError(f"RetrievalConfig.tau must be None or a number > 0, got {self.tau!r}")
 
 
 @dataclass(frozen=True)

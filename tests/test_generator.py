@@ -231,6 +231,16 @@ def test_objective_shape_check(identifier):
         mse_objective(identifier, shade_video(0.5, frames=3))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_candidates", 1.5), ("n_candidates", True), ("n_candidates", "2"), ("n_candidates", 0),
+    ("noise_std", False), ("noise_std", float("nan")), ("noise_std", "0"),
+])
+def test_config_fields_follow_the_experiment_rules(field, value):
+    # ExperimentConfig's rules: an integer count, and a noise that is the number 0
+    with pytest.raises(ValueError, match=rf"^GenerationConfig\.{field} must be "):
+        GenerationConfig(**{field: value})
+
+
 def test_generation_config_validation():
     with pytest.raises(ValueError):
         GenerationConfig(n_candidates=0)

@@ -840,7 +840,8 @@ def test_data_root_assets(tmp_path, openbox_assets):
         build_task_assets(ExperimentConfig(tasks=("pushbar",), data_root=str(tmp_path)), "pushbar")
 
 
-@pytest.mark.parametrize("manifest", ["missing", "for another task", "not JSON", "a list"])
+@pytest.mark.parametrize("manifest", ["missing", "for another task", "not JSON", "a list",
+                                      "without entries"])
 def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypatch, manifest):
     import re
 
@@ -851,9 +852,10 @@ def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypat
     save_dataset(tmp_path / "openbox", "openbox", dataset.tuples, thetas)
     if manifest != "missing":
         save_dataset(tmp_path / "turnfaucet", "openbox", dataset.tuples, thetas)
-    if manifest in ("not JSON", "a list"):
-        text = '{"env": "turnfaucet"' if manifest == "not JSON" else '["turnfaucet"]'
-        (tmp_path / "turnfaucet" / "manifest.json").write_text(text)
+    texts = {"not JSON": '{"env": "turnfaucet"', "a list": '["turnfaucet"]',
+             "without entries": '{"env": "turnfaucet"}'}
+    if manifest in texts:
+        (tmp_path / "turnfaucet" / "manifest.json").write_text(texts[manifest])
     calls = []
     for name in ("build_task_assets", "run_episode"):
         real = getattr(replan.loop, name)
@@ -864,4 +866,60 @@ def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypat
     message = re.escape(f"ExperimentConfig.data_root {str(tmp_path)!r}, task 'turnfaucet': {path}")
     with pytest.raises(ValueError, match=message):
         run_experiment(config)
+    assert calls == []
+
+
+# Entry 3 of a saved turnfaucet manifest, rewritten: the message tail that names the field.
+BAD_ENTRIES = {
+    "theta missing": (lambda e: {k: v for k, v in e.items() if k != "theta"},
+                      "field 'theta' must be a number or a string, it is missing"),
+    "theta a bool": (lambda e: {**e, "theta": True},
+                     "field 'theta' must be a number or a string, got True"),
+    "success a string": (lambda e: {**e, "success": "false"},
+                         "field 'success' must be true or false, got 'false'"),
+    "success an integer": (lambda e: {**e, "success": 0},
+                           "field 'success' must be true or false, got 0"),
+    "object_id a number": (lambda e: {**e, "object_id": 7},
+                           "field 'object_id' must be a string, got 7"),
+    "video not a file": (lambda e: {**e, "video": "videos"},
+                         "field 'video' must be the path of an existing file, got 'videos'"),
+    "video missing": (lambda e: {k: v for k, v in e.items() if k != "video"},
+                      "field 'video' must be the path of an existing file, it is missing"),
+    "not an object": (lambda e: [e], "is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
+@pytest.mark.parametrize("reader", ["run_experiment", "embedding_rows", "load_dataset"])
+def test_a_bad_manifest_entry_fails_before_any_build(tmp_path, monkeypatch, entry, reader):
+    import re
+
+    import replan.loop
+    import replan.report
+    from replan import build_dataset, load_dataset, save_dataset
+
+    for task in ("openbox", "turnfaucet"):
+        dataset, thetas = build_dataset(EnvKind(task), per_theta_fail=2)
+        save_dataset(tmp_path / task, task, dataset.tuples, thetas)
+    path = tmp_path / "turnfaucet" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    rewrite, tail = BAD_ENTRIES[entry]
+    manifest["entries"][3] = rewrite(manifest["entries"][3])
+    path.write_text(json.dumps(manifest))
+    calls = []
+    for module, name in ((replan.loop, "build_task_assets"), (replan.loop, "run_episode"),
+                         (replan.report, "build_task_assets")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    config = ExperimentConfig(tasks=("openbox", "turnfaucet"), methods=("avdc",), trials=3,
+                              data_root=str(tmp_path))
+    message = f"{path}: entry 3 {tail}"
+    if reader != "load_dataset":
+        message = f"ExperimentConfig.data_root {str(tmp_path)!r}, task 'turnfaucet': {message}"
+    run = {"run_experiment": lambda: run_experiment(config),
+           "embedding_rows": lambda: embedding_rows(config),
+           "load_dataset": lambda: load_dataset(path.parent)}[reader]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
     assert calls == []

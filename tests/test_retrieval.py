@@ -298,6 +298,13 @@ def test_config_takes_enum_names(metric, policy):
     assert np.array_equal(draws[0], draws[1])
 
 
+@pytest.mark.parametrize("tau", [True, math.inf, math.nan, "0.1", 0, -1.0])
+def test_tau_must_be_a_positive_number(tau):
+    # ExperimentConfig's rule for tau
+    with pytest.raises(ValueError, match=r"^RetrievalConfig\.tau must be None or a number > 0"):
+        RetrievalConfig(tau=tau)
+
+
 @pytest.mark.parametrize("field", ["metric", "buffer_policy"])
 @pytest.mark.parametrize("value", ["bogus", "LATEST", None, 1])
 def test_config_rejects_unknown_names(field, value):
