@@ -230,7 +230,9 @@ def ssim(
 
     with cov_ab = W(a b) - mu_a mu_b.  mu and var depend on one clip only: they are its
     ``window_moments``, which a caller that holds them passes as ``mom_a`` or ``mom_b``
-    for the same bits, so a call builds only the cross moment W(a b).
+    for the same bits, so a call builds only the cross moment W(a b).  The tail runs in
+    place in that map, the numerator's and the denominator's, with the formula's operands
+    and order; it never writes into the moments.
     """
     _check_same_shape(a, b)
     t, h, w = a.pixels.shape
@@ -243,11 +245,22 @@ def ssim(
         return 1.0  # exactly what the arithmetic below gives: num and den are equal
     mu_a, var_a = window_moments(a.pixels) if mom_a is None else mom_a
     mu_b, var_b = window_moments(b.pixels) if mom_b is None else mom_b
-    e_ab = window_means(a.pixels.astype(np.float64) * b.pixels.astype(np.float64))
-    mu_ab = mu_a * mu_b
-    num = (2.0 * mu_ab + SSIM_C1) * (2.0 * (e_ab - mu_ab) + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float(np.add.reduce(np.add.reduce(num / den, axis=1) / windows) / t)  # as np.mean
+    cov = window_means(a.pixels.astype(np.float64) * b.pixels.astype(np.float64))  # W(ab)
+    num = mu_a * mu_b
+    cov -= num
+    cov *= 2.0
+    cov += SSIM_C2  # 2 cov_ab + C2
+    num *= 2.0
+    num += SSIM_C1
+    num *= cov
+    den = mu_a * mu_a
+    den += np.multiply(mu_b, mu_b, out=cov)
+    den += SSIM_C1
+    np.add(var_a, var_b, out=cov)
+    cov += SSIM_C2
+    den *= cov
+    num /= den
+    return float(np.add.reduce(np.add.reduce(num, axis=1) / windows) / t)  # as np.mean
 
 
 @dataclass(frozen=True)

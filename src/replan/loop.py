@@ -9,7 +9,8 @@ what that reader needs of it, which ``TaskAssets`` reduces once per task and (th
 plan-table row) and keeps instead of pixels.  Both buffers are episode-scoped; plans
 are indices into the task's ``PlanTable``, whose rows include every ground-truth plan.
 A round scores its plan against the ground-truth row by PSNR, a lookup in that table,
-and by SSIM, whose one-clip moments set-up holds, so a round builds one product map.
+and by SSIM, kept per task in ``TaskAssets.ssims``: a (plan row, ground-truth row) pair is
+scored once, with the one-clip moments set-up holds, so it builds one product map.
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ class TaskAssets:
     ``logits`` and ``terms`` keep each pushed failed rollout, keyed by (theta, plan-table
     row), as what its reader needs: its ``interaction_logits`` row under ``table``, or its
     ``observation_terms`` against ``identifier``.  Each entry is reduced from one ``execute``
-    render; each store holds at most ``len(hidden_values(kind)) * len(plans.videos)``."""
+    render; each store holds at most ``len(hidden_values(kind)) * len(plans.videos)``.
+    ``ssims`` keeps ``core.ssim`` of each scored (plan row, ground-truth row) pair, computed
+    on its first round; it holds at most as many entries as the other stores."""
 
     kind: EnvKind
     dataset: ExperienceDataset
@@ -148,6 +151,7 @@ class TaskAssets:
     hypotheses: list[EnvAction]  # what the random method draws from
     logits: dict[tuple[float | str, int], np.ndarray] = field(default_factory=dict)
     terms: dict[tuple[float | str, int], ObservationTerms] = field(default_factory=dict)
+    ssims: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
 def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None) -> TaskAssets:
@@ -226,6 +230,9 @@ def run_episode(
     """Run one episode; failed episodes report max_replans rounds used."""
     if env.kind is not assets.kind:
         raise ValueError("assets were built for a different task")
+    if env.theta_value not in assets.gt_rows:
+        raise ValueError(f"theta {env.theta_value!r} has no ground-truth plan in task "
+                         f"{assets.kind.value!r}, whose hidden values are {list(assets.gt_rows)}")
     plans, failed = assets.plans, []
     distances = plans.distances[RejectionMetric(config.rejection_metric)]
     interactions: list[np.ndarray | ObservationTerms] = []  # store entries, oldest first
@@ -268,14 +275,15 @@ def run_episode(
             wall["generate"] += 1e3 * (time.perf_counter() - t0)
 
             t0 = time.perf_counter()
-            pick = candidates[0]
+            pick = int(candidates[0])
             if method.uses_rejection:
                 pick = select_plan(distances, candidates, failed)
             wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
             plan_psnr = float(plans.psnr[pick, gt])
-            plan_ssim = ssim(plans.videos[pick], plans.videos[gt], plans.moments[pick],
-                             plans.moments[gt])
+            if (plan_ssim := assets.ssims.get((pick, gt))) is None:
+                plan_ssim = assets.ssims[pick, gt] = ssim(
+                    plans.videos[pick], plans.videos[gt], plans.moments[pick], plans.moments[gt])
 
             t0 = time.perf_counter()
             try:

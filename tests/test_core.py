@@ -429,6 +429,26 @@ def test_moment_ssim_differs_from_the_four_map_form_by_rounding_only():
     assert max(gaps) <= 2.3e-16
 
 
+@pytest.mark.parametrize("shape", [(1, 8, 8), (2, 9, 10), (3, 16, 12), (5, 11, 27), (8, 32, 32)])
+def test_held_moment_ssim_is_the_moment_oracle_on_random_clips(shape):
+    # random clips reach windows no plan pair has; the in-place tail must give the
+    # oracle's bits and leave the held moments, views of one stack as in PlanTable, alone
+    rng = np.random.default_rng(sum(shape))
+    a = Video(rng.random(shape, dtype=np.float32))
+    others = [Video(rng.random(shape, dtype=np.float32)),
+              Video(np.clip(a.pixels + 0.01 * rng.standard_normal(shape), 0, 1)),
+              const_video(0.5, shape),
+              Video(a.pixels.copy())]  # byte-equal: 1.0 without the arithmetic
+    for b in others:
+        moments = np.stack([window_moments(a.pixels), window_moments(b.pixels)])
+        held = moments.tobytes()
+        scores = (ssim(a, b, moments[0], moments[1]), ssim(a, b, None, moments[1]),
+                  ssim(a, b), moment_ssim(a, b))
+        assert len({struct.pack("<d", score) for score in scores}) == 1, scores
+        assert moments.tobytes() == held
+    assert ssim(a, others[-1]) == 1.0 and ssim(a, others[0]) < 1.0
+
+
 def test_ssim_rejects_moments_of_another_shape():
     a, b = const_video(0.2, (2, 9, 10)), const_video(0.4, (2, 9, 10))
     assert window_moments(a.pixels).shape == (2, 2, 6)

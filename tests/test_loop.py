@@ -466,6 +466,24 @@ def test_assets_task_mismatch(openbox_assets):
         run_episode(env, Method.AVDC, openbox_assets, ExperimentConfig(), np.random.default_rng(0))
 
 
+def test_an_off_table_theta_fails_before_any_round(monkeypatch):
+    # in range for EnvInstance, but no ground-truth plan was rendered for it
+    import replan.loop
+
+    assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
+    env = EnvInstance(EnvKind.SLIDE_BRICK, 0.31)
+    assert 0.31 not in hidden_values(EnvKind.SLIDE_BRICK)
+    monkeypatch.setattr(replan.loop, "generate", lambda *args: pytest.fail("a round ran"))
+    values = list(hidden_values(EnvKind.SLIDE_BRICK))
+    message = (f"theta 0.31 has no ground-truth plan in task 'slidebrick', whose hidden "
+               f"values are {values}")
+    for method in (Method.RANDOM, Method.AVDC, Method.OURS_REFINE):
+        with pytest.raises(ValueError) as err:
+            run_episode(env, method, assets, ExperimentConfig(), np.random.default_rng(0))
+        assert str(err.value) == message
+    assert assets.ssims == {} and assets.logits == {} and assets.terms == {}
+
+
 # ---------------------------------------------------------------------------
 # Experiment grid
 
@@ -521,6 +539,71 @@ def test_rollout_store_stays_bounded(monkeypatch):
     # frame, and each store miss; nothing is kept outside the task
     ground_truth = sum(len(hidden_values(assets.kind)) + 1 for assets in built)
     assert rendered == len(dataset_executes) + ground_truth + misses
+
+
+def recorded_run(monkeypatch, config):
+    """``run_experiment(config)`` with call-site wrappers: returns each task's assets
+    (with a copy of its moments' bytes taken at build), its ``replan.loop.ssim`` calls
+    and the (plan row, ground-truth row) pair of every planned round."""
+    import replan.loop
+
+    tasks = []
+    real_build, real_episode = replan.loop.build_task_assets, replan.loop.run_episode
+    real_ssim, real_decode = replan.loop.ssim, replan.loop.plan_to_action
+
+    def build(config, task):
+        assets = real_build(config, task)
+        tasks.append({"assets": assets, "moments": assets.plans.moments.tobytes(),
+                      "calls": 0, "rounds": []})
+        return assets
+
+    def episode(env, method, assets, config, rng):
+        tasks[-1]["gt"] = assets.gt_rows[env.theta_value]
+        return real_episode(env, method, assets, config, rng)
+
+    def counted_ssim(*args):
+        tasks[-1]["calls"] += 1
+        return real_ssim(*args)
+
+    def decode(plans, index):
+        tasks[-1]["rounds"].append((index, tasks[-1]["gt"]))
+        return real_decode(plans, index)
+
+    monkeypatch.setattr(replan.loop, "build_task_assets", build)
+    monkeypatch.setattr(replan.loop, "run_episode", episode)
+    monkeypatch.setattr(replan.loop, "ssim", counted_ssim)
+    monkeypatch.setattr(replan.loop, "plan_to_action", decode)
+    run_experiment(config)
+    return tasks
+
+
+def test_each_pair_is_scored_once_per_task(monkeypatch):
+    from replan import ssim
+
+    config = ExperimentConfig(tasks=("pushbar", "slidebrick", "openbox"),
+                              methods=("avdc", "avdc_rejection", "ours"), trials=20)
+    tasks = recorded_run(monkeypatch, config)
+    assert [task["assets"].kind.value for task in tasks] == list(config.tasks)
+    for task in tasks:
+        assets, pairs = task["assets"], set(task["rounds"])
+        plans, table = assets.plans, assets.ssims
+        assert task["calls"] == len(pairs) == len(table) < len(task["rounds"])
+        assert set(table) == pairs
+        assert len(table) <= len(plans.videos) * len(hidden_values(assets.kind))
+        for (pick, gt), kept in table.items():
+            assert type(pick) is int and type(gt) is int
+            fresh = ssim(plans.videos[pick], plans.videos[gt])
+            assert np.float64(kept).tobytes() == np.float64(fresh).tobytes()
+
+
+def test_a_run_leaves_the_plan_table_moments_alone(monkeypatch):
+    # ssim's in-place tail reads the held moments, views of PlanTable.moments, and
+    # must not write into them
+    config = ExperimentConfig(tasks=("pickbar", "turnfaucet"), methods=ALL_METHODS, trials=4)
+    tasks = recorded_run(monkeypatch, config)
+    for task in tasks:
+        assert task["calls"] > 0
+        assert task["assets"].plans.moments.tobytes() == task["moments"]
 
 
 def test_experiment_logs_one_line_per_cell(caplog, capsys):

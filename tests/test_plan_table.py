@@ -304,12 +304,19 @@ def distinct_plans_scored(records):
                for record in records for r in record.rounds)
 
 
+def distinct_pairs_scored(assets):
+    """Kept (plan row, ground-truth row) SSIMs whose plan is not byte-equal to the
+    ground truth: each built one product map, on its first round."""
+    return sum(assets.plans.psnr[pair] < PSNR_CAP_DB for pair in assets.ssims)
+
+
 def test_a_simulator_episode_scores_with_one_product_map_per_round(monkeypatch):
-    # every ground-truth plan is a table row: PSNR is a lookup, SSIM one cross moment
-    assets = task_assets("pushbar")
+    # every ground-truth plan is a table row: PSNR is a lookup, SSIM one cross moment,
+    # built on the first round that scores its pair and kept for the task
+    assets = replace(task_assets("pushbar"), ssims={})
     records, counts, _ = scored_episodes(monkeypatch, assets, ExperimentConfig(refine_steps=5))
-    assert counts == {"psnr": 0, "window_means": distinct_plans_scored(records)}
-    assert counts["window_means"] > len(records)
+    assert counts == {"psnr": 0, "window_means": distinct_pairs_scored(assets)}
+    assert len(records) < counts["window_means"] < distinct_plans_scored(records)
 
 
 def test_a_ground_truth_plan_off_the_support_is_an_appended_row(tmp_path, monkeypatch):
@@ -321,7 +328,7 @@ def test_a_ground_truth_plan_off_the_support_is_an_appended_row(tmp_path, monkey
     assert {assets.gt_rows[theta] for theta in thetas[1::2]} == set(appended)
     config = ExperimentConfig(refine_steps=5)
     records, counts, candidates = scored_episodes(monkeypatch, assets, config)
-    assert counts == {"psnr": 0, "window_means": distinct_plans_scored(records)}
+    assert counts == {"psnr": 0, "window_means": distinct_pairs_scored(assets)}
     assert candidates and max(candidates) < len(assets.planner)
     # and the scores are per-call psnr's and ssim's, as the Video-level loop computes them
     assert_episodes_match_video_level(assets, config, range(6))
