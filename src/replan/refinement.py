@@ -22,13 +22,13 @@ from .generator import ObservationTerms, _group_logits, _identification_loss
 
 @dataclass(frozen=True)
 class RefineConfig:
-    init_mode: str = "random"       # random | retrieval | combined
+    init_mode: str = "random"       # must be "random": starts are Gaussian draws
     steps: int = 200
-    restarts: int = 3               # random inits (random/combined modes)
+    restarts: int = 3               # starts per result
 
     def __post_init__(self) -> None:
-        if self.init_mode not in ("random", "retrieval", "combined"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        if self.init_mode != "random":
+            raise ValueError(f"RefineConfig.init_mode must be 'random', got {self.init_mode!r}")
         require_integer(self, "steps", 0)
         require_integer(self, "restarts", 1)
 
@@ -73,40 +73,26 @@ def refine_embedding(
     """Refine a state embedding to explain an observed interaction: a video, or its
     ``generator.observation_terms`` against ``g``.
 
-    init_mode "random" starts from ``restarts`` unit-variance Gaussian
-    draws; "retrieval" starts from ``init`` only; "combined" runs both and
-    keeps the best.  Every start descends with step 0.1 * bandwidth.  The
-    generator is left untouched.
+    Each result descends from ``config.restarts`` unit-variance Gaussian draws
+    from ``rng``, with step 0.1 * bandwidth, and keeps the first of its chains
+    with the lowest loss.  ``init`` must be None.  The generator is left untouched.
 
     ``count`` refines that many embeddings against the same observation,
     each from its own starts drawn in turn, in one batched descent, and
     returns a tuple of results; None returns a single result.
     """
-    if g.mode is not GeneratorMode.IDENTIFICATION:
-        raise ValueError("refinement requires an identification-mode generator")
+    if init is not None:
+        raise ValueError("refine_embedding's init must be None: starts are drawn from rng")
     if count is not None and count < 1:
         raise ValueError(f"count must be None or >= 1, got {count!r}")
-    n = 1 if count is None else count
-    k = g.embeddings.shape[1]
-    lr = 0.1 * g.bandwidth
-
-    starts: list[np.ndarray] = []
-    for _ in range(n):
-        if config.init_mode in ("random", "combined"):
-            if rng is None:
-                raise ValueError("random initialization needs an rng")
-            starts.extend(rng.normal(0.0, 1.0, size=k) for _ in range(config.restarts))
-        if config.init_mode in ("retrieval", "combined"):
-            if init is None:
-                raise ValueError("retrieval initialization needs an init embedding")
-            starts.append(np.asarray(init, dtype=np.float64))
-
-    best_e, best, trace = _descend(g, observed, np.array(starts, dtype=np.float64), config.steps, lr)
+    if rng is None:
+        raise ValueError("refinement draws its starts from an rng, got None")
+    n, restarts = 1 if count is None else count, config.restarts
+    starts = rng.normal(0.0, 1.0, size=(n * restarts, g.embeddings.shape[1]))
+    best_e, best, trace = _descend(g, observed, starts, config.steps, 0.1 * g.bandwidth)
 
     # Each result keeps the first of its own chains with the lowest loss.
-    per_result = len(starts) // n
-    chains = np.arange(0, len(starts), per_result)
-    chains += best.reshape(-1, per_result).argmin(axis=1)
+    chains = np.arange(0, n * restarts, restarts) + best.reshape(n, restarts).argmin(axis=1)
     results = tuple(
         RefineResult(embedding=best_e[c], loss=float(best[c]), trace=tuple(trace[:, c].tolist()))
         for c in chains

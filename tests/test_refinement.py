@@ -115,26 +115,14 @@ def test_trace_is_monotone_best_so_far(identifier, observed):
 def test_result_never_worse_than_init(identifier, observed):
     init = identifier.embeddings[0].copy()
     init_loss = naive_mse_loss(identifier, observed, init)
-    result = refine_embedding(
-        identifier, observed, init, RefineConfig(init_mode="retrieval", steps=30)
-    )
-    assert result.loss <= init_loss + 1e-12
-    # zero steps returns the initialization itself
-    frozen = refine_embedding(
-        identifier, observed, init, RefineConfig(init_mode="retrieval", steps=0)
-    )
-    assert np.allclose(frozen.embedding, init)
-    assert frozen.loss == pytest.approx(init_loss, abs=1e-7)
-    assert len(frozen.trace) == 1
-
-
-def test_combined_never_worse_than_random(identifier, observed):
-    cfg_r = RefineConfig(init_mode="random", steps=25, restarts=2)
-    cfg_c = RefineConfig(init_mode="combined", steps=25, restarts=2)
-    init = identifier.embeddings[1].copy()
-    loss_r = refine_embedding(identifier, observed, None, cfg_r, np.random.default_rng(62)).loss
-    loss_c = refine_embedding(identifier, observed, init, cfg_c, np.random.default_rng(62)).loss
-    assert loss_c <= loss_r + 1e-12
+    lr = 0.1 * identifier.bandwidth
+    _, best, _ = refinement._descend(identifier, observed, init[None], 30, lr)
+    assert best[0] <= init_loss + 1e-12
+    # zero steps returns the start itself
+    frozen, loss, trace = refinement._descend(identifier, observed, init[None], 0, lr)
+    assert np.allclose(frozen[0], init)
+    assert loss[0] == pytest.approx(init_loss, abs=1e-7)
+    assert trace.shape == (1, 1)
 
 
 def test_descent_reduces_loss(identifier, observed):
@@ -162,16 +150,20 @@ def test_config_counts_must_be_integers(field, value):
 
 
 def test_validation_errors(identifier, observed):
-    with pytest.raises(ValueError):
-        RefineConfig(init_mode="gradient")
+    # starts are Gaussian draws only
+    for init_mode in ("retrieval", "combined", "gradient"):
+        message = rf"^RefineConfig\.init_mode must be 'random', got '{init_mode}'$"
+        with pytest.raises(ValueError, match=message):
+            RefineConfig(init_mode=init_mode)
+    with pytest.raises(ValueError, match="^refine_embedding's init must be None"):
+        refine_embedding(identifier, observed, identifier.embeddings[0], RefineConfig(),
+                         np.random.default_rng(0))
     with pytest.raises(ValueError):
         RefineConfig(steps=-1)
     with pytest.raises(ValueError):
         RefineConfig(restarts=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rng"):
         refine_embedding(identifier, observed, None, RefineConfig(), rng=None)
-    with pytest.raises(ValueError):
-        refine_embedding(identifier, observed, None, RefineConfig(init_mode="retrieval"))
     with pytest.raises(ValueError, match="count"):
         refine_embedding(identifier, observed, None, RefineConfig(), np.random.default_rng(0), count=0)
 
@@ -245,14 +237,12 @@ def test_closed_form_descent_matches_central_differences(pushbar):
     assert exact.loss == pytest.approx(best.min(), rel=1e-9)
 
 
-@pytest.mark.parametrize("init_mode", ["random", "combined"])
-def test_round_call_matches_separate_calls(pushbar, init_mode):
+def test_round_call_matches_separate_calls(pushbar):
     g, video = pushbar
-    config = RefineConfig(init_mode=init_mode, steps=40, restarts=2)
-    init = g.embeddings[5]
+    config = RefineConfig(steps=40, restarts=2)
     rng_round, rng_each = np.random.default_rng(66), np.random.default_rng(66)
-    batched = refine_embedding(g, video, init, config, rng_round, count=3)
-    separate = [refine_embedding(g, video, init, config, rng_each) for _ in range(3)]
+    batched = refine_embedding(g, video, None, config, rng_round, count=3)
+    separate = [refine_embedding(g, video, None, config, rng_each) for _ in range(3)]
     assert isinstance(batched, tuple) and len(batched) == 3
     for a, b in zip(batched, separate):
         assert np.abs(a.embedding - b.embedding).max() <= 1e-12
@@ -388,32 +378,26 @@ def test_refinement_matches_a_descent_over_the_oracle(task, task_identifiers):
 # The group-space descent against the oracle descent over mse_objective
 
 
-def drawn_starts(config, k, init, rng, count):
-    """The starts ``refine_embedding`` draws for ``count`` results, in its order."""
-    starts = []
-    for _ in range(count):
-        if config.init_mode in ("random", "combined"):
-            starts.extend(rng.normal(0.0, 1.0, size=k) for _ in range(config.restarts))
-        if config.init_mode in ("retrieval", "combined"):
-            starts.append(np.asarray(init, dtype=np.float64))
-    return np.array(starts)
+def drawn_starts(config, k, rng, count):
+    """The starts ``refine_embedding`` draws for ``count`` results, one draw per start
+    in its order: ``restarts`` for the first result, then for the next."""
+    return np.array([rng.normal(0.0, 1.0, size=k) for _ in range(count * config.restarts)])
 
 
-def oracle_refine(g, observed, init, config, seed, count):
+def oracle_refine(g, observed, config, seed, count):
     """``refine_embedding`` rebuilt on the oracle descent: each result's first chain
     with the lowest loss, as (embedding, loss, trace)."""
-    starts = drawn_starts(config, g.embeddings.shape[1], init, np.random.default_rng(seed), count)
+    starts = drawn_starts(config, g.embeddings.shape[1], np.random.default_rng(seed), count)
     best_e, best, trace = oracle_descend(
         mse_objective(g, observed), starts, config.steps, 0.1 * g.bandwidth
     )
-    per_result = len(starts) // count
-    chains = np.arange(0, len(starts), per_result) + best.reshape(count, -1).argmin(axis=1)
+    chains = np.arange(0, len(starts), config.restarts) + best.reshape(count, -1).argmin(axis=1)
     return [(best_e[c], best[c], trace[:, c]) for c in chains]
 
 
-def assert_matches_oracle_descent(g, observed, init, config, seed, count):
-    refined = refine_embedding(g, observed, init, config, np.random.default_rng(seed), count=count)
-    expected = oracle_refine(g, observed, init, config, seed, count)
+def assert_matches_oracle_descent(g, observed, config, seed, count):
+    refined = refine_embedding(g, observed, None, config, np.random.default_rng(seed), count=count)
+    expected = oracle_refine(g, observed, config, seed, count)
     assert len(refined) == len(expected)
     for result, (embedding, loss, trace) in zip(refined, expected):
         assert np.abs(result.embedding - embedding).max() <= 1e-12 * np.abs(embedding).max()
@@ -424,33 +408,31 @@ def assert_matches_oracle_descent(g, observed, init, config, seed, count):
 @pytest.mark.parametrize("task", ALL_TASKS)
 def test_refinement_matches_the_oracle_descent(task, task_identifiers):
     g, failures = task_identifiers[task]
-    init = g.embeddings[len(g) // 2]
     for observed in failures[:2]:
-        assert_matches_oracle_descent(g, observed, None, RefineConfig(steps=80, restarts=1), 69, 2)
-        for init_mode in ("retrieval", "combined"):
-            config = RefineConfig(init_mode=init_mode, steps=40, restarts=2)
-            assert_matches_oracle_descent(g, observed, init, config, 70, 3)
-        assert_matches_oracle_descent(g, observed, init, RefineConfig("combined", steps=0), 71, 3)
+        assert_matches_oracle_descent(g, observed, RefineConfig(steps=80, restarts=1), 69, 2)
+        assert_matches_oracle_descent(g, observed, RefineConfig(steps=40, restarts=2), 70, 3)
+        assert_matches_oracle_descent(g, observed, RefineConfig(steps=0), 71, 3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=grouped_generators(), init_mode=st.sampled_from(["random", "retrieval", "combined"]),
+@given(case=grouped_generators(), restarts=st.integers(1, 3),
        steps=st.sampled_from([0, 1, 30]), count=st.integers(1, 3))
-def test_grouped_refinement_matches_the_oracle_descent(case, init_mode, steps, count):
-    g, observed, batch = case
-    config = RefineConfig(init_mode=init_mode, steps=steps, restarts=2)
-    assert_matches_oracle_descent(g, observed, batch[0], config, 72, count)
+def test_grouped_refinement_matches_the_oracle_descent(case, restarts, steps, count):
+    g, observed, _ = case
+    config = RefineConfig(steps=steps, restarts=restarts)
+    assert_matches_oracle_descent(g, observed, config, 72, count)
 
 
 def test_a_start_that_stays_best_is_returned_bit_for_bit(pushbar):
     g, video = pushbar
-    init = g.embeddings[5] + 0.1
-    frozen = refine_embedding(g, video, init, RefineConfig("retrieval", steps=0))
-    assert frozen.embedding.tobytes() == init.tobytes() and len(frozen.trace) == 1
-    config = RefineConfig("combined", steps=0, restarts=2)
+    config = RefineConfig(steps=0, restarts=2)
     rng, draws = np.random.default_rng(73), np.random.default_rng(73)
-    starts = drawn_starts(config, g.embeddings.shape[1], init, draws, 3)
-    results = refine_embedding(g, video, init, config, rng, count=3)
+    starts = drawn_starts(config, g.embeddings.shape[1], draws, 3)
+    # with no step, every chain's best iterate is its start: a chosen one and drawn ones
+    chosen = np.vstack([g.embeddings[5] + 0.1, starts])
+    frozen, _, trace = refinement._descend(g, video, chosen, 0, 0.1 * g.bandwidth)
+    assert frozen.tobytes() == chosen.tobytes() and trace.shape == (1, len(chosen))
+    results = refine_embedding(g, video, None, config, rng, count=3)
     assert all(r.embedding.tobytes() in {s.tobytes() for s in starts} for r in results)
 
 
@@ -496,15 +478,15 @@ def test_ties_on_the_lowest_loss_keep_the_first_step(plateau_from, pushbar, monk
     monkeypatch.setattr(generator, "_identification_loss", floored)
     monkeypatch.setattr(refinement, "_identification_loss", floored)
 
-    result = refine_embedding(g, video, start, RefineConfig("retrieval", steps=80))
+    (embedding,), (loss,), _ = refinement._descend(g, video, start[None], 80, lr)
     path, losses = descent_path(mse_objective(g, video), start, 80, lr)
     tied = np.flatnonzero(losses == losses.min())
     # the last 60 steps or more hold the lowest loss and the chain moved between them
     assert len(tied) >= 60 and np.abs(path[tied[-1]] - path[tied[0]]).max() > 1e-3
     first = path[tied[0]]
-    assert np.abs(result.embedding - first).max() <= 1e-12 * np.abs(first).max()
-    assert result.loss == losses.min()
+    assert np.abs(embedding - first).max() <= 1e-12 * np.abs(first).max()
+    assert loss == losses.min()
     if tied[0] == 0:
         # every step ties with step 0, so the start comes back bit for bit
-        assert result.embedding.tobytes() == start.tobytes()
+        assert embedding.tobytes() == start.tobytes()
     assert (tied[0] == 0) == (plateau_from == 0)
