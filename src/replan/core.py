@@ -339,6 +339,7 @@ def read_manifest(path: str | Path) -> dict:
     An entry's ``video`` must name an existing file relative to the manifest, its
     ``object_id`` be a string, its ``success`` a JSON bool and its ``theta`` a finite number
     or a string; a ``ValueError`` names the path, the entry index and the field otherwise.
+    Every ``object_id`` needs an entry whose ``success`` is true; one that has none is named.
     """
     path = Path(path)
     try:
@@ -361,6 +362,11 @@ def read_manifest(path: str | Path) -> dict:
             if not ok:
                 got = f"got {entry[name]!r}" if name in entry else "it is missing"
                 raise ValueError(f"{path}: entry {index} field {name!r} must be {need}, {got}")
+    succeeded = {entry["object_id"] for entry in manifest["entries"] if entry["success"]}
+    for entry in manifest["entries"]:
+        if entry["object_id"] not in succeeded:
+            raise ValueError(f"{path}: object {entry['object_id']!r} has no entry whose "
+                             "field 'success' is true")
     return manifest
 
 

@@ -32,8 +32,9 @@ from .core import is_number, read_manifest, require_integer
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
 from .datasets import build_dataset, candidate_actions, subsample_dataset
-from .encoders import default_pca_k, encode_video, pca_fit
+from .encoders import FEATURES_PER_FRAME, default_pca_k, encode_video, pca_fit
 from .envs import (
+    ROLLOUT_FRAMES,
     EnvAction,
     EnvInstance,
     EnvKind,
@@ -506,6 +507,11 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     if config.dataset_fraction < 1.0:
         frac_seed = trial_seed(config.master_seed, task, "fraction", 0)
         dataset = subsample_dataset(dataset, config.dataset_fraction, seed=frac_seed)
+    # pca_fit's bound k <= min(d, n - 1), checked before this task renders or encodes
+    most = min(ROLLOUT_FRAMES * FEATURES_PER_FRAME, len(dataset) - 1)
+    if config.pca_k is not None and config.pca_k > most:
+        raise ValueError(f"ExperimentConfig.pca_k must be at most {most} for task {task!r}, "
+                         f"whose dataset holds {len(dataset)} clips, got {config.pca_k}")
     return build_assets(kind, dataset, config.pca_k)
 
 

@@ -16,13 +16,14 @@ import numpy as np
 
 from .core import Video, require_integer
 # mse_objective, unused here, stays importable from this module for perfbench/layers.py
-from .generator import GeneratorMode, KernelGenerator, mse_objective  # noqa: F401
+from .generator import KernelGenerator, mse_objective  # noqa: F401
 from .generator import ObservationTerms, _group_logits, _identification_loss
 
 
 @dataclass(frozen=True)
 class RefineConfig:
-    init_mode: str = "random"       # must be "random": starts are Gaussian draws
+    """Descent steps and Gaussian starts per result; random draws are the one start mode."""
+    init_mode: str = "random"       # must be "random"
     steps: int = 200
     restarts: int = 3               # starts per result
 

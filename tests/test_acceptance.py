@@ -6,6 +6,7 @@ whole gate can be audited from the pytest output (run with -s or read
 the captured stdout of a failure).
 """
 
+import hashlib
 import json
 import math
 import time
@@ -44,6 +45,7 @@ from replan import (
     run_experiment,
     scripted_action,
     select_plan,
+    write_episodes_csv,
 )
 from replan.cli import main
 
@@ -466,3 +468,14 @@ def test_criterion_10_reproducibility(full_suite, tmp_path):
         f"episodes.csv bit-identical: {episodes_same}; summary.csv bit-identical: "
         f"{summary_same}; full {len(result.rows)}-episode suite in {elapsed:.1f}s < 900s",
     )
+
+
+# sha256 of the default grid's episodes CSV without its timing columns, the same under
+# 1 and 2 BLAS threads: any change to an episode, or to a printed digit of one, moves it
+DEFAULT_GRID_EPISODES_SHA256 = "07290b91bc40863e2e2f729ed22b2f08302df1c0f6e793ff843eac73acc5af67"
+
+
+def test_default_grid_episodes_csv_is_pinned(full_suite, tmp_path):
+    path = tmp_path / "episodes.csv"
+    write_episodes_csv(full_suite[0].rows, path, timing=False)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_GRID_EPISODES_SHA256

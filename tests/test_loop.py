@@ -907,6 +907,29 @@ def test_two_bar_tasks_peak_at_the_footprint_of_one():
     assert both < 1.2 * peak(("pushbar",))
 
 
+def test_a_pca_k_too_large_for_a_task_fails_before_it_encodes(monkeypatch):
+    import re
+
+    import replan.loop
+
+    encoded = []
+    real = replan.loop.encode_video
+    monkeypatch.setattr(replan.loop, "encode_video",
+                        lambda video: encoded.append(video) or real(video))
+    # pushbar's 264 clips allow k = 25, openbox's 22 allow at most 21
+    config = ExperimentConfig(tasks=("pushbar", "openbox"), methods=("avdc",), trials=50,
+                              pca_k=25)
+    message = ("ExperimentConfig.pca_k must be at most 21 for task 'openbox', whose dataset "
+               "holds 22 clips, got {}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(25))}$"):
+        run_experiment(config)
+    encoded.clear()
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(22))}$"):
+        build_task_assets(replace(config, pca_k=22), "openbox")
+    assert encoded == []
+    assert build_task_assets(replace(config, pca_k=21), "openbox").table.projection.k == 21
+
+
 def test_data_root_assets(tmp_path, openbox_assets):
     from replan import build_dataset, save_dataset
 
@@ -972,9 +995,10 @@ BAD_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("entry", BAD_ENTRIES)
-@pytest.mark.parametrize("reader", ["run_experiment", "embedding_rows", "load_dataset"])
-def test_a_bad_manifest_entry_fails_before_any_build(tmp_path, monkeypatch, entry, reader):
+def assert_fails_before_any_build(tmp_path, monkeypatch, reader, rewrite, tail):
+    """Save openbox and turnfaucet datasets under ``tmp_path``, ``rewrite`` the turnfaucet
+    manifest's entries in place, and check that ``reader`` fails with a message that names
+    the path and ends in ``tail`` before any task builds."""
     import re
 
     import replan.loop
@@ -986,8 +1010,7 @@ def test_a_bad_manifest_entry_fails_before_any_build(tmp_path, monkeypatch, entr
         save_dataset(tmp_path / task, task, dataset.tuples, thetas)
     path = tmp_path / "turnfaucet" / "manifest.json"
     manifest = json.loads(path.read_text())
-    rewrite, tail = BAD_ENTRIES[entry]
-    manifest["entries"][3] = rewrite(manifest["entries"][3])
+    rewrite(manifest["entries"])
     path.write_text(json.dumps(manifest))
     calls = []
     for module, name in ((replan.loop, "build_task_assets"), (replan.loop, "run_episode"),
@@ -997,7 +1020,7 @@ def test_a_bad_manifest_entry_fails_before_any_build(tmp_path, monkeypatch, entr
                             calls.append(name) or real(*args))
     config = ExperimentConfig(tasks=("openbox", "turnfaucet"), methods=("avdc",), trials=3,
                               data_root=str(tmp_path))
-    message = f"{path}: entry 3 {tail}"
+    message = f"{path}: {tail}"
     if reader != "load_dataset":
         message = f"ExperimentConfig.data_root {str(tmp_path)!r}, task 'turnfaucet': {message}"
     run = {"run_experiment": lambda: run_experiment(config),
@@ -1006,3 +1029,27 @@ def test_a_bad_manifest_entry_fails_before_any_build(tmp_path, monkeypatch, entr
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run()
     assert calls == []
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
+@pytest.mark.parametrize("reader", ["run_experiment", "embedding_rows", "load_dataset"])
+def test_a_bad_manifest_entry_fails_before_any_build(tmp_path, monkeypatch, entry, reader):
+    def rewrite(entries):
+        entries[3] = BAD_ENTRIES[entry][0](entries[3])
+
+    assert_fails_before_any_build(tmp_path, monkeypatch, reader, rewrite,
+                                  f"entry 3 {BAD_ENTRIES[entry][1]}")
+
+
+@pytest.mark.parametrize("reader", ["run_experiment", "embedding_rows", "load_dataset"])
+def test_an_object_with_no_successful_entry_fails_before_any_build(tmp_path, monkeypatch,
+                                                                   reader):
+    # without the manifest check, openbox would run first and the dataset's own check
+    # would fail late with a message naming neither the path nor the field
+    def rewrite(entries):
+        for entry in entries:
+            if entry["object_id"] == "turnfaucet/cw":
+                entry["success"] = False
+
+    assert_fails_before_any_build(tmp_path, monkeypatch, reader, rewrite,
+                                  "object 'turnfaucet/cw' has no entry whose field 'success' is true")

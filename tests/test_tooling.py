@@ -1,7 +1,6 @@
 """Guards on the tooling that reaches into the library by name."""
 
 import importlib.util
-import math
 from pathlib import Path
 
 import pytest
@@ -79,14 +78,24 @@ def test_tracer_records_one_refinement_per_refining_round(monkeypatch):
     assert tracer.summary()["refinement.refine_embedding"]["calls"] == refining
 
 
-def test_microbenchmarks_run():
-    # the benchmark's traced run builds the loop's configs by keyword; a src/ change
-    # that breaks one would otherwise surface only outside this suite
+def test_microbenchmarks_run(monkeypatch):
+    # the benchmark's traced run builds the loop's configs by keyword and reads
+    # TaskAssets.gt_plans; a src/ change that breaks one would otherwise surface only
+    # outside this suite.  One call per function is enough to reach every name.
+    import json
+
     from replan import ExperimentConfig
 
+    def once(fn):
+        fn()
+        return 1.0
+
+    monkeypatch.setattr(layers, "_per_call_ms", once)
     workloads = load_perfbench("workloads")
-    micro = layers.microbenchmarks(ExperimentConfig.from_dict(workloads.payload("refine", 0)), 0)
-    assert micro and all(math.isfinite(value) for value in micro.values())
+    micro = layers.microbenchmarks(ExperimentConfig.from_dict(workloads.payload("grid", 0)), 0)
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    named = {m["name"] for m in spec["per_layer"] if ".call_ms" in m["name"]}
+    assert len(named) == 12 and set(micro) == named
 
 
 def test_round_clock_ticks_once_per_planned_round(monkeypatch):
