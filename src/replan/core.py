@@ -274,31 +274,36 @@ class ExperienceTuple:
 
 @dataclass(frozen=True)
 class ExperienceDataset:
-    """Ordered collection of experience tuples with a per-object index.
+    """Ordered collection of experience tuples with a per-object index; valid by construction.
 
     ``by_object`` maps object_id to the tuple indices in insertion order;
-    it partitions all indices by construction.
+    it partitions all indices.  ``canonical_entry`` maps object_id to the
+    index of its first successful tuple, the entry retrieval and planning
+    stand on.  An empty tuple list, or an object with no successful tuple,
+    raises ``ValueError``; the latter names the object.
     """
 
     tuples: tuple[ExperienceTuple, ...]
     by_object: dict[str, tuple[int, ...]] = field(init=False)
+    canonical_entry: dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
+        if not self.tuples:
+            raise ValueError("an experience dataset needs at least one tuple")
         index: dict[str, list[int]] = {}
+        first: dict[str, int] = {}
         for i, item in enumerate(self.tuples):
             index.setdefault(item.object_id, []).append(i)
-        object.__setattr__(
-            self, "by_object", {k: tuple(v) for k, v in index.items()}
-        )
+            if item.success:
+                first.setdefault(item.object_id, i)
+        for object_id in index:
+            if object_id not in first:
+                raise ValueError(f"object {object_id!r} has no successful tuple")
+        object.__setattr__(self, "by_object", {k: tuple(v) for k, v in index.items()})
+        object.__setattr__(self, "canonical_entry", {k: first[k] for k in index})
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def validate(self) -> None:
-        """Check that every object has at least one successful tuple."""
-        for object_id, idxs in self.by_object.items():
-            if not any(self.tuples[i].success for i in idxs):
-                raise ValueError(f"object {object_id!r} has no successful tuple")
 
 
 def save_dataset(
@@ -336,10 +341,11 @@ def save_dataset(
 def read_manifest(path: str | Path) -> dict:
     """Parse a dataset manifest and check every entry before any video is read.
 
-    An entry's ``video`` must name an existing file relative to the manifest, its
-    ``object_id`` be a string, its ``success`` a JSON bool and its ``theta`` a finite number
-    or a string; a ``ValueError`` names the path, the entry index and the field otherwise.
-    Every ``object_id`` needs an entry whose ``success`` is true; one that has none is named.
+    The list of entries must not be empty.  An entry's ``video`` must name an existing file
+    relative to the manifest, its ``object_id`` be a string, its ``success`` a JSON bool and
+    its ``theta`` a finite number or a string; a ``ValueError`` names the path, the entry
+    index and the field otherwise.  Every ``object_id`` needs an entry whose ``success`` is
+    true; one that has none is named.
     """
     path = Path(path)
     try:
@@ -348,6 +354,8 @@ def read_manifest(path: str | Path) -> dict:
         manifest = None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
         raise ValueError(f"{path} is not a JSON object with a list of entries")
+    if not manifest["entries"]:
+        raise ValueError(f"{path} has no entries")
     for index, entry in enumerate(manifest["entries"]):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: entry {index} is not a JSON object")
@@ -390,6 +398,4 @@ def load_dataset(
             )
         )
         thetas.append(entry["theta"])
-    dataset = ExperienceDataset(tuple(tuples))
-    dataset.validate()
-    return dataset, env, thetas
+    return ExperienceDataset(tuple(tuples)), env, thetas

@@ -77,9 +77,7 @@ def build_dataset(
                 video = rendered[i] = execute(env, pool[i]).video
             tuples.append(ExperienceTuple(video, oid, False))
             thetas.append(theta)
-    dataset = ExperienceDataset(tuple(tuples))
-    dataset.validate()
-    return dataset, thetas
+    return ExperienceDataset(tuple(tuples)), thetas
 
 
 def subsample_dataset(
@@ -92,8 +90,8 @@ def subsample_dataset(
         return dataset
     rng = np.random.default_rng(seed)
     keep = np.zeros(len(dataset), dtype=bool)
-    for idxs in dataset.by_object.values():
-        first_success = next(i for i in idxs if dataset.tuples[i].success)
+    for oid, idxs in dataset.by_object.items():
+        first_success = dataset.canonical_entry[oid]
         keep[first_success] = True
         rest = [i for i in idxs if i != first_success]
         n_keep = int(round(fraction * len(rest)))
@@ -101,6 +99,4 @@ def subsample_dataset(
             chosen = rng.permutation(len(rest))[:n_keep]
             for c in chosen:
                 keep[rest[int(c)]] = True
-    sub = ExperienceDataset(tuple(dataset.tuples[i] for i in np.flatnonzero(keep)))
-    sub.validate()
-    return sub
+    return ExperienceDataset(tuple(dataset.tuples[i] for i in np.flatnonzero(keep)))

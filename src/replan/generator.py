@@ -87,8 +87,6 @@ def fit_generator(
         for item in dataset.tuples
         if mode is GeneratorMode.IDENTIFICATION or item.success
     ]
-    if not items:
-        raise ValueError("no support videos for the requested mode")
     videos = tuple(item.video for item, _ in items)
     embeddings = np.stack([emb for _, emb in items])
     med = table.median_canonical_distance

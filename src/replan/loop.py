@@ -9,8 +9,9 @@ what that reader needs of it, which ``TaskAssets`` reduces once per task and (th
 plan-table row) and keeps instead of pixels.  Both buffers are episode-scoped; plans
 are indices into the task's ``PlanTable``, whose rows include every ground-truth plan.
 A round scores its plan against the ground-truth row by PSNR, a lookup in that table,
-and by SSIM, kept per task in ``TaskAssets.ssims``: a (plan row, ground-truth row) pair is
-scored once, with the one-clip moments set-up holds, so it builds one product map.
+and by SSIM, kept per task in ``TaskAssets.ssims``: a plan row and a ground-truth row are
+scored once in either order, with the one-clip moments set-up holds, so they build one
+product map.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ class TaskAssets:
     row), as what its reader needs: its ``interaction_logits`` row under ``table``, or its
     ``observation_terms`` against ``identifier``.  Each entry is reduced from one ``execute``
     render; each store holds at most ``len(hidden_values(kind)) * len(plans.videos)``.
-    ``ssims`` keeps ``core.ssim`` of each scored (plan row, ground-truth row) pair, computed
-    on its first round; it holds at most as many entries as the other stores."""
+    ``ssims`` keeps ``core.ssim`` of each scored (plan row, ground-truth row) pair under the
+    pair sorted, since ``ssim`` is symmetric bit for bit, computed on its first round; it
+    holds at most as many entries as the other stores."""
 
     kind: EnvKind
     dataset: ExperienceDataset
@@ -282,8 +284,9 @@ def run_episode(
             wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
             plan_psnr = float(plans.psnr[pick, gt])
-            if (plan_ssim := assets.ssims.get((pick, gt))) is None:
-                plan_ssim = assets.ssims[pick, gt] = ssim(
+            pair = (pick, gt) if pick <= gt else (gt, pick)  # core.ssim is symmetric
+            if (plan_ssim := assets.ssims.get(pair)) is None:
+                plan_ssim = assets.ssims[pair] = ssim(
                     plans.videos[pick], plans.videos[gt], plans.moments[pick], plans.moments[gt])
 
             t0 = time.perf_counter()
@@ -430,17 +433,16 @@ class ResultsTable:
         return self.cells[(method, task)]
 
     def normalized(self, baseline: str = "ours") -> dict[str, float]:
-        """Per-method mean over tasks of (method mean / baseline mean)."""
+        """Per-method mean over tasks of (method mean / baseline mean); NaN for a method
+        whose cell, or the baseline's, is missing for some task."""
         out = {}
         for method in self.methods:
-            if baseline not in self.methods:
+            pairs = [(self.cells.get((method, task)), self.cells.get((baseline, task)))
+                     for task in self.tasks]
+            if any(cell is None or base is None for cell, base in pairs):
                 out[method] = float("nan")
                 continue
-            ratios = [
-                self.cells[(method, task)].mean / self.cells[(baseline, task)].mean
-                for task in self.tasks
-            ]
-            out[method] = float(np.mean(ratios))
+            out[method] = float(np.mean([cell.mean / base.mean for cell, base in pairs]))
         return out
 
 

@@ -105,25 +105,15 @@ def build_table(
     """Project the encoded dataset videos (row i encodes entry i); pick canonicals.
 
     The canonical embedding of an object is the projected embedding of
-    its first successful entry in manifest order.  Errors if the dataset
-    is empty, ``features`` is not one row per entry, or an object has no
-    successful entry.
+    its ``dataset.canonical_entry``, its first successful entry in
+    manifest order.  Errors if ``features`` is not one row per entry.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot build a table from an empty dataset")
     if np.ndim(features) != 2 or len(features) != len(dataset):
         raise ValueError(f"features must have one row per entry, got shape {np.shape(features)}")
     projected = pca_apply(projection, features)
     object_ids = tuple(dataset.by_object.keys())
     id_to_pos = {oid: i for i, oid in enumerate(object_ids)}
-    canonical = np.zeros((len(object_ids), projected.shape[1]), dtype=np.float64)
-    for oid, idxs in dataset.by_object.items():
-        first_success = next(
-            (i for i in idxs if dataset.tuples[i].success), None
-        )
-        if first_success is None:
-            raise ValueError(f"object {oid!r} has no successful entry")
-        canonical[id_to_pos[oid]] = projected[first_success]
+    canonical = projected[[dataset.canonical_entry[oid] for oid in object_ids]]
     entry_index = np.array(
         [id_to_pos[item.object_id] for item in dataset.tuples], dtype=np.int64
     )

@@ -479,3 +479,21 @@ def test_default_grid_episodes_csv_is_pinned(full_suite, tmp_path):
     path = tmp_path / "episodes.csv"
     write_episodes_csv(full_suite[0].rows, path, timing=False)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_GRID_EPISODES_SHA256
+
+
+# sha256 of the ours_refine episodes CSV (every task, 100 trials, refine_restarts=2) without
+# its timing columns, per master seed, the same under 1 and 2 BLAS threads: refinement's
+# draws, descent and result choice all reach it
+OURS_REFINE_EPISODES_SHA256 = {
+    0: "df8c2f97430ea2f8daf503823fc7698cdd0c4a77f6b837464654317e6eb30a67",
+    5: "8bfb73c82a083a9b015717774d149988fb26619f379fd5c50cc570d72192079c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(OURS_REFINE_EPISODES_SHA256))
+def test_ours_refine_episodes_csv_is_pinned(seed, tmp_path):
+    config = ExperimentConfig(methods=("ours_refine",), trials=100, refine_restarts=2,
+                              master_seed=seed)
+    path = tmp_path / "episodes.csv"
+    write_episodes_csv(run_experiment(config).rows, path, timing=False)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OURS_REFINE_EPISODES_SHA256[seed]

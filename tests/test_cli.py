@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replan import load_dataset, read_episodes_csv
+from replan import EpisodeRow, load_dataset, read_episodes_csv, write_episodes_csv
 from replan.cli import build_parser, main
 from replan.report import EPISODE_COLUMNS
 
@@ -58,6 +58,21 @@ def experiment_json(tmp_path, data_root=None, **overrides):
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def test_report_on_a_csv_where_a_method_lacks_a_task(tmp_path):
+    # ours has no openbox episodes: its normalized value, and avdc's against it, are blank
+    rows = [EpisodeRow(task, method, 0, 0, 0.0, replans, True, None, None, {})
+            for task, method, replans in (("pushbar", "ours", 2), ("openbox", "avdc", 3),
+                                          ("pushbar", "avdc", 4))]
+    write_episodes_csv(rows, tmp_path / "episodes.csv")
+    summary = tmp_path / "summary.csv"
+    assert run_cli("report", "--in", tmp_path, "--csv", summary,
+                   "--svg", tmp_path / "chart.svg") == 0
+    lines = summary.read_text().splitlines()
+    assert lines[1:4] == ["pushbar,ours,2.0000,0.0000,1", "pushbar,avdc,4.0000,0.0000,1",
+                          "openbox,avdc,3.0000,0.0000,1"]
+    assert lines[-3:] == ["method,normalized_replans", "ours,", "avdc,"]
 
 
 def test_run_and_report_workflow(tmp_path, capsys):

@@ -432,7 +432,8 @@ def test_moment_ssim_differs_from_the_four_map_form_by_rounding_only():
 @pytest.mark.parametrize("shape", [(1, 8, 8), (2, 9, 10), (3, 16, 12), (5, 11, 27), (8, 32, 32)])
 def test_held_moment_ssim_is_the_moment_oracle_on_random_clips(shape):
     # random clips reach windows no plan pair has; the in-place tail must give the
-    # oracle's bits and leave the held moments, views of one stack as in PlanTable, alone
+    # oracle's bits in either order (TaskAssets.ssims keys a pair unordered) and leave
+    # the held moments, views of one stack as in PlanTable, alone
     rng = np.random.default_rng(sum(shape))
     a = Video(rng.random(shape, dtype=np.float32))
     others = [Video(rng.random(shape, dtype=np.float32)),
@@ -443,7 +444,7 @@ def test_held_moment_ssim_is_the_moment_oracle_on_random_clips(shape):
         moments = np.stack([window_moments(a.pixels), window_moments(b.pixels)])
         held = moments.tobytes()
         scores = (ssim(a, b, moments[0], moments[1]), ssim(a, b, None, moments[1]),
-                  ssim(a, b), moment_ssim(a, b))
+                  ssim(a, b), moment_ssim(a, b), ssim(b, a, moments[1], moments[0]))
         assert len({struct.pack("<d", score) for score in scores}) == 1, scores
         assert moments.tobytes() == held
     assert ssim(a, others[-1]) == 1.0 and ssim(a, others[0]) < 1.0
@@ -488,16 +489,18 @@ def _toy_tuples():
 
 
 def test_dataset_index_and_validate():
+    # a dataset validates itself on construction
     ds = ExperienceDataset(_toy_tuples())
     assert ds.by_object == {"task/a": (0, 1), "task/b": (2, 3)}
+    assert ds.canonical_entry == {"task/a": 0, "task/b": 2}
     assert sum(t.success for t in ds.tuples) == 2
-    ds.validate()
 
-    no_success = ExperienceDataset(tuple(
-        ExperienceTuple(t.video, t.object_id, False) for t in _toy_tuples()
-    ))
-    with pytest.raises(ValueError):
-        no_success.validate()
+    no_success = tuple(ExperienceTuple(t.video, t.object_id, t.object_id == "task/a")
+                       for t in _toy_tuples())
+    with pytest.raises(ValueError, match="^object 'task/b' has no successful tuple$"):
+        ExperienceDataset(no_success)
+    with pytest.raises(ValueError, match="^an experience dataset needs at least one tuple$"):
+        ExperienceDataset(())
 
 
 def test_dataset_save_load_roundtrip(tmp_path):

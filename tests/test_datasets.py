@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+import replan.datasets
 from replan import (
     EnvInstance,
     EnvKind,
+    ExperienceDataset,
+    ExperienceTuple,
+    Video,
     build_dataset,
     candidate_actions,
     execute,
     failing_actions,
     hidden_values,
+    load_dataset,
+    save_dataset,
     subsample_dataset,
 )
 from replan import envs
@@ -104,7 +110,7 @@ def test_build_dataset_counts_and_order():
         fails = [i for i in idxs if not ds.tuples[i].success]
         assert len(fails) <= 10
         assert len(fails) >= 1
-    ds.validate()
+        assert ds.canonical_entry[oid] == idxs[0]
 
 
 def test_build_dataset_discrete_fail_pool():
@@ -145,9 +151,10 @@ def test_subsample_keeps_first_success():
     sub = subsample_dataset(ds, 0.28, seed=3)
     assert len(sub) < len(ds)
     assert set(sub.by_object) == set(ds.by_object)
-    sub.validate()
     for oid, idxs in sub.by_object.items():
         assert sub.tuples[idxs[0]].success, oid
+        assert sub.canonical_entry[oid] == idxs[0]
+        assert sub.tuples[idxs[0]] is ds.tuples[ds.canonical_entry[oid]]
 
     assert subsample_dataset(ds, 1.0) is ds
 
@@ -164,3 +171,61 @@ def test_subsample_fraction_size():
     assert len(sub) == 24 * (1 + 5)
     sub2 = subsample_dataset(ds, 0.5, seed=0)
     assert [t.object_id for t in sub2.tuples] == [t.object_id for t in sub.tuples]
+
+
+def _toy(spec):
+    """One distinct 2-frame clip per (object_id, success) of ``spec``."""
+    return tuple(ExperienceTuple(Video(np.full((2, 8, 8), i / 10, dtype=np.float32)), oid, ok)
+                 for i, (oid, ok) in enumerate(spec))
+
+
+# "b" fails first, so its first success is not its first entry; "c" never succeeds
+TOY = (("a", True), ("b", False), ("a", False), ("b", True), ("b", True), ("a", False))
+EMPTY = "^an experience dataset needs at least one tuple$"
+
+
+@pytest.mark.parametrize("way", ["direct", "build_dataset", "subsample_dataset",
+                                 "load_dataset"])
+def test_each_way_a_dataset_is_made_checks_it(way, tmp_path, monkeypatch):
+    # every dataset refuses to exist empty or with a success-less object, and records
+    # each object's first success, however it was made
+    def loaded(tuples):
+        save_dataset(tmp_path / "ds", "toy", tuples, [0.0] * len(tuples))
+        return load_dataset(tmp_path / "ds")[0]
+
+    makers = {"direct": ExperienceDataset, "load_dataset": loaded,
+              "subsample_dataset": lambda tuples: subsample_dataset(
+                  ExperienceDataset(tuples), 0.5, seed=1)}
+    no_c, empty = "^object 'c' has no successful tuple$", EMPTY
+    if way == "load_dataset":  # read_manifest refuses both before any video is read
+        no_c, empty = "object 'c' has no entry whose field 'success' is true$", "no entries$"
+    if way == "build_dataset":
+        dataset = build_dataset(EnvKind.OPEN_BOX)[0]
+        bad = envs.object_id(EnvKind.OPEN_BOX, "slide")
+        with monkeypatch.context() as patch:  # a build that labels every slide rollout failed
+            patch.setattr(replan.datasets, "ExperienceTuple", lambda video, oid, success:
+                          ExperienceTuple(video, oid, success and oid != bad))
+            with pytest.raises(ValueError, match=f"^object {bad!r} has no successful tuple$"):
+                build_dataset(EnvKind.OPEN_BOX)
+        monkeypatch.setattr(replan.datasets, "hidden_values", lambda kind: [])
+        with pytest.raises(ValueError, match=EMPTY):
+            build_dataset(EnvKind.OPEN_BOX)
+    else:
+        dataset = makers[way](_toy(TOY))
+        assert dataset.canonical_entry["b"] > dataset.by_object["b"][0]
+        with pytest.raises(ValueError, match=no_c):
+            makers[way](_toy(TOY + (("c", False),)))
+        with pytest.raises(ValueError, match=empty):
+            makers[way](())
+    for oid, idxs in dataset.by_object.items():
+        first = next(i for i in idxs if dataset.tuples[i].success)
+        assert dataset.canonical_entry[oid] == first
+    assert list(dataset.canonical_entry) == list(dataset.by_object)
+
+
+def test_subsample_output_is_checked():
+    # a subsample that dropped an object's only success could not be built
+    dataset = ExperienceDataset(_toy(TOY))
+    object.__setattr__(dataset, "canonical_entry", {"a": 0, "b": 1})  # b's first entry fails
+    with pytest.raises(ValueError, match="^object 'b' has no successful tuple$"):
+        subsample_dataset(dataset, 0.1)

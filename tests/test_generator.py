@@ -91,10 +91,15 @@ def test_bandwidth_degenerate_fallback():
 
 
 def test_planning_needs_a_success():
+    # Planning mode's support is the successes; a dataset guarantees one per object
     tuples = (ExperienceTuple(shade_video(0.5), "x", False),)
+    with pytest.raises(ValueError, match="^object 'x' has no successful tuple$"):
+        ExperienceDataset(tuples)
+    tuples += (ExperienceTuple(shade_video(0.7), "x", True),)
+    dataset = ExperienceDataset(tuples)
     projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128), k=1)
-    with pytest.raises(ValueError):
-        encoded_table(ExperienceDataset(tuples), projection)
+    g = fit_generator(dataset, encoded_table(dataset, projection), GeneratorMode.PLANNING)
+    assert g.videos == (tuples[1].video,)
 
 
 def test_null_embedding_means_uniform():

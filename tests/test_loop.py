@@ -584,16 +584,20 @@ def test_each_pair_is_scored_once_per_task(monkeypatch):
                               methods=("avdc", "avdc_rejection", "ours"), trials=20)
     tasks = recorded_run(monkeypatch, config)
     assert [task["assets"].kind.value for task in tasks] == list(config.tasks)
+    swapped = 0  # pairs met in both orders, scored once
     for task in tasks:
-        assets, pairs = task["assets"], set(task["rounds"])
+        assets, pairs = task["assets"], {tuple(sorted(r)) for r in task["rounds"]}
         plans, table = assets.plans, assets.ssims
         assert task["calls"] == len(pairs) == len(table) < len(task["rounds"])
         assert set(table) == pairs
         assert len(table) <= len(plans.videos) * len(hidden_values(assets.kind))
-        for (pick, gt), kept in table.items():
-            assert type(pick) is int and type(gt) is int
-            fresh = ssim(plans.videos[pick], plans.videos[gt])
-            assert np.float64(kept).tobytes() == np.float64(fresh).tobytes()
+        swapped += len(set(task["rounds"])) - len(pairs)
+        for (lo, hi), kept in table.items():
+            assert type(lo) is int and type(hi) is int and lo <= hi
+            for fresh in (ssim(plans.videos[lo], plans.videos[hi]),
+                          ssim(plans.videos[hi], plans.videos[lo])):
+                assert np.float64(kept).tobytes() == np.float64(fresh).tobytes()
+    assert swapped > 0
 
 
 def test_a_run_leaves_the_plan_table_moments_alone(monkeypatch):
@@ -659,6 +663,15 @@ def test_results_table_statistics():
     solo = results_table([make_row("t", "m", 5)])
     assert solo.cell("m", "t") == CellStats(5.0, 0.0, 1)
     assert math.isnan(solo.normalized()["m"])  # no baseline present
+
+    # ours lacks openbox: it and every method normalized by it read NaN, as with no baseline
+    rows = [make_row("pushbar", "ours", 2), make_row("openbox", "avdc", 3),
+            make_row("pushbar", "avdc", 4)]
+    table = results_table(rows)
+    assert table.tasks == ("pushbar", "openbox") and ("ours", "openbox") not in table.cells
+    assert all(math.isnan(value) for value in table.normalized().values())
+    against_avdc = table.normalized("avdc")
+    assert math.isnan(against_avdc["ours"]) and against_avdc["avdc"] == 1.0
 
 
 def test_plan_quality_aggregation():
@@ -947,7 +960,7 @@ def test_data_root_assets(tmp_path, openbox_assets):
 
 
 @pytest.mark.parametrize("manifest", ["missing", "for another task", "not JSON", "a list",
-                                      "without entries"])
+                                      "without entries", "with no entries"])
 def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypatch, manifest):
     import re
 
@@ -959,7 +972,8 @@ def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypat
     if manifest != "missing":
         save_dataset(tmp_path / "turnfaucet", "openbox", dataset.tuples, thetas)
     texts = {"not JSON": '{"env": "turnfaucet"', "a list": '["turnfaucet"]',
-             "without entries": '{"env": "turnfaucet"}'}
+             "without entries": '{"env": "turnfaucet"}',
+             "with no entries": '{"env": "turnfaucet", "entries": []}'}
     if manifest in texts:
         (tmp_path / "turnfaucet" / "manifest.json").write_text(texts[manifest])
     calls = []

@@ -155,13 +155,11 @@ def test_canonical_is_first_success_per_object():
 
 
 def test_build_table_errors():
-    with pytest.raises(ValueError):
-        build_table(ExperienceDataset(()), IDENTITY_2D, np.zeros((0, 2)))
-    no_success = ExperienceDataset(
-        (ExperienceTuple(coord_video(1, 1), "a", False),)
-    )
-    with pytest.raises(ValueError):
-        build_table(no_success, IDENTITY_2D, np.ones((1, 2)))
+    # an empty dataset, or one whose object has no success, cannot be built to pass in
+    with pytest.raises(ValueError, match="^an experience dataset needs at least one tuple$"):
+        ExperienceDataset(())
+    with pytest.raises(ValueError, match="^object 'a' has no successful tuple$"):
+        ExperienceDataset((ExperienceTuple(coord_video(1, 1), "a", False),))
     one = ExperienceDataset((ExperienceTuple(coord_video(1, 1), "a", True),))
     for features in (np.ones((2, 2)), np.ones(2)):
         with pytest.raises(ValueError, match="features"):
