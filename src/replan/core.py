@@ -131,7 +131,7 @@ def read_video(src: BinaryIO) -> Video:
     if t < 1 or h < 1 or w < 1:
         raise VideoFormatError(f"bad dimensions T={t} H={h} W={w}")
     expected = t * h * w * 4
-    payload = src.read(expected + 1)
+    payload = src.read()  # what the stream holds, never what a corrupt header claims
     if len(payload) < expected:
         raise VideoFormatError("truncated ISEV payload")
     if len(payload) > expected:
@@ -389,7 +389,10 @@ def load_dataset(
     tuples = []
     thetas: list[float | str] = []
     for entry in manifest["entries"]:
-        video = load_video(root / entry["video"])
+        try:
+            video = load_video(root / entry["video"])
+        except VideoFormatError as err:
+            raise VideoFormatError(f"{root / entry['video']}: {err}") from None
         tuples.append(
             ExperienceTuple(
                 video=video,

@@ -3,15 +3,14 @@
 An episode replans for up to ``max_replans`` rounds: propose candidate plans
 (conditioned on retrieved or refined state embeddings after the first failure),
 reject candidates near previously failed plans, decode the selected plan to an
-action and judge it by the success rule.  A failed plan joins the failed-plan
-buffer; when retrieval or refinement reads its rollout, the interaction buffer gets
-what that reader needs of it, which ``TaskAssets`` reduces once per task and (theta,
-plan-table row) and keeps instead of pixels.  Both buffers are episode-scoped; plans
-are indices into the task's ``PlanTable``, whose rows include every ground-truth plan.
-A round scores its plan against the ground-truth row by PSNR, a lookup in that table,
-and by SSIM, kept per task in ``TaskAssets.ssims``: a plan row and a ground-truth row are
-scored once in either order, with the one-clip moments set-up holds, so they build one
-product map.
+action and judge it by the success rule.  A failed plan joins the episode's
+failed-plan buffer; a round that retrieves or refines reads what it needs of the
+earlier failed rollouts from ``TaskAssets.rollouts``, which renders each (theta,
+plan-table row) pair once per task and keeps no pixels.  Plans are indices into the
+task's ``PlanTable``, whose rows include every ground-truth plan.  A round scores its
+plan against the ground-truth row by PSNR, a lookup in that table, and by SSIM, kept
+per task in ``TaskAssets.ssims``: a plan row and a ground-truth row are scored once in
+either order, with the one-clip moments set-up holds, so they build one product map.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -32,7 +32,8 @@ from .core import ExperienceDataset, Video, load_dataset, psnr_table, ssim, wind
 from .core import is_number, read_manifest, require_integer
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
-from .datasets import build_dataset, candidate_actions, subsample_dataset
+from .datasets import build_dataset, candidate_actions, failing_actions, kept_others
+from .datasets import subsample_dataset
 from .encoders import FEATURES_PER_FRAME, default_pca_k, encode_video, pca_fit
 from .envs import (
     ROLLOUT_FRAMES,
@@ -88,6 +89,10 @@ class Method(Enum):
     def uses_refinement(self) -> bool:
         return self is Method.OURS_REFINE
 
+    @property
+    def reads(self) -> str | None:  # its key in a TaskAssets.rollouts entry, if any
+        return "terms" if self.uses_refinement else "logits" if self.uses_retrieval else None
+
     def candidate_count(self, n_candidates: int) -> int:
         # Single-candidate methods: no rejection means extra plans are unused.
         if self in (Method.RANDOM, Method.AVDC, Method.AVDC_RETRIEVAL):
@@ -135,13 +140,12 @@ class TaskAssets:
     scripted plan is the plan-table row ``gt_rows[theta]``: the planner-support entry with
     its bytes, or a row appended after the support when none has them (only a
     ``data_root`` dataset can lack one), where ``generate_indices`` never draws.
-    ``logits`` and ``terms`` keep each pushed failed rollout, keyed by (theta, plan-table
-    row), as what its reader needs: its ``interaction_logits`` row under ``table``, or its
-    ``observation_terms`` against ``identifier``.  Each entry is reduced from one ``execute``
-    render; each store holds at most ``len(hidden_values(kind)) * len(plans.videos)``.
-    ``ssims`` keeps ``core.ssim`` of each scored (plan row, ground-truth row) pair under the
-    pair sorted, since ``ssim`` is symmetric bit for bit, computed on its first round; it
-    holds at most as many entries as the other stores."""
+    ``rollouts`` keeps each pushed failed rollout under its (theta, plan-table row) as what
+    its readers (``Method.reads``) need, ``interaction_logits`` under ``table`` and
+    ``observation_terms`` against ``identifier``, from one ``execute`` render for every reader
+    of the run that pushes it.  ``ssims`` keeps ``core.ssim`` of each scored (plan row,
+    ground-truth row) pair, sorted, as ``ssim`` is symmetric bit for bit.  Each holds at most
+    ``len(hidden_values(kind)) * len(plans.videos)`` entries."""
 
     kind: EnvKind
     dataset: ExperienceDataset
@@ -152,8 +156,8 @@ class TaskAssets:
     gt_rows: dict[float | str, int]
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
-    logits: dict[tuple[float | str, int], np.ndarray] = field(default_factory=dict)
-    terms: dict[tuple[float | str, int], ObservationTerms] = field(default_factory=dict)
+    rollouts: dict[tuple[float | str, int], dict[str, np.ndarray | ObservationTerms]] = field(
+        default_factory=dict)
     ssims: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
@@ -238,19 +242,15 @@ def run_episode(
                          f"{assets.kind.value!r}, whose hidden values are {list(assets.gt_rows)}")
     plans, failed = assets.plans, []
     distances = plans.distances[RejectionMetric(config.rejection_metric)]
-    interactions: list[np.ndarray | ObservationTerms] = []  # store entries, oldest first
-    if method.uses_refinement:
-        store, reduce = assets.terms, lambda video: observation_terms(assets.identifier, video)
-    else:
-        store, reduce = assets.logits, lambda video: interaction_logits(assets.table, video)
+    interactions: list[np.ndarray | ObservationTerms] = []  # what it read, oldest first
+    reader = method.reads
     gt = assets.gt_rows[env.theta_value]
     retr_config = RetrievalConfig(tau=config.tau, buffer_policy=config.buffer_policy)
     n = method.candidate_count(config.n_candidates)
     refine_config = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
     wall = dict.fromkeys(WALL_PHASES, 0.0)
     rounds: list[RoundRecord] = []
-    succeeded = False
-    replans = config.max_replans
+    succeeded, replans = False, config.max_replans
 
     for round_index in range(1, config.max_replans + 1):
         plan_psnr = plan_ssim = None
@@ -306,12 +306,14 @@ def run_episode(
             succeeded, replans = True, round_index
             break
         # retrieval and refinement read a failed rollout, from the next round on
-        if (action is not None and (method.uses_retrieval or method.uses_refinement)
-                and round_index < config.max_replans):
-            key = (env.theta_value, pick)
-            if (seen := store.get(key)) is None:
-                seen = store[key] = reduce(execute(env, action).video)
-            interactions.append(seen)
+        if action is not None and reader and round_index < config.max_replans:
+            entry = assets.rollouts.setdefault((env.theta_value, pick), {})
+            if reader not in entry:  # one render, reduced for each of the run's readers it lacks
+                video = execute(env, action).video
+                for name in {reader, *(Method(m).reads for m in config.methods)} - {None, *entry}:
+                    entry[name] = (observation_terms(assets.identifier, video) if name == "terms"
+                                   else interaction_logits(assets.table, video))
+            interactions.append(entry[reader])
 
     return EpisodeRecord(
         rounds=tuple(rounds),
@@ -471,32 +473,52 @@ class ExperimentResult:
     table: ResultsTable
 
 
-def _check_manifest(config: ExperimentConfig, task: str) -> None:
-    """Fail unless ``<data_root>/<task>/manifest.json`` exists, passes ``core.read_manifest``
-    and holds ``task``'s dataset."""
+def _check_manifest(config: ExperimentConfig, task: str) -> dict:
+    """``<data_root>/<task>/manifest.json``; fails unless it exists, passes
+    ``core.read_manifest`` and holds ``task``'s dataset."""
     path = Path(config.data_root) / task / "manifest.json"
     where = f"ExperimentConfig.data_root {config.data_root!r}, task {task!r}"
     if not path.is_file():
         raise ValueError(f"{where}: {path} does not exist")
     try:
-        env = read_manifest(path).get("env")
+        manifest = read_manifest(path)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
-    if env != task:
+    if (env := manifest.get("env")) != task:
         raise ValueError(f"{where}: {path} holds a dataset for {env!r}")
+    return manifest
 
 
-def check_data_root(config: ExperimentConfig) -> None:
-    """Check every task's ``data_root`` manifest, so a bad one fails before any task builds."""
+def dataset_size(config: ExperimentConfig, task: str) -> int:
+    """How many clips ``build_task_assets`` fits ``task`` on, counted without rendering: per
+    object, its ``data_root`` manifest entries or ``build_dataset``'s successes and failures
+    (none when every action succeeds), thinned as ``subsample_dataset`` thins them."""
+    kind = EnvKind(task)
     if config.data_root is not None:
-        for task in config.tasks:
-            _check_manifest(config, task)
+        entries = _check_manifest(config, task)["entries"]
+        clips = Counter(entry["object_id"] for entry in entries).values()
+    else:
+        clips = [config.per_theta_success + config.per_theta_fail * bool(failing_actions(kind, t))
+                 for t in hidden_values(kind)]
+    return sum(1 + kept_others(config.dataset_fraction, n - 1) for n in clips)
+
+
+def check_task(config: ExperimentConfig, task: str) -> None:
+    """Fail, before ``task`` builds, unless its ``data_root`` manifest passes ``_check_manifest``
+    and ``pca_k`` meets ``pca_fit``'s bound k <= min(d, n - 1) on its ``dataset_size``."""
+    if config.pca_k is None and config.data_root is None:
+        return  # nothing to check, so nothing to count
+    size = dataset_size(config, task)
+    most = min(ROLLOUT_FRAMES * FEATURES_PER_FRAME, size - 1)
+    if config.pca_k is not None and config.pca_k > most:
+        raise ValueError(f"ExperimentConfig.pca_k must be at most {most} for task {task!r}, "
+                         f"whose dataset holds {size} clips, got {config.pca_k}")
 
 
 def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     kind = EnvKind(task)
+    check_task(config, task)  # before this task renders or encodes
     if config.data_root is not None:
-        _check_manifest(config, task)
         dataset = load_dataset(Path(config.data_root) / task)[0]
     else:
         data_seed = trial_seed(config.master_seed, task, "dataset", 0)
@@ -509,11 +531,6 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     if config.dataset_fraction < 1.0:
         frac_seed = trial_seed(config.master_seed, task, "fraction", 0)
         dataset = subsample_dataset(dataset, config.dataset_fraction, seed=frac_seed)
-    # pca_fit's bound k <= min(d, n - 1), checked before this task renders or encodes
-    most = min(ROLLOUT_FRAMES * FEATURES_PER_FRAME, len(dataset) - 1)
-    if config.pca_k is not None and config.pca_k > most:
-        raise ValueError(f"ExperimentConfig.pca_k must be at most {most} for task {task!r}, "
-                         f"whose dataset holds {len(dataset)} clips, got {config.pca_k}")
     return build_assets(kind, dataset, config.pca_k)
 
 
@@ -521,7 +538,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full task x method x trial grid declared by ``config``.
 
     Each finished task x method cell logs its mean replans at INFO level.  Every
-    task's ``data_root`` manifest is checked before the first task builds.
+    task's ``data_root`` manifest and ``pca_k`` bound are checked before the first builds.
     """
     (result,) = _run_tasks(config, (config,))
     return result
@@ -533,7 +550,8 @@ def _run_tasks(
     """Run each of ``configs``, which differ from ``base`` only in what episodes read,
     task by task: a task's assets are built once from ``base``, serve every config and
     are freed before the next task builds, so one task's assets are alive at a time."""
-    check_data_root(base)
+    for task in base.tasks:  # every task's inputs, before the first builds
+        check_task(base, task)
     rows: list[list[EpisodeRow]] = [[] for _ in configs]
     for task in base.tasks:
         assets = build_task_assets(base, task)

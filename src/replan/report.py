@@ -15,7 +15,7 @@ import numpy as np
 
 from .encoders import pca_apply, pca_fit
 from .loop import WALL_PHASES, EpisodeRow, ExperimentConfig, ResultsTable, build_task_assets
-from .loop import check_data_root
+from .loop import check_task
 
 EPISODE_COLUMNS = (
     "task",
@@ -253,9 +253,11 @@ def embedding_rows(config: ExperimentConfig) -> list[tuple[str, str, float, floa
     """Canonical embedding of every object, projected to 2 components.
 
     Tasks with only two objects cannot support two components; the second
-    coordinate is zero there.  Every task's ``data_root`` manifest is checked first.
+    coordinate is zero there.  Every task's ``data_root`` manifest and ``pca_k`` bound are
+    checked first.
     """
-    check_data_root(config)
+    for task in config.tasks:
+        check_task(config, task)
     out = []
     for task in config.tasks:
         table = build_task_assets(config, task).table  # the rest is freed at once

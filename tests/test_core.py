@@ -1,7 +1,9 @@
 """Video container, ISEV wire format, and similarity metrics."""
 
 import io
+import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -150,6 +152,32 @@ def test_isev_file_roundtrip(tmp_path):
     path = tmp_path / "clip.isev"
     save_video(v, path)
     assert load_video(path).pixels.tobytes() == v.pixels.tobytes()
+
+
+# a version-1 header whose dimensions claim about 1.1 PB, or more than fits a C size, of
+# pixels, followed by 64 bytes: a reader that asks the stream for the claimed size first
+# raises MemoryError or OverflowError
+HUGE_HEADERS = {"2^16 - 1": (65535, 65535, 65535), "2^32 - 1": (2**32 - 1,) * 3}
+
+
+@pytest.mark.parametrize("dims", HUGE_HEADERS)
+def test_a_header_claiming_more_than_the_stream_holds_is_truncated(tmp_path, dims):
+    raw = b"ISEV" + struct.pack("<IIII", 1, *HUGE_HEADERS[dims]) + bytes(64)
+    path = tmp_path / "clip.isev"
+    path.write_bytes(raw)
+    for read in (lambda: read_video(io.BytesIO(raw)), lambda: load_video(path)):
+        with pytest.raises(VideoFormatError, match="^truncated ISEV payload$"):
+            read()
+
+
+def test_a_corrupt_dataset_clip_is_named(tmp_path):
+    tuples = _toy_tuples()
+    save_dataset(tmp_path / "ds", "toy", tuples, [0.15, 0.15, "slide", "slide"])
+    clip = tmp_path / "ds" / json.loads((tmp_path / "ds" / "manifest.json").read_text())[
+        "entries"][2]["video"]
+    clip.write_bytes(b"ISEV" + struct.pack("<IIII", 1, *HUGE_HEADERS["2^16 - 1"]) + bytes(64))
+    with pytest.raises(VideoFormatError, match=f"^{re.escape(str(clip))}: truncated ISEV payload$"):
+        load_dataset(tmp_path / "ds")
 
 
 # ---------------------------------------------------------------------------

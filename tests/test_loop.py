@@ -215,9 +215,9 @@ def test_episode_renders_only_rollouts_a_later_round_reads(
     pushbar_assets, openbox_assets, monkeypatch, method
 ):
     # success is a rule on (theta, action); only retrieval and refinement read a failed
-    # rollout, from the round after it on, as the reduction their task store keeps for
-    # its (theta, plan-table row) pair, and execute renders it the first time the pair
-    # is pushed
+    # rollout, from the round after it on, as the reduction the task's rollout store keeps
+    # for its (theta, plan-table row) pair, and execute renders it the first time the pair
+    # is pushed: the config names every method, so that render reduces it for both readers
     import replan.loop
 
     executed, reads = [], []
@@ -231,8 +231,6 @@ def test_episode_renders_only_rollouts_a_later_round_reads(
                         reads.append([observed]) or refine(g, observed, *args, **kwargs))
     cfg, failed_total, last_failed = ExperimentConfig(max_replans=6, refine_steps=5), 0, 0
     for assets in (pushbar_assets, openbox_assets):
-        store = assets.terms if method.uses_refinement else assets.logits
-
         def reduce(value, env):
             video = real(env, EnvAction(assets.kind, value)).video
             if method.uses_refinement:
@@ -243,9 +241,10 @@ def test_episode_renders_only_rollouts_a_later_round_reads(
             rng = np.random.default_rng(seed)
             env = EnvInstance(assets.kind, sample_hidden(assets.kind, rng))
             executed.clear(), reads.clear()
-            stored = len(assets.logits) + len(assets.terms)
+            stored = len(assets.rollouts)
             rec = run_episode(env, method, assets, cfg, rng)
-            assert len(executed) == len(assets.logits) + len(assets.terms) - stored
+            assert len(executed) == len(assets.rollouts) - stored
+            assert all(set(entry) == {"logits", "terms"} for entry in assets.rollouts.values())
             # round k + 1 reads the decoded failures of rounds 1..k, or only the last of
             # them when it refines; a round with none to read conditions on nothing
             decoded = [r.action for r in rec.rounds[:-1] if r.action is not None]
@@ -258,7 +257,7 @@ def test_episode_renders_only_rollouts_a_later_round_reads(
             assert [len(read) for read in reads] == [len(values) for values in want]
             for read, values in zip(reads, want):
                 for kept, value in zip(read, values):
-                    assert any(kept is entry for entry in store.values())
+                    assert any(kept is entry[method.reads] for entry in assets.rollouts.values())
                     assert reduction_bits(kept) == reduction_bits(reduce(value, env))
             failed_total += len(decoded)
             last_failed += len(rec.rounds) == cfg.max_replans and rec.rounds[-1].action is not None
@@ -341,7 +340,8 @@ def test_round_retrieves_once_from_the_episode_buffer(pushbar_assets, monkeypatc
 
     def checking_retrieve(table, query, config, rng, count=None):
         # the round reads the logits rows its task keeps, not videos
-        assert all(any(row is kept for kept in pushbar_assets.logits.values()) for row in query)
+        kept = [entry["logits"] for entry in pushbar_assets.rollouts.values()]
+        assert all(any(row is entry for entry in kept) for row in query)
         counts.append(count)
         return retrieve(table, query, config, rng, count=count)
 
@@ -370,8 +370,8 @@ def test_episode_projects_each_failure_once(monkeypatch, policy):
     # every executed failure before the last round is read by a later round
     read = sum(sum(r.action is not None for r in rec.rounds[:-1])
                for rec in ours_episodes(assets, cfg, range(30)))
-    assert calls == {"_block_means": len(assets.logits), "pca_apply": len(assets.logits)}
-    assert 0 < len(assets.logits) < read
+    assert calls == {"_block_means": len(assets.rollouts), "pca_apply": len(assets.rollouts)}
+    assert 0 < len(assets.rollouts) < read
 
 
 @pytest.mark.parametrize("method", [Method.OURS, Method.AVDC_RETRIEVAL, Method.OURS_REFINE])
@@ -418,7 +418,7 @@ def test_refining_round_builds_one_objective(monkeypatch):
                         lambda g, video: reductions.append(video) or reduce(g, video))
     plain = episodes()
     # the task reduces each failed (theta, row) pair once, however many rounds refine on it
-    assert len(reductions) == len(assets.terms) < sum(len(rec.rounds) - 1 for rec in plain)
+    assert len(reductions) == len(assets.rollouts) < sum(len(rec.rounds) - 1 for rec in plain)
     builds = []
     setup = replan.refinement._identification_loss
 
@@ -432,22 +432,28 @@ def test_refining_round_builds_one_objective(monkeypatch):
     refining_rounds = sum(len(rec.rounds) - 1 for rec in plain)
     assert refining_rounds > 0
     assert len(builds) == refining_rounds
-    assert len(reductions) == len(assets.terms)  # a rerun reads only kept terms
-    assert all(any(b is kept for kept in assets.terms.values()) for b in builds)
+    assert len(reductions) == len(assets.rollouts)  # a rerun reads only kept terms
+    assert all(any(b is kept["terms"] for kept in assets.rollouts.values()) for b in builds)
 
 
-def test_support_matrices_are_built_for_refinement_only():
-    # every task builds an identifier, but only ours_refine reads its group table
+def test_support_matrices_are_built_for_refinement_only(monkeypatch):
+    # every task builds an identifier, but only a run with ours_refine reads its group
+    # table: a run with no refining method reduces no failed rollout to observation terms
+    import replan.loop
     from replan import mse_objective
 
-    assets = build_task_assets(ExperimentConfig(tasks=("slidebrick",)), "slidebrick")
-    g, cfg = assets.identifier, ExperimentConfig(tasks=("slidebrick",))
-    assert "groups" not in g.__dict__
-    env = EnvInstance(EnvKind.SLIDE_BRICK, 0.4)
-    for seed in range(3):
-        run_episode(env, Method.OURS, assets, cfg, np.random.default_rng(seed))
+    built, real = [], replan.loop.build_task_assets
+    monkeypatch.setattr(replan.loop, "build_task_assets", lambda config, task:
+                        built.append(real(config, task)) or built[-1])
+    cfg = ExperimentConfig(tasks=("slidebrick",), methods=("avdc_retrieval", "ours"), trials=10)
+    result = run_experiment(cfg)
+    (assets,) = built
+    g = assets.identifier
+    assert any(row.replans > 1 for row in result.rows) and assets.rollouts
+    assert all(set(entry) == {"logits"} for entry in assets.rollouts.values())
     assert "groups" not in g.__dict__
 
+    env, cfg = EnvInstance(EnvKind.SLIDE_BRICK, 0.4), ExperimentConfig(tasks=("slidebrick",))
     records = [
         run_episode(env, Method.OURS_REFINE, assets, cfg, np.random.default_rng(seed))
         for seed in range(3)
@@ -481,7 +487,7 @@ def test_an_off_table_theta_fails_before_any_round(monkeypatch):
         with pytest.raises(ValueError) as err:
             run_episode(env, method, assets, ExperimentConfig(), np.random.default_rng(0))
         assert str(err.value) == message
-    assert assets.ssims == {} and assets.logits == {} and assets.terms == {}
+    assert assets.ssims == {} and assets.rollouts == {}
 
 
 # ---------------------------------------------------------------------------
@@ -523,22 +529,118 @@ def test_rollout_store_stays_bounded(monkeypatch):
     for assets in built:
         bound = len(hidden_values(assets.kind)) * len(assets.plans.videos)
         g = assets.identifier
-        for store, reduce in ((assets.logits, lambda video: interaction_logits(assets.table, video)),
-                              (assets.terms, lambda video: observation_terms(g, video))):
-            assert 0 < len(store) <= bound
-            for (theta, row), kept in store.items():
-                fresh = execute(EnvInstance(assets.kind, theta), assets.plans.actions[row])
-                assert reduction_bits(kept) == reduction_bits(reduce(fresh.video))
-            misses += len(store)
-        # the stores keep what their readers need of a rollout, never its pixels
-        assert all(type(row) is np.ndarray and row.shape == (len(assets.table),)
-                   for row in assets.logits.values())
+        reduce = {"logits": lambda video: interaction_logits(assets.table, video),
+                  "terms": lambda video: observation_terms(g, video)}
+        assert 0 < len(assets.rollouts) <= bound
+        for (theta, row), entry in assets.rollouts.items():
+            # the run has both readers, so a pair's one render was reduced for each
+            assert set(entry) == {"logits", "terms"}
+            fresh = execute(EnvInstance(assets.kind, theta), assets.plans.actions[row])
+            for name, kept in entry.items():
+                assert reduction_bits(kept) == reduction_bits(reduce[name](fresh.video))
+        misses += len(assets.rollouts)
+        # the store keeps what its readers need of a rollout, never its pixels
+        assert all(type(entry["logits"]) is np.ndarray
+                   and entry["logits"].shape == (len(assets.table),)
+                   for entry in assets.rollouts.values())
         assert all(type(const) is float and type(cross) is np.ndarray
-                   and cross.shape == (len(g.groups[0]),) for const, cross in assets.terms.values())
+                   and cross.shape == (len(g.groups[0]),)
+                   for const, cross in (entry["terms"] for entry in assets.rollouts.values()))
     # one render per rollout: the dataset's, each task's ground-truth plans and reset
-    # frame, and each store miss; nothing is kept outside the task
+    # frame, and each pair pushed; nothing is kept outside the task
     ground_truth = sum(len(hidden_values(assets.kind)) + 1 for assets in built)
     assert rendered == len(dataset_executes) + ground_truth + misses
+
+
+def rollout_run(monkeypatch, base, configs):
+    """``loop._run_tasks(base, configs)`` with call-site wrappers: returns its results and,
+    per task, its assets, the ``execute`` renders its episodes made, the reductions it
+    made under each reader's name and the (theta, plan-table row) pairs each reader pushed,
+    a pushed pair being a decoded plan that failed before an episode's last round."""
+    import replan.loop as loop
+
+    tasks, picks, renders = [], [], []
+    real = {name: getattr(loop, name) for name in (
+        "build_task_assets", "run_episode", "execute", "plan_to_action",
+        "interaction_logits", "observation_terms")}
+
+    def build(config, task):
+        tasks.append({"assets": real["build_task_assets"](config, task), "renders": 0,
+                      "reduced": {"logits": 0, "terms": 0},
+                      "pushed": {"logits": set(), "terms": set()}})
+        return tasks[-1]["assets"]
+
+    def episode(env, method, assets, config, rng):
+        picks.clear(), renders.clear()
+        rec = real["run_episode"](env, method, assets, config, rng)
+        tasks[-1]["renders"] += len(renders)
+        reader = "terms" if method.uses_refinement else "logits" if method.uses_retrieval else ""
+        if reader:
+            tasks[-1]["pushed"][reader].update(
+                (env.theta_value, pick)
+                for rnd, pick in zip(rec.rounds[:-1], picks) if rnd.action is not None)
+        return rec
+
+    def reducer(name, real_name):
+        def reduce(*args):
+            tasks[-1]["reduced"][name] += 1
+            return real[real_name](*args)
+        return reduce
+
+    monkeypatch.setattr(loop, "build_task_assets", build)
+    monkeypatch.setattr(loop, "run_episode", episode)
+    monkeypatch.setattr(loop, "execute", lambda env, action:
+                        renders.append(action) or real["execute"](env, action))
+    monkeypatch.setattr(loop, "plan_to_action", lambda plans, index:
+                        picks.append(index) or real["plan_to_action"](plans, index))
+    monkeypatch.setattr(loop, "interaction_logits", reducer("logits", "interaction_logits"))
+    monkeypatch.setattr(loop, "observation_terms", reducer("terms", "observation_terms"))
+    results = loop._run_tasks(base, configs)
+    monkeypatch.undo()
+    return results, tasks
+
+
+def test_a_run_renders_each_pushed_pair_once_for_every_reader(monkeypatch):
+    # retrieval reads a failed pair's logits row and refinement its observation terms; the
+    # first push of a pair renders it once and reduces it for both
+    config = ExperimentConfig(tasks=("pushbar", "slidebrick"), trials=12, refine_steps=5,
+                              methods=("ours", "avdc_retrieval", "ours_refine"))
+    _, tasks = rollout_run(monkeypatch, config, (config,))
+    assert [task["assets"].kind.value for task in tasks] == list(config.tasks)
+    for task in tasks:
+        logits, terms = task["pushed"]["logits"], task["pushed"]["terms"]
+        assert logits & terms and terms - logits and logits - terms
+        assert task["renders"] == len(logits | terms)
+        rollouts = task["assets"].rollouts
+        assert set(rollouts) == logits | terms
+        assert all(set(entry) == {"logits", "terms"} for entry in rollouts.values())
+        assert task["reduced"] == {"logits": len(rollouts), "terms": len(rollouts)}
+
+
+@pytest.mark.parametrize("first", ["ours", "ours and ours_refine"])
+def test_a_sweep_renders_a_pair_again_only_for_a_reader_it_lacks(monkeypatch, first):
+    # grid points share a task's store and each knows only its own readers: after an
+    # ours-only point, ours_refine renders the pairs it pushes again and reduces only
+    # their observation terms; after a point with both readers, nothing renders again
+    base = ExperimentConfig(tasks=("pushbar", "slidebrick"), methods=("ours",), trials=12,
+                            refine_steps=5)
+    configs = (base, replace(base, methods=("ours", "ours_refine")))
+    if first != "ours":
+        configs = configs[::-1]
+    results, tasks = rollout_run(monkeypatch, base, configs)
+    for config, result in zip(configs, results):
+        assert episode_fields(result) == episode_fields(run_experiment(config))
+    for task in tasks:
+        logits, terms = task["pushed"]["logits"], task["pushed"]["terms"]
+        pairs = logits | terms
+        assert logits & terms
+        if first == "ours":
+            assert task["renders"] == len(logits) + len(terms)
+            assert task["reduced"] == {"logits": len(pairs), "terms": len(terms)}
+        else:
+            assert task["renders"] == len(pairs)
+            assert task["reduced"] == {"logits": len(pairs), "terms": len(pairs)}
+        assert set(task["assets"].rollouts) == pairs
 
 
 def recorded_run(monkeypatch, config):
@@ -840,6 +942,44 @@ def test_ablation_n_candidates_grid():
         assert tuple(result.config.methods) == ("ours",)
 
 
+# sha256 of each grid point's episodes CSV (timing off) for SWEEP_BASE; the sweeps share a
+# task's assets, and so its rollout and SSIM stores, across grid points
+SWEEP_BASE = ExperimentConfig(tasks=("pushbar", "slidebrick"), trials=20)
+SWEEP_DIGESTS = {
+    "n-candidates": {
+        "n=1": "36bca4ba05324216380baef7ace481df0932c60046b61e1c379dba5693f6d32b",
+        "n=2": "ecd12edf7f92fd7f6a291820fa7167e978dd421059b7be114c2c613d6f699674",
+        "n=3": "95408bd2d9fade17427f000b46126a5f500cd60803f542eb19d513569ebfc957",
+        "n=4": "70b3f7390b0eccaef7f4eaa80470dc91d42b230becb18df5a185ebb0d7b3f2d0",
+        "n=5": "92ec720318fbb9e5d69d7fdab30b862392880a14db1b73822fc949af3696cb6c",
+    },
+    "rejection-metric": {
+        "raw_pixel": "ecd12edf7f92fd7f6a291820fa7167e978dd421059b7be114c2c613d6f699674",
+        "embedding": "9aeecad1238fd9d6816252d7f4d9735b9f0ea6738d097800c174b39eee17aded",
+    },
+    "modules": {
+        "modules": "761208bd48f4b98f9297f70d1d049e34abc94aab49afa8901184b5a13580885e",
+    },
+    "data-fraction": {
+        "fraction=0.28": "30cbfb44255addbc54b15578c20863a52e422d95d792712a600b1ff77db3f4df",
+        "fraction=1": "953b54801929d29074a1720a0b5650a571005514886587c8c86c840463fc62de",
+    },
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_DIGESTS)
+def test_every_sweep_point_writes_its_pinned_csv(name, tmp_path):
+    from replan import write_episodes_csv
+    from replan.loop import SWEEP_NAMES
+
+    assert set(SWEEP_DIGESTS) == set(SWEEP_NAMES)
+    digests = {}
+    for label, result in ablation_sweep(name, SWEEP_BASE).items():
+        write_episodes_csv(result.rows, tmp_path / "episodes.csv", timing=False)
+        digests[label] = hashlib.sha256((tmp_path / "episodes.csv").read_bytes()).hexdigest()
+    assert digests == SWEEP_DIGESTS[name]
+
+
 def episode_fields(result):
     """Every deterministic field of a result's rows: the rows without wall times."""
     return [(r.task, r.method, r.trial, r.seed, r.theta, r.replans, r.succeeded,
@@ -925,22 +1065,59 @@ def test_a_pca_k_too_large_for_a_task_fails_before_it_encodes(monkeypatch):
 
     import replan.loop
 
-    encoded = []
+    encoded, calls = [], []
     real = replan.loop.encode_video
     monkeypatch.setattr(replan.loop, "encode_video",
                         lambda video: encoded.append(video) or real(video))
-    # pushbar's 264 clips allow k = 25, openbox's 22 allow at most 21
+    for name in ("build_task_assets", "run_episode"):
+        monkeypatch.setattr(replan.loop, name, lambda *args, name=name,
+                            real=getattr(replan.loop, name): calls.append(name) or real(*args))
+    # pushbar's 264 clips allow k = 25, openbox's 22 allow at most 21: the run fails before
+    # pushbar builds, not after its episodes
     config = ExperimentConfig(tasks=("pushbar", "openbox"), methods=("avdc",), trials=50,
                               pca_k=25)
     message = ("ExperimentConfig.pca_k must be at most 21 for task 'openbox', whose dataset "
                "holds 22 clips, got {}")
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(25))}$"):
         run_experiment(config)
-    encoded.clear()
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(25))}$"):
+        embedding_rows(config)
+    assert calls == [] and encoded == []
+    monkeypatch.undo()
+    monkeypatch.setattr(replan.loop, "encode_video",
+                        lambda video: encoded.append(video) or real(video))
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(22))}$"):
         build_task_assets(replace(config, pca_k=22), "openbox")
     assert encoded == []
     assert build_task_assets(replace(config, pca_k=21), "openbox").table.projection.k == 21
+
+
+@pytest.mark.parametrize("counts", [(1, 10), (2, 0), (3, 4)])
+def test_dataset_size_counts_the_clips_a_build_fits_on(monkeypatch, tmp_path, counts):
+    # the pca_k bound is checked for every task before the first renders, so the count
+    # must equal the built dataset's length for every success/fail count and fraction
+    import replan.loop
+    from replan import build_dataset, save_dataset
+    from replan.loop import dataset_size
+
+    fitted = []
+    monkeypatch.setattr(replan.loop, "build_assets",
+                        lambda kind, dataset, pca_k: fitted.append(len(dataset)))
+    success, fail = counts
+    # a saved turnfaucet dataset with one entry dropped, so its objects differ in size
+    dataset, thetas = build_dataset(EnvKind.TURN_FAUCET, per_theta_success=success,
+                                    per_theta_fail=fail)
+    keep = [i for i in range(len(dataset)) if i != len(dataset) - 1 or fail == 0]
+    save_dataset(tmp_path / "turnfaucet", "turnfaucet", [dataset.tuples[i] for i in keep],
+                 [thetas[i] for i in keep])
+    configs = [ExperimentConfig(per_theta_success=success, per_theta_fail=fail,
+                                dataset_fraction=fraction) for fraction in (0.28, 0.5, 1.0)]
+    cases = [(config, task) for config in configs for task in ALL_TASKS]
+    cases += [(replace(config, data_root=str(tmp_path)), "turnfaucet") for config in configs]
+    for config, task in cases:
+        fitted.clear()
+        build_task_assets(config, task)
+        assert fitted == [dataset_size(config, task)], (config, task)
 
 
 def test_data_root_assets(tmp_path, openbox_assets):
