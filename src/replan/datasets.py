@@ -80,11 +80,6 @@ def build_dataset(
     return ExperienceDataset(tuple(tuples)), thetas
 
 
-def kept_others(fraction: float, others: int) -> int:
-    """How many of an object's entries besides its first success ``subsample_dataset`` keeps."""
-    return int(round(fraction * others))
-
-
 def subsample_dataset(
     dataset: ExperienceDataset, fraction: float, seed: int = 0
 ) -> ExperienceDataset:
@@ -99,7 +94,7 @@ def subsample_dataset(
         first_success = dataset.canonical_entry[oid]
         keep[first_success] = True
         rest = [i for i in idxs if i != first_success]
-        n_keep = kept_others(fraction, len(rest))
+        n_keep = int(round(fraction * len(rest)))
         if n_keep > 0:
             chosen = rng.permutation(len(rest))[:n_keep]
             for c in chosen:

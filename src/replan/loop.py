@@ -20,7 +20,6 @@ import json
 import logging
 import math
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -32,11 +31,9 @@ from .core import ExperienceDataset, Video, load_dataset, psnr_table, ssim, wind
 from .core import is_number, read_manifest, require_integer
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
-from .datasets import build_dataset, candidate_actions, failing_actions, kept_others
-from .datasets import subsample_dataset
-from .encoders import FEATURES_PER_FRAME, default_pca_k, encode_video, pca_fit
+from .datasets import build_dataset, candidate_actions, subsample_dataset
+from .encoders import default_pca_k, encode_video, pca_fit
 from .envs import (
-    ROLLOUT_FRAMES,
     EnvAction,
     EnvInstance,
     EnvKind,
@@ -94,10 +91,8 @@ class Method(Enum):
         return "terms" if self.uses_refinement else "logits" if self.uses_retrieval else None
 
     def candidate_count(self, n_candidates: int) -> int:
-        # Single-candidate methods: no rejection means extra plans are unused.
-        if self in (Method.RANDOM, Method.AVDC, Method.AVDC_RETRIEVAL):
-            return 1
-        return n_candidates
+        # without rejection, plans past the first are never read
+        return n_candidates if self.uses_rejection else 1
 
 
 ALL_METHODS = tuple(m.value for m in Method)
@@ -161,7 +156,7 @@ class TaskAssets:
     ssims: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
-def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = None) -> TaskAssets:
+def build_assets(kind: EnvKind, dataset: ExperienceDataset) -> TaskAssets:
     gt_plans = {}
     for theta in hidden_values(kind):
         env = EnvInstance(kind, theta)
@@ -170,8 +165,7 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset, pca_k: int | None = 
     if clips := {item.video.pixels.shape for item in dataset.tuples} - {shape}:
         raise ValueError(f"dataset clips of shape {sorted(clips)} are not the simulator's {shape}")
     raw = np.stack([encode_video(item.video) for item in dataset.tuples])
-    k = pca_k if pca_k is not None else default_pca_k(raw.shape[0], raw.shape[1])
-    projection = pca_fit(raw, k)
+    projection = pca_fit(raw, default_pca_k(*raw.shape))
     table = build_table(dataset, projection, raw)
     planner = fit_generator(dataset, table, GeneratorMode.PLANNING)
     identifier = fit_generator(dataset, table, GeneratorMode.IDENTIFICATION)
@@ -327,10 +321,10 @@ def run_episode(
 # Experiments
 
 
-# Smallest valid value of each integer field of ExperimentConfig; pca_k may also be None.
+# Smallest valid value of each integer field of ExperimentConfig.
 _INT_FLOORS = {
     "trials": 1, "max_replans": 1, "n_candidates": 1, "master_seed": 0, "per_theta_success": 1,
-    "per_theta_fail": 0, "pca_k": 1, "refine_steps": 0, "refine_restarts": 1,
+    "per_theta_fail": 0, "refine_steps": 0, "refine_restarts": 1,
 }
 
 
@@ -348,7 +342,6 @@ class ExperimentConfig:
     master_seed: int = 0
     per_theta_success: int = 1
     per_theta_fail: int = 10
-    pca_k: int | None = None
     buffer_policy: str = "latest"
     refine_steps: int = 80
     refine_restarts: int = 1
@@ -371,8 +364,7 @@ class ExperimentConfig:
             choices = tuple(m.value for m in enum)
             require(name, getattr(self, name) in choices, f"one of {choices}")
         for name, low in _INT_FLOORS.items():
-            if name != "pca_k" or self.pca_k is not None:
-                require_integer(self, name, low)
+            require_integer(self, name, low)
         tau, fraction = self.tau, self.dataset_fraction
         require("tau", tau is None or is_number(tau) and tau > 0, "None or a number > 0")
         require("noise_std", is_number(self.noise_std) and self.noise_std == 0, "0")
@@ -473,9 +465,12 @@ class ExperimentResult:
     table: ResultsTable
 
 
-def _check_manifest(config: ExperimentConfig, task: str) -> dict:
-    """``<data_root>/<task>/manifest.json``; fails unless it exists, passes
-    ``core.read_manifest`` and holds ``task``'s dataset."""
+def check_task(config: ExperimentConfig, task: str) -> None:
+    """Fail, before ``task`` builds, unless ``data_root`` is None or its
+    ``<data_root>/<task>/manifest.json`` exists, passes ``core.read_manifest`` and holds
+    ``task``'s dataset."""
+    if config.data_root is None:
+        return
     path = Path(config.data_root) / task / "manifest.json"
     where = f"ExperimentConfig.data_root {config.data_root!r}, task {task!r}"
     if not path.is_file():
@@ -486,33 +481,6 @@ def _check_manifest(config: ExperimentConfig, task: str) -> dict:
         raise ValueError(f"{where}: {err}") from None
     if (env := manifest.get("env")) != task:
         raise ValueError(f"{where}: {path} holds a dataset for {env!r}")
-    return manifest
-
-
-def dataset_size(config: ExperimentConfig, task: str) -> int:
-    """How many clips ``build_task_assets`` fits ``task`` on, counted without rendering: per
-    object, its ``data_root`` manifest entries or ``build_dataset``'s successes and failures
-    (none when every action succeeds), thinned as ``subsample_dataset`` thins them."""
-    kind = EnvKind(task)
-    if config.data_root is not None:
-        entries = _check_manifest(config, task)["entries"]
-        clips = Counter(entry["object_id"] for entry in entries).values()
-    else:
-        clips = [config.per_theta_success + config.per_theta_fail * bool(failing_actions(kind, t))
-                 for t in hidden_values(kind)]
-    return sum(1 + kept_others(config.dataset_fraction, n - 1) for n in clips)
-
-
-def check_task(config: ExperimentConfig, task: str) -> None:
-    """Fail, before ``task`` builds, unless its ``data_root`` manifest passes ``_check_manifest``
-    and ``pca_k`` meets ``pca_fit``'s bound k <= min(d, n - 1) on its ``dataset_size``."""
-    if config.pca_k is None and config.data_root is None:
-        return  # nothing to check, so nothing to count
-    size = dataset_size(config, task)
-    most = min(ROLLOUT_FRAMES * FEATURES_PER_FRAME, size - 1)
-    if config.pca_k is not None and config.pca_k > most:
-        raise ValueError(f"ExperimentConfig.pca_k must be at most {most} for task {task!r}, "
-                         f"whose dataset holds {size} clips, got {config.pca_k}")
 
 
 def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
@@ -531,14 +499,14 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     if config.dataset_fraction < 1.0:
         frac_seed = trial_seed(config.master_seed, task, "fraction", 0)
         dataset = subsample_dataset(dataset, config.dataset_fraction, seed=frac_seed)
-    return build_assets(kind, dataset, config.pca_k)
+    return build_assets(kind, dataset)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full task x method x trial grid declared by ``config``.
 
     Each finished task x method cell logs its mean replans at INFO level.  Every
-    task's ``data_root`` manifest and ``pca_k`` bound are checked before the first builds.
+    task's ``data_root`` manifest is checked before the first builds.
     """
     (result,) = _run_tasks(config, (config,))
     return result

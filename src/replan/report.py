@@ -253,8 +253,7 @@ def embedding_rows(config: ExperimentConfig) -> list[tuple[str, str, float, floa
     """Canonical embedding of every object, projected to 2 components.
 
     Tasks with only two objects cannot support two components; the second
-    coordinate is zero there.  Every task's ``data_root`` manifest and ``pca_k`` bound are
-    checked first.
+    coordinate is zero there.  Every task's ``data_root`` manifest is checked first.
     """
     for task in config.tasks:
         check_task(config, task)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replan import EpisodeRow, load_dataset, read_episodes_csv, write_episodes_csv
+from replan import EpisodeRow, ExperimentConfig, load_dataset, read_episodes_csv
+from replan import write_episodes_csv
 from replan.cli import build_parser, main
 from replan.report import EPISODE_COLUMNS
 
@@ -73,6 +74,20 @@ def test_report_on_a_csv_where_a_method_lacks_a_task(tmp_path):
     assert lines[1:4] == ["pushbar,ours,2.0000,0.0000,1", "pushbar,avdc,4.0000,0.0000,1",
                           "openbox,avdc,3.0000,0.0000,1"]
     assert lines[-3:] == ["method,normalized_replans", "ours,", "avdc,"]
+
+
+def test_report_embed_csv_rejects_a_config_that_names_pca_k(tmp_path, capsys):
+    # config.json files written before the PCA dimension was worked out from the dataset
+    # hold "pca_k": null; the key is unknown now, as any removed key is
+    write_episodes_csv([EpisodeRow("openbox", "ours", 0, 0, 0.0, 2, True, None, None, {})],
+                       tmp_path / "episodes.csv")
+    config = {**ExperimentConfig(tasks=("openbox",)).to_dict(), "pca_k": None}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    embed_csv = tmp_path / "embed.csv"
+    with pytest.raises(ValueError, match=r"^unknown experiment keys: \['pca_k'\]$"):
+        run_cli("report", "--in", tmp_path, "--csv", tmp_path / "summary.csv",
+                "--svg", tmp_path / "chart.svg", "--embed-csv", embed_csv)
+    assert not embed_csv.exists()
 
 
 def test_run_and_report_workflow(tmp_path, capsys):

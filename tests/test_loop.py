@@ -24,6 +24,7 @@ from replan import (
     RetrievalConfig,
     ablation_sweep,
     build_task_assets,
+    default_pca_k,
     embedding_rows,
     execute,
     hidden_values,
@@ -808,6 +809,13 @@ def test_experiment_config_io(tmp_path):
         ExperimentConfig.from_dict({"trails": 3})  # typo rejected
 
 
+@pytest.mark.parametrize("value", [None, 3])
+def test_the_removed_pca_k_key_is_unknown(value):
+    # build_assets works the PCA dimension out from each task's dataset
+    with pytest.raises(ValueError, match=r"^unknown experiment keys: \['pca_k'\]$"):
+        ExperimentConfig.from_dict({"pca_k": value})
+
+
 @pytest.mark.parametrize("payload, kind", [
     (["trials"], "list"), (3, "int"), (None, "NoneType"), ("x", "str"),
 ])
@@ -840,7 +848,6 @@ valid_configs = st.builds(
     master_seed=st.integers(min_value=0),
     per_theta_success=st.integers(min_value=1),
     per_theta_fail=st.integers(min_value=0),
-    pca_k=st.none() | st.integers(min_value=1),
     buffer_policy=st.sampled_from([p.value for p in BufferPolicy]),
     refine_steps=st.integers(min_value=0),
     refine_restarts=st.integers(min_value=1),
@@ -880,7 +887,6 @@ def test_config_json_roundtrip(cfg):
         ("master_seed", -1),
         ("per_theta_success", 0),
         ("per_theta_fail", -1),
-        ("pca_k", 0),
         ("buffer_policy", "oldest"),
         ("refine_steps", -1),
         ("refine_restarts", 0),
@@ -1060,64 +1066,22 @@ def test_two_bar_tasks_peak_at_the_footprint_of_one():
     assert both < 1.2 * peak(("pushbar",))
 
 
-def test_a_pca_k_too_large_for_a_task_fails_before_it_encodes(monkeypatch):
-    import re
-
-    import replan.loop
-
-    encoded, calls = [], []
-    real = replan.loop.encode_video
-    monkeypatch.setattr(replan.loop, "encode_video",
-                        lambda video: encoded.append(video) or real(video))
-    for name in ("build_task_assets", "run_episode"):
-        monkeypatch.setattr(replan.loop, name, lambda *args, name=name,
-                            real=getattr(replan.loop, name): calls.append(name) or real(*args))
-    # pushbar's 264 clips allow k = 25, openbox's 22 allow at most 21: the run fails before
-    # pushbar builds, not after its episodes
-    config = ExperimentConfig(tasks=("pushbar", "openbox"), methods=("avdc",), trials=50,
-                              pca_k=25)
-    message = ("ExperimentConfig.pca_k must be at most 21 for task 'openbox', whose dataset "
-               "holds 22 clips, got {}")
-    with pytest.raises(ValueError, match=f"^{re.escape(message.format(25))}$"):
-        run_experiment(config)
-    with pytest.raises(ValueError, match=f"^{re.escape(message.format(25))}$"):
-        embedding_rows(config)
-    assert calls == [] and encoded == []
-    monkeypatch.undo()
-    monkeypatch.setattr(replan.loop, "encode_video",
-                        lambda video: encoded.append(video) or real(video))
-    with pytest.raises(ValueError, match=f"^{re.escape(message.format(22))}$"):
-        build_task_assets(replace(config, pca_k=22), "openbox")
-    assert encoded == []
-    assert build_task_assets(replace(config, pca_k=21), "openbox").table.projection.k == 21
-
-
-@pytest.mark.parametrize("counts", [(1, 10), (2, 0), (3, 4)])
-def test_dataset_size_counts_the_clips_a_build_fits_on(monkeypatch, tmp_path, counts):
-    # the pca_k bound is checked for every task before the first renders, so the count
-    # must equal the built dataset's length for every success/fail count and fraction
-    import replan.loop
-    from replan import build_dataset, save_dataset
-    from replan.loop import dataset_size
-
-    fitted = []
-    monkeypatch.setattr(replan.loop, "build_assets",
-                        lambda kind, dataset, pca_k: fitted.append(len(dataset)))
-    success, fail = counts
-    # a saved turnfaucet dataset with one entry dropped, so its objects differ in size
-    dataset, thetas = build_dataset(EnvKind.TURN_FAUCET, per_theta_success=success,
-                                    per_theta_fail=fail)
-    keep = [i for i in range(len(dataset)) if i != len(dataset) - 1 or fail == 0]
-    save_dataset(tmp_path / "turnfaucet", "turnfaucet", [dataset.tuples[i] for i in keep],
-                 [thetas[i] for i in keep])
-    configs = [ExperimentConfig(per_theta_success=success, per_theta_fail=fail,
-                                dataset_fraction=fraction) for fraction in (0.28, 0.5, 1.0)]
-    cases = [(config, task) for config in configs for task in ALL_TASKS]
-    cases += [(replace(config, data_root=str(tmp_path)), "turnfaucet") for config in configs]
-    for config, task in cases:
-        fitted.clear()
-        build_task_assets(config, task)
-        assert fitted == [dataset_size(config, task)], (config, task)
+@pytest.mark.parametrize("config", [ExperimentConfig(per_theta_fail=0),
+                                    ExperimentConfig(dataset_fraction=1e-6)],
+                         ids=["no-failures", "thinnest-fraction"])
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_the_smallest_generated_dataset_fits_pca(config, task):
+    # each object keeps its first success, so a task's dataset holds at least its two or
+    # more objects and default_pca_k stays within pca_fit's bound k <= n - 1
+    assets = build_task_assets(config, task)
+    n = len(assets.dataset)
+    assert n == len(hidden_values(EnvKind(task)))
+    assert assets.table.projection.k == default_pca_k(n, 512) <= n - 1
+    if task in ("openbox", "turnfaucet") and config.per_theta_fail == 0:
+        assert assets.table.projection.k == 1
+    env = EnvInstance(EnvKind(task), hidden_values(EnvKind(task))[0])
+    record = run_episode(env, Method.OURS, assets, config, np.random.default_rng(0))
+    assert 1 <= record.replans_until_success <= config.max_replans
 
 
 def test_data_root_assets(tmp_path, openbox_assets):

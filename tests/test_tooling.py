@@ -208,3 +208,16 @@ def test_demo_prints_the_recorded_bytes(demo):
     out = subprocess.run([sys.executable, str(root / "demos" / f"{demo}.py")], env=env,
                          check=True, capture_output=True, timeout=120).stdout
     assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[demo]
+
+
+def test_readme_lists_every_run_field_in_order():
+    # the README's list of the fields a run's JSON may name is kept by hand
+    import re
+
+    from replan import ExperimentConfig
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"`run` accepts any `ExperimentConfig` field in the JSON \(([^)]*)\)",
+                       readme)
+    assert listed is not None
+    assert listed.group(1).replace(",", " ").split() == list(ExperimentConfig.__dataclass_fields__)
