@@ -52,7 +52,7 @@ def synthetic_objects():
 def run_example():
     # Step 1: fit task assets (projection, table, planning and
     # identification generators) on a rendered box dataset.
-    dataset, _ = build_dataset(EnvKind.OPEN_BOX, seed=11)
+    dataset = build_dataset(EnvKind.OPEN_BOX, seed=11)
     assets = build_assets(EnvKind.OPEN_BOX, dataset)
     first_frame = assets.dataset.tuples[0].video.first_frame()
 

@@ -29,7 +29,7 @@ from replan import (
 def run_example():
     # Step 1: render a dataset. One scripted success per hidden value plus
     # ten wrong-mode failures, labelled by object id.
-    dataset, thetas = build_dataset(EnvKind.OPEN_BOX, seed=11)
+    dataset = build_dataset(EnvKind.OPEN_BOX, seed=11)
     counts = {oid: len(idx) for oid, idx in dataset.by_object.items()}
     print("dataset:", len(dataset), "videos", counts)
 

@@ -38,13 +38,13 @@ from .report import (
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     kind = EnvKind(args.env)
-    dataset, thetas = build_dataset(
+    dataset = build_dataset(
         kind,
         per_theta_success=args.per_theta_success,
         per_theta_fail=args.per_theta_fail,
         seed=args.seed,
     )
-    save_dataset(args.out, kind.value, dataset.tuples, thetas)
+    save_dataset(args.out, kind.value, dataset.tuples)
     n_success = sum(1 for t in dataset.tuples if t.success)
     print(
         f"wrote {len(dataset.tuples)} rollouts ({n_success} successes, "

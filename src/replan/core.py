@@ -306,33 +306,19 @@ class ExperienceDataset:
         return len(self.tuples)
 
 
-def save_dataset(
-    out_dir: str | Path,
-    env: str,
-    tuples: Sequence[ExperienceTuple],
-    thetas: Sequence[float | str],
-) -> Path:
+def save_dataset(out_dir: str | Path, env: str, tuples: Sequence[ExperienceTuple]) -> Path:
     """Write ISEV files plus the JSON manifest; returns the manifest path.
 
-    Manifest layout: {"env": ..., "entries": [{"video", "object_id",
-    "success", "theta"}, ...]} with video paths relative to the manifest.
+    Manifest layout: {"env": ..., "entries": [{"video", "object_id", "success"}, ...]}
+    with video paths relative to the manifest.
     """
-    if len(tuples) != len(thetas):
-        raise ValueError("tuples and thetas length mismatch")
     out = Path(out_dir)
     (out / "videos").mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, (item, theta) in enumerate(zip(tuples, thetas)):
+    for i, item in enumerate(tuples):
         rel = f"videos/{i:05d}.isev"
         save_video(item.video, out / rel)
-        entries.append(
-            {
-                "video": rel,
-                "object_id": item.object_id,
-                "success": bool(item.success),
-                "theta": theta if isinstance(theta, str) else float(theta),
-            }
-        )
+        entries.append({"video": rel, "object_id": item.object_id, "success": bool(item.success)})
     manifest = out / "manifest.json"
     manifest.write_text(json.dumps({"env": env, "entries": entries}, indent=2))
     return manifest
@@ -342,10 +328,10 @@ def read_manifest(path: str | Path) -> dict:
     """Parse a dataset manifest and check every entry before any video is read.
 
     The list of entries must not be empty.  An entry's ``video`` must name an existing file
-    relative to the manifest, its ``object_id`` be a string, its ``success`` a JSON bool and
-    its ``theta`` a finite number or a string; a ``ValueError`` names the path, the entry
-    index and the field otherwise.  Every ``object_id`` needs an entry whose ``success`` is
-    true; one that has none is named.
+    relative to the manifest, its ``object_id`` be a string and its ``success`` a JSON bool;
+    a ``ValueError`` names the path, the entry index and the field otherwise.  Other keys,
+    such as the ``theta`` of older manifests, are ignored.  Every ``object_id`` needs an
+    entry whose ``success`` is true; one that has none is named.
     """
     path = Path(path)
     try:
@@ -359,13 +345,12 @@ def read_manifest(path: str | Path) -> dict:
     for index, entry in enumerate(manifest["entries"]):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: entry {index} is not a JSON object")
-        video, theta = entry.get("video"), entry.get("theta")
+        video = entry.get("video")
         for name, ok, need in (
             ("video", isinstance(video, str) and (path.parent / video).is_file(),
              "the path of an existing file"),
             ("object_id", isinstance(entry.get("object_id"), str), "a string"),
             ("success", isinstance(entry.get("success"), bool), "true or false"),
-            ("theta", is_number(theta) or isinstance(theta, str), "a number or a string"),
         ):
             if not ok:
                 got = f"got {entry[name]!r}" if name in entry else "it is missing"
@@ -378,27 +363,21 @@ def read_manifest(path: str | Path) -> dict:
     return manifest
 
 
-def load_dataset(
-    in_dir: str | Path,
-) -> tuple[ExperienceDataset, str, list[float | str]]:
-    """Read a manifest directory back into (dataset, env name, per-entry theta); the
-    manifest is checked by ``read_manifest`` first."""
-    root = Path(in_dir)
-    manifest = read_manifest(root / "manifest.json")
-    env = manifest["env"]
+def manifest_dataset(root: str | Path, manifest: dict) -> ExperienceDataset:
+    """Load the clips of ``manifest``, as ``read_manifest`` returned it for
+    ``<root>/manifest.json``, into its dataset; a corrupt clip is named by its path."""
+    root = Path(root)
     tuples = []
-    thetas: list[float | str] = []
     for entry in manifest["entries"]:
         try:
             video = load_video(root / entry["video"])
         except VideoFormatError as err:
             raise VideoFormatError(f"{root / entry['video']}: {err}") from None
-        tuples.append(
-            ExperienceTuple(
-                video=video,
-                object_id=entry["object_id"],
-                success=entry["success"],
-            )
-        )
-        thetas.append(entry["theta"])
-    return ExperienceDataset(tuple(tuples)), env, thetas
+        tuples.append(ExperienceTuple(video, entry["object_id"], entry["success"]))
+    return ExperienceDataset(tuple(tuples))
+
+
+def load_dataset(in_dir: str | Path) -> ExperienceDataset:
+    """Read a manifest directory back into its dataset; the manifest is checked by
+    ``read_manifest`` before any clip is read."""
+    return manifest_dataset(in_dir, read_manifest(Path(in_dir) / "manifest.json"))

@@ -24,13 +24,10 @@ def candidate_actions(kind: EnvKind) -> list[EnvAction]:
     return [scripted_action(EnvInstance(kind, theta)) for theta in hidden_values(kind)]
 
 
-def failing_actions(
-    kind: EnvKind, theta: Theta, hypotheses: list[EnvAction] | None = None
-) -> list[EnvAction]:
-    """Hypothesis-set actions ``rollout_success`` rejects under ``theta``, in table order;
-    ``hypotheses`` is ``candidate_actions(kind)``, built here when None."""
+def failing_actions(kind: EnvKind, theta: Theta, hypotheses: list[EnvAction]) -> list[EnvAction]:
+    """The actions of ``hypotheses`` (``candidate_actions(kind)``) that ``rollout_success``
+    rejects under ``theta``, in table order."""
     theta = EnvInstance(kind, theta).theta_value
-    hypotheses = candidate_actions(kind) if hypotheses is None else hypotheses
     return [a for a in hypotheses if not rollout_success(kind, theta, a.value)]
 
 
@@ -39,7 +36,7 @@ def build_dataset(
     per_theta_success: int = 1,
     per_theta_fail: int = 10,
     seed: int = 0,
-) -> tuple[ExperienceDataset, list[Theta]]:
+) -> ExperienceDataset:
     """Roll out interactions for every table theta.
 
     Per theta: ``per_theta_success`` scripted successes first (the first
@@ -55,7 +52,6 @@ def build_dataset(
     rng = np.random.default_rng(seed)
     hypotheses = candidate_actions(kind)
     tuples: list[ExperienceTuple] = []
-    thetas: list[Theta] = []
     for theta in hidden_values(kind):
         env = EnvInstance(kind, theta)
         oid = object_id(kind, theta)
@@ -64,7 +60,6 @@ def build_dataset(
             raise AssertionError(f"scripted action failed for {oid}")
         for _ in range(per_theta_success):
             tuples.append(ExperienceTuple(good.video, oid, True))
-            thetas.append(theta)
         pool = failing_actions(kind, theta, hypotheses)
         rendered: dict[int, Video] = {}  # pool index -> its rollout, for this theta only
         for j in range(per_theta_fail):
@@ -76,8 +71,13 @@ def build_dataset(
             if (video := rendered.get(i)) is None:
                 video = rendered[i] = execute(env, pool[i]).video
             tuples.append(ExperienceTuple(video, oid, False))
-            thetas.append(theta)
-    return ExperienceDataset(tuple(tuples)), thetas
+    return ExperienceDataset(tuple(tuples))
+
+
+def kept_others(others: int, fraction: float) -> int:
+    """How many of an object's ``others`` entries besides its canonical one
+    ``subsample_dataset`` keeps at ``fraction``."""
+    return int(round(fraction * others))
 
 
 def subsample_dataset(
@@ -94,7 +94,7 @@ def subsample_dataset(
         first_success = dataset.canonical_entry[oid]
         keep[first_success] = True
         rest = [i for i in idxs if i != first_success]
-        n_keep = int(round(fraction * len(rest)))
+        n_keep = kept_others(len(rest), fraction)
         if n_keep > 0:
             chosen = rng.permutation(len(rest))[:n_keep]
             for c in chosen:

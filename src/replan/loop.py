@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -27,11 +28,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, load_dataset, psnr_table, ssim, window_moments
+from .core import ExperienceDataset, Video, manifest_dataset, psnr_table, ssim, window_moments
 from .core import is_number, read_manifest, require_integer
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
-from .datasets import build_dataset, candidate_actions, subsample_dataset
+from .datasets import build_dataset, candidate_actions, kept_others, subsample_dataset
 from .encoders import default_pca_k, encode_video, pca_fit
 from .envs import (
     EnvAction,
@@ -465,12 +466,13 @@ class ExperimentResult:
     table: ResultsTable
 
 
-def check_task(config: ExperimentConfig, task: str) -> None:
+def check_task(config: ExperimentConfig, task: str) -> dict | None:
     """Fail, before ``task`` builds, unless ``data_root`` is None or its
-    ``<data_root>/<task>/manifest.json`` exists, passes ``core.read_manifest`` and holds
-    ``task``'s dataset."""
+    ``<data_root>/<task>/manifest.json`` exists, passes ``core.read_manifest``, holds
+    ``task``'s dataset and keeps at least 2 clips at ``dataset_fraction``; returns the
+    checked manifest (None without ``data_root``)."""
     if config.data_root is None:
-        return
+        return None
     path = Path(config.data_root) / task / "manifest.json"
     where = f"ExperimentConfig.data_root {config.data_root!r}, task {task!r}"
     if not path.is_file():
@@ -481,13 +483,21 @@ def check_task(config: ExperimentConfig, task: str) -> None:
         raise ValueError(f"{where}: {err}") from None
     if (env := manifest.get("env")) != task:
         raise ValueError(f"{where}: {path} holds a dataset for {env!r}")
+    counts = Counter(entry["object_id"] for entry in manifest["entries"])
+    kept = sum(1 + kept_others(n - 1, config.dataset_fraction) for n in counts.values())
+    if kept < 2:
+        raise ValueError(f"{where}: {path} keeps {kept} clip at dataset_fraction "
+                         f"{config.dataset_fraction:g}, and a task needs at least 2")
+    return manifest
 
 
 def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
+    """``task``'s assets: its dataset, loaded from the manifest ``check_task`` read and
+    checked before anything renders or encodes, or built from the simulator without
+    ``data_root``, then subsampled to ``dataset_fraction``."""
     kind = EnvKind(task)
-    check_task(config, task)  # before this task renders or encodes
-    if config.data_root is not None:
-        dataset = load_dataset(Path(config.data_root) / task)[0]
+    if (manifest := check_task(config, task)) is not None:
+        dataset = manifest_dataset(Path(config.data_root) / task, manifest)
     else:
         data_seed = trial_seed(config.master_seed, task, "dataset", 0)
         dataset = build_dataset(
@@ -495,7 +505,7 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
             per_theta_success=config.per_theta_success,
             per_theta_fail=config.per_theta_fail,
             seed=data_seed,
-        )[0]
+        )
     if config.dataset_fraction < 1.0:
         frac_seed = trial_seed(config.master_seed, task, "fraction", 0)
         dataset = subsample_dataset(dataset, config.dataset_fraction, seed=frac_seed)

@@ -84,33 +84,50 @@ def write_episodes_csv(
         writer.writerows(records)
 
 
+def _number_or(default: float | None):
+    return lambda text: float(text) if text else default
+
+
 def read_episodes_csv(path: str | Path) -> list[EpisodeRow]:
+    """The rows of an episode CSV.  A row without one cell per column, or a cell that does
+    not read as its column's type, raises ``ValueError`` naming the path and the line (and
+    the column): ``succeeded`` must be ``true`` or ``false``, and an empty
+    ``mean_*``/``wall_ms_*`` cell reads as None/0."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(EPISODE_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"episode CSV missing columns: {sorted(missing)}")
+
+        def cell(rec: dict, column: str, read, need: str):
+            try:
+                return read(rec[column])
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num} column {column!r} must be "
+                                 f"{need}, got {rec[column]!r}") from None
+
         for rec in reader:
+            if None in rec or None in rec.values():
+                raise ValueError(f"{path}: line {reader.line_num} does not hold one cell per "
+                                 "column")
             theta: float | str = rec["theta"]
             if _reads_as_float(theta):
                 theta = float(theta)
-            walls = {
-                phase: float(rec[f"wall_ms_{phase}"]) if rec[f"wall_ms_{phase}"] else 0.0
-                for phase in WALL_PHASES
-            }
             rows.append(
                 EpisodeRow(
                     task=rec["task"],
                     method=rec["method"],
-                    trial=int(rec["trial"]),
-                    seed=int(rec["seed"]),
+                    trial=cell(rec, "trial", int, "an integer"),
+                    seed=cell(rec, "seed", int, "an integer"),
                     theta=theta,
-                    replans=int(rec["replans"]),
-                    succeeded=rec["succeeded"] == "true",
-                    mean_psnr=float(rec["mean_psnr"]) if rec["mean_psnr"] else None,
-                    mean_ssim=float(rec["mean_ssim"]) if rec["mean_ssim"] else None,
-                    wall_ms=walls,
+                    replans=cell(rec, "replans", int, "an integer"),
+                    succeeded=cell(rec, "succeeded", {"true": True, "false": False}.__getitem__,
+                                   "true or false"),
+                    mean_psnr=cell(rec, "mean_psnr", _number_or(None), "a number or empty"),
+                    mean_ssim=cell(rec, "mean_ssim", _number_or(None), "a number or empty"),
+                    wall_ms={phase: cell(rec, f"wall_ms_{phase}", _number_or(0.0),
+                                         "a number or empty") for phase in WALL_PHASES},
                 )
             )
     return rows
@@ -253,7 +270,8 @@ def embedding_rows(config: ExperimentConfig) -> list[tuple[str, str, float, floa
     """Canonical embedding of every object, projected to 2 components.
 
     Tasks with only two objects cannot support two components; the second
-    coordinate is zero there.  Every task's ``data_root`` manifest is checked first.
+    coordinate is zero there, and a task with one object puts it at the origin.
+    Every task's ``data_root`` manifest is checked first.
     """
     for task in config.tasks:
         check_task(config, task)
@@ -261,11 +279,9 @@ def embedding_rows(config: ExperimentConfig) -> list[tuple[str, str, float, floa
     for task in config.tasks:
         table = build_task_assets(config, task).table  # the rest is freed at once
         canonical = table.canonical
-        k = min(2, canonical.shape[0] - 1)
-        proj = pca_fit(canonical, k)
-        coords = np.atleast_2d(pca_apply(proj, canonical))
-        if coords.shape[1] < 2:
-            coords = np.hstack([coords, np.zeros((coords.shape[0], 2 - coords.shape[1]))])
+        coords = np.zeros((canonical.shape[0], 2))
+        if (k := min(2, canonical.shape[0] - 1)) > 0:
+            coords[:, :k] = pca_apply(pca_fit(canonical, k), canonical)
         for object_id, (x, y) in zip(table.object_ids, coords):
             out.append((task, object_id, float(x), float(y)))
     return out

@@ -34,10 +34,13 @@ def test_gen_data(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "22 rollouts" in out and "2 objects" in out
 
-    dataset, env, thetas = load_dataset(data)
-    assert env == "openbox"
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert manifest["env"] == "openbox"
+    # an entry is what the method reads; its object id names the hidden value
+    assert {tuple(entry) for entry in manifest["entries"]} == {("video", "object_id", "success")}
+    dataset = load_dataset(data)
     assert len(dataset) == 22
-    assert set(thetas) == {"lift", "slide"}
+    assert set(dataset.by_object) == {"openbox/lift", "openbox/slide"}
 
 
 def test_gen_data_rejects_negative_fail_count(tmp_path):

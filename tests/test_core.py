@@ -172,7 +172,7 @@ def test_a_header_claiming_more_than_the_stream_holds_is_truncated(tmp_path, dim
 
 def test_a_corrupt_dataset_clip_is_named(tmp_path):
     tuples = _toy_tuples()
-    save_dataset(tmp_path / "ds", "toy", tuples, [0.15, 0.15, "slide", "slide"])
+    save_dataset(tmp_path / "ds", "toy", tuples)
     clip = tmp_path / "ds" / json.loads((tmp_path / "ds" / "manifest.json").read_text())[
         "entries"][2]["video"]
     clip.write_bytes(b"ISEV" + struct.pack("<IIII", 1, *HUGE_HEADERS["2^16 - 1"]) + bytes(64))
@@ -531,14 +531,26 @@ def test_dataset_index_and_validate():
         ExperienceDataset(())
 
 
+@pytest.mark.parametrize("theta", [None, True, "slide", 0.15])
+def test_a_stale_theta_in_a_manifest_entry_is_ignored(tmp_path, theta):
+    # manifests written before entries dropped theta still load, whatever it holds
+    tuples = _toy_tuples()
+    path = save_dataset(tmp_path / "ds", "toy", tuples)
+    manifest = json.loads(path.read_text())
+    for entry in manifest["entries"]:
+        entry["theta"] = theta
+    path.write_text(json.dumps(manifest))
+    back = load_dataset(tmp_path / "ds")
+    assert [(t.object_id, t.success) for t in back.tuples] == [
+        (t.object_id, t.success) for t in tuples]
+
+
 def test_dataset_save_load_roundtrip(tmp_path):
     tuples = _toy_tuples()
-    thetas = [0.15, 0.15, "slide", "slide"]
-    manifest = save_dataset(tmp_path / "ds", "toy", tuples, thetas)
+    manifest = save_dataset(tmp_path / "ds", "toy", tuples)
     assert manifest.name == "manifest.json"
-    back, env, back_thetas = load_dataset(tmp_path / "ds")
-    assert env == "toy"
-    assert back_thetas == thetas
+    assert json.loads(manifest.read_text())["env"] == "toy"
+    back = load_dataset(tmp_path / "ds")
     assert len(back) == 4
     for a, b in zip(back.tuples, tuples):
         assert a.object_id == b.object_id

@@ -33,15 +33,15 @@ def test_candidate_actions_cover_tables():
 
 def test_failing_actions_exact():
     # bar theta 0.0 tolerates offsets within 0.03: -0.03, -0.015, 0, 0.015, 0.03
-    fails = failing_actions(EnvKind.PUSH_BAR, 0.0)
+    fails = failing_actions(EnvKind.PUSH_BAR, 0.0, candidate_actions(EnvKind.PUSH_BAR))
     assert len(fails) == 24 - 5
     assert all(abs(a.value) > 0.03 for a in fails)
 
-    fails = failing_actions(EnvKind.OPEN_BOX, "lift")
+    fails = failing_actions(EnvKind.OPEN_BOX, "lift", candidate_actions(EnvKind.OPEN_BOX))
     assert [a.value for a in fails] == ["slide"]
 
     env = EnvInstance(EnvKind.SLIDE_BRICK, 0.32)
-    fails = failing_actions(EnvKind.SLIDE_BRICK, 0.32)
+    fails = failing_actions(EnvKind.SLIDE_BRICK, 0.32, candidate_actions(EnvKind.SLIDE_BRICK))
     for action in fails:
         assert not execute(env, action).success
     hits = len(candidate_actions(EnvKind.SLIDE_BRICK)) - len(fails)
@@ -51,10 +51,6 @@ def test_failing_actions_exact():
 def test_dataset_builds_the_hypothesis_set_once(monkeypatch):
     import replan.datasets
 
-    for kind in EnvKind:
-        hypotheses = candidate_actions(kind)
-        for theta in hidden_values(kind):
-            assert failing_actions(kind, theta, hypotheses) == failing_actions(kind, theta)
     calls = []
     real = replan.datasets.candidate_actions
     monkeypatch.setattr(
@@ -75,8 +71,9 @@ def test_failing_actions_render_nothing(monkeypatch):
 
     monkeypatch.setattr(envs, "render", counting_render)
     for kind in EnvKind:
+        hypotheses = candidate_actions(kind)
         for theta in hidden_values(kind):
-            failing_actions(kind, theta)
+            failing_actions(kind, theta, hypotheses)
     assert renders == []
 
 
@@ -90,21 +87,23 @@ def test_build_dataset_renders_each_distinct_rollout_once(monkeypatch):
                         executed.append((env.theta_value, action.value)) or real(env, action))
     for kind in EnvKind:
         executed.clear()
-        dataset, thetas = build_dataset(kind, per_theta_fail=10)
+        dataset = build_dataset(kind, per_theta_fail=10)
         assert len(executed) == len(set(executed))
-        pools = {theta: len(failing_actions(kind, theta)) for theta in hidden_values(kind)}
+        hypotheses = candidate_actions(kind)
+        pools = {theta: len(failing_actions(kind, theta, hypotheses))
+                 for theta in hidden_values(kind)}
         assert len(executed) == sum(1 + min(10, pool) for pool in pools.values())
         for theta, pool in pools.items():
-            fails = [item.video for item, t in zip(dataset.tuples, thetas)
-                     if t == theta and not item.success]
+            fails = [item.video for item in dataset.tuples
+                     if item.object_id == envs.object_id(kind, theta) and not item.success]
             assert len(fails) == (10 if pool else 0)
             assert len({id(video) for video in fails}) == min(10, pool)
 
 
 def test_build_dataset_counts_and_order():
-    ds, thetas = build_dataset(EnvKind.SLIDE_BRICK, per_theta_success=1, per_theta_fail=10)
-    assert len(ds) == len(thetas)
-    assert len(ds.by_object) == 13
+    ds = build_dataset(EnvKind.SLIDE_BRICK, per_theta_success=1, per_theta_fail=10)
+    assert list(ds.by_object) == [envs.object_id(EnvKind.SLIDE_BRICK, theta)
+                                  for theta in hidden_values(EnvKind.SLIDE_BRICK)]
     for oid, idxs in ds.by_object.items():
         assert ds.tuples[idxs[0]].success, oid  # success first per object
         fails = [i for i in idxs if not ds.tuples[i].success]
@@ -115,7 +114,7 @@ def test_build_dataset_counts_and_order():
 
 def test_build_dataset_discrete_fail_pool():
     # one wrong mode exists; the pool cycles, so every failure repeats it
-    ds, _ = build_dataset(EnvKind.OPEN_BOX, per_theta_success=1, per_theta_fail=10)
+    ds = build_dataset(EnvKind.OPEN_BOX, per_theta_success=1, per_theta_fail=10)
     assert len(ds) == 2 * (1 + 10)
     for idxs in ds.by_object.values():
         assert [ds.tuples[i].success for i in idxs] == [True] + [False] * 10
@@ -124,16 +123,15 @@ def test_build_dataset_discrete_fail_pool():
 
 
 def test_build_dataset_deterministic():
-    a, thetas_a = build_dataset(EnvKind.PUSH_BAR, seed=7)
-    b, thetas_b = build_dataset(EnvKind.PUSH_BAR, seed=7)
-    assert thetas_a == thetas_b
+    a = build_dataset(EnvKind.PUSH_BAR, seed=7)
+    b = build_dataset(EnvKind.PUSH_BAR, seed=7)
     assert len(a) == len(b)
     for ta, tb in zip(a.tuples, b.tuples):
         assert ta.object_id == tb.object_id
         assert ta.success == tb.success
         assert ta.video.pixels.tobytes() == tb.video.pixels.tobytes()
 
-    c, _ = build_dataset(EnvKind.PUSH_BAR, seed=8)
+    c = build_dataset(EnvKind.PUSH_BAR, seed=8)
     order_a = [t.object_id + str(t.success) for t in a.tuples]
     order_c = [t.object_id + str(t.success) for t in c.tuples]
     assert order_a == order_c  # layout fixed; only failure sampling varies
@@ -147,7 +145,7 @@ def test_build_dataset_validation():
 
 
 def test_subsample_keeps_first_success():
-    ds, _ = build_dataset(EnvKind.SLIDE_BRICK)
+    ds = build_dataset(EnvKind.SLIDE_BRICK)
     sub = subsample_dataset(ds, 0.28, seed=3)
     assert len(sub) < len(ds)
     assert set(sub.by_object) == set(ds.by_object)
@@ -165,7 +163,7 @@ def test_subsample_keeps_first_success():
 
 
 def test_subsample_fraction_size():
-    ds, _ = build_dataset(EnvKind.PUSH_BAR)
+    ds = build_dataset(EnvKind.PUSH_BAR)
     sub = subsample_dataset(ds, 0.5, seed=0)
     # per object: 1 success + round(0.5 * 10) of the rest
     assert len(sub) == 24 * (1 + 5)
@@ -190,8 +188,8 @@ def test_each_way_a_dataset_is_made_checks_it(way, tmp_path, monkeypatch):
     # every dataset refuses to exist empty or with a success-less object, and records
     # each object's first success, however it was made
     def loaded(tuples):
-        save_dataset(tmp_path / "ds", "toy", tuples, [0.0] * len(tuples))
-        return load_dataset(tmp_path / "ds")[0]
+        save_dataset(tmp_path / "ds", "toy", tuples)
+        return load_dataset(tmp_path / "ds")
 
     makers = {"direct": ExperienceDataset, "load_dataset": loaded,
               "subsample_dataset": lambda tuples: subsample_dataset(
@@ -200,7 +198,7 @@ def test_each_way_a_dataset_is_made_checks_it(way, tmp_path, monkeypatch):
     if way == "load_dataset":  # read_manifest refuses both before any video is read
         no_c, empty = "object 'c' has no entry whose field 'success' is true$", "no entries$"
     if way == "build_dataset":
-        dataset = build_dataset(EnvKind.OPEN_BOX)[0]
+        dataset = build_dataset(EnvKind.OPEN_BOX)
         bad = envs.object_id(EnvKind.OPEN_BOX, "slide")
         with monkeypatch.context() as patch:  # a build that labels every slide rollout failed
             patch.setattr(replan.datasets, "ExperienceTuple", lambda video, oid, success:

@@ -39,7 +39,7 @@ from replan import (
     trial_seed,
 )
 from replan import envs
-from replan.loop import CellStats, EpisodeRow
+from replan.loop import WALL_PHASES, CellStats, EpisodeRow
 
 
 @pytest.fixture(scope="module")
@@ -1087,15 +1087,15 @@ def test_the_smallest_generated_dataset_fits_pca(config, task):
 def test_data_root_assets(tmp_path, openbox_assets):
     from replan import build_dataset, save_dataset
 
-    dataset, thetas = build_dataset(EnvKind.OPEN_BOX)
-    save_dataset(tmp_path / "openbox", "openbox", dataset.tuples, thetas)
+    dataset = build_dataset(EnvKind.OPEN_BOX)
+    save_dataset(tmp_path / "openbox", "openbox", dataset.tuples)
     cfg = ExperimentConfig(tasks=("openbox",), data_root=str(tmp_path))
     assets = build_task_assets(cfg, "openbox")
     assert assets.kind is EnvKind.OPEN_BOX
     assert len(assets.table) == len(dataset)
 
     # a directory holding some other task's dataset is rejected
-    save_dataset(tmp_path / "pushbar", "openbox", dataset.tuples, thetas)
+    save_dataset(tmp_path / "pushbar", "openbox", dataset.tuples)
     with pytest.raises(ValueError):
         build_task_assets(ExperimentConfig(tasks=("pushbar",), data_root=str(tmp_path)), "pushbar")
 
@@ -1108,10 +1108,10 @@ def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypat
     import replan.loop
     from replan import build_dataset, save_dataset
 
-    dataset, thetas = build_dataset(EnvKind.OPEN_BOX)
-    save_dataset(tmp_path / "openbox", "openbox", dataset.tuples, thetas)
+    dataset = build_dataset(EnvKind.OPEN_BOX)
+    save_dataset(tmp_path / "openbox", "openbox", dataset.tuples)
     if manifest != "missing":
-        save_dataset(tmp_path / "turnfaucet", "openbox", dataset.tuples, thetas)
+        save_dataset(tmp_path / "turnfaucet", "openbox", dataset.tuples)
     texts = {"not JSON": '{"env": "turnfaucet"', "a list": '["turnfaucet"]',
              "without entries": '{"env": "turnfaucet"}',
              "with no entries": '{"env": "turnfaucet", "entries": []}'}
@@ -1132,10 +1132,6 @@ def test_a_data_root_missing_a_task_fails_before_any_episode(tmp_path, monkeypat
 
 # Entry 3 of a saved turnfaucet manifest, rewritten: the message tail that names the field.
 BAD_ENTRIES = {
-    "theta missing": (lambda e: {k: v for k, v in e.items() if k != "theta"},
-                      "field 'theta' must be a number or a string, it is missing"),
-    "theta a bool": (lambda e: {**e, "theta": True},
-                     "field 'theta' must be a number or a string, got True"),
     "success a string": (lambda e: {**e, "success": "false"},
                          "field 'success' must be true or false, got 'false'"),
     "success an integer": (lambda e: {**e, "success": 0},
@@ -1161,8 +1157,7 @@ def assert_fails_before_any_build(tmp_path, monkeypatch, reader, rewrite, tail):
     from replan import build_dataset, load_dataset, save_dataset
 
     for task in ("openbox", "turnfaucet"):
-        dataset, thetas = build_dataset(EnvKind(task), per_theta_fail=2)
-        save_dataset(tmp_path / task, task, dataset.tuples, thetas)
+        save_dataset(tmp_path / task, task, build_dataset(EnvKind(task), per_theta_fail=2).tuples)
     path = tmp_path / "turnfaucet" / "manifest.json"
     manifest = json.loads(path.read_text())
     rewrite(manifest["entries"])
@@ -1208,3 +1203,90 @@ def test_an_object_with_no_successful_entry_fails_before_any_build(tmp_path, mon
 
     assert_fails_before_any_build(tmp_path, monkeypatch, reader, rewrite,
                                   "object 'turnfaucet/cw' has no entry whose field 'success' is true")
+
+
+def save_one_object_turnfaucet(tmp_path):
+    """Save openbox's dataset and turnfaucet's rollouts of one hidden value (its success
+    and two failures) under ``tmp_path``."""
+    from replan import build_dataset, save_dataset
+
+    for task in ("openbox", "turnfaucet"):
+        tuples = build_dataset(EnvKind(task), per_theta_fail=2).tuples
+        if task == "turnfaucet":
+            tuples = [item for item in tuples if item.object_id == "turnfaucet/cw"]
+        save_dataset(tmp_path / task, task, tuples)
+
+
+@pytest.mark.parametrize("reader", ["run_experiment", "embedding_rows", "build_task_assets"])
+def test_a_run_reads_each_manifest_once_up_front_and_once_to_build(tmp_path, monkeypatch,
+                                                                   reader):
+    import replan.core
+    import replan.loop
+
+    save_one_object_turnfaucet(tmp_path)
+    reads = []
+    real = replan.core.read_manifest
+    for module in (replan.core, replan.loop):  # every caller's name for it
+        monkeypatch.setattr(module, "read_manifest", lambda path: reads.append(path) or
+                            real(path))
+    config = ExperimentConfig(tasks=("turnfaucet",), methods=("avdc",), trials=2,
+                              data_root=str(tmp_path))
+    {"run_experiment": lambda: run_experiment(config),
+     "embedding_rows": lambda: embedding_rows(config),
+     "build_task_assets": lambda: build_task_assets(config, "turnfaucet")}[reader]()
+    path = tmp_path / "turnfaucet" / "manifest.json"
+    assert reads == [path] * (1 if reader == "build_task_assets" else 2)
+
+
+@pytest.mark.parametrize("reader", ["run_experiment", "embedding_rows", "report --embed-csv"])
+def test_a_data_root_thinned_below_two_clips_fails_before_any_build(tmp_path, monkeypatch,
+                                                                    reader):
+    # turnfaucet keeps its success and round(0.25 * 2) = 0 of its failures (half to even);
+    # unchecked, openbox would build and run first and pca_fit would then fail on
+    # turnfaucet's one clip with a message naming no field
+    import re
+
+    import replan.loop
+    import replan.report
+    from replan import write_episodes_csv
+    from replan.cli import main
+
+    save_one_object_turnfaucet(tmp_path)
+    calls = []
+    for module, name in ((replan.loop, "build_task_assets"), (replan.loop, "run_episode"),
+                         (replan.report, "build_task_assets")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    config = ExperimentConfig(tasks=("openbox", "turnfaucet"), methods=("avdc",), trials=3,
+                              dataset_fraction=0.25, data_root=str(tmp_path))
+    out = tmp_path / "run"
+    write_episodes_csv([EpisodeRow("openbox", "avdc", 0, 1, "lift", 1, True, None, None,
+                                   dict.fromkeys(WALL_PHASES, 0.0))], out / "episodes.csv")
+    (out / "config.json").write_text(json.dumps(config.to_dict()))
+    run = {"run_experiment": lambda: run_experiment(config),
+           "embedding_rows": lambda: embedding_rows(config),
+           "report --embed-csv": lambda: main(["report", "--in", str(out),
+                                               "--csv", str(out / "summary.csv"),
+                                               "--svg", str(out / "chart.svg"),
+                                               "--embed-csv", str(out / "embed.csv")])}[reader]
+    path = tmp_path / "turnfaucet" / "manifest.json"
+    message = (f"ExperimentConfig.data_root {str(tmp_path)!r}, task 'turnfaucet': {path} "
+               "keeps 1 clip at dataset_fraction 0.25, and a task needs at least 2")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+    assert calls == []
+    assert not (out / "embed.csv").exists()
+
+
+def test_a_data_root_that_keeps_two_clips_runs(tmp_path):
+    # round(0.3 * 2) = 1: turnfaucet keeps its success and one failure, where truncating
+    # 0.6 would keep neither failure and over-reject
+    save_one_object_turnfaucet(tmp_path)
+    config = ExperimentConfig(tasks=("openbox", "turnfaucet"), methods=("avdc", "ours"),
+                              trials=3, dataset_fraction=0.3, data_root=str(tmp_path))
+    assert len(build_task_assets(config, "turnfaucet").dataset) == 2
+    rows = run_experiment(config).rows
+    assert [(row.task, row.method) for row in rows[-6:]] == [("turnfaucet", "avdc")] * 3 + [
+        ("turnfaucet", "ours")] * 3
+    assert ("turnfaucet", "turnfaucet/cw", 0.0, 0.0) in embedding_rows(config)

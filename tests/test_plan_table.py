@@ -34,6 +34,7 @@ from replan import (
     execute,
     generate,
     hidden_values,
+    object_id,
     pixel_l2,
     plan_to_action,
     psnr,
@@ -228,9 +229,10 @@ def test_one_build_serves_every_rejection_metric():
 def data_root_assets(tmp_path, keep=lambda theta: True):
     """slidebrick's assets from a saved copy of its generated dataset, every video a
     loaded copy; ``keep`` picks the hidden values whose rollouts are saved."""
-    dataset, thetas = build_dataset(EnvKind.SLIDE_BRICK)
-    kept = [(item, theta) for item, theta in zip(dataset.tuples, thetas) if keep(theta)]
-    save_dataset(tmp_path / "slidebrick", "slidebrick", *zip(*kept))
+    kind = EnvKind.SLIDE_BRICK
+    kept = {object_id(kind, theta) for theta in hidden_values(kind) if keep(theta)}
+    save_dataset(tmp_path / "slidebrick", "slidebrick",
+                 [item for item in build_dataset(kind).tuples if item.object_id in kept])
     config = ExperimentConfig(tasks=("slidebrick",), data_root=str(tmp_path))
     return build_task_assets(config, "slidebrick")
 
@@ -351,10 +353,10 @@ def test_ground_truth_rows_do_not_rest_on_the_rollout_cache():
 
 @pytest.mark.parametrize("shape", [(6, 32, 32), (8, 16, 16)])
 def test_data_root_clips_of_another_shape_fail_at_set_up(tmp_path, shape):
-    dataset, thetas = build_dataset(EnvKind.OPEN_BOX)
+    dataset = build_dataset(EnvKind.OPEN_BOX)
     tuples = [ExperienceTuple(Video(np.zeros(shape, dtype=np.float32)), item.object_id,
                               item.success) for item in dataset.tuples]
-    save_dataset(tmp_path / "openbox", "openbox", tuples, thetas)
+    save_dataset(tmp_path / "openbox", "openbox", tuples)
     config = ExperimentConfig(tasks=("openbox",), data_root=str(tmp_path))
     message = rf"clips of shape \[{re.escape(str(shape))}\] are not the simulator's \(8, 32, 32\)"
     with pytest.raises(ValueError, match=message):
@@ -364,10 +366,10 @@ def test_data_root_clips_of_another_shape_fail_at_set_up(tmp_path, shape):
 def test_undecodable_support_plan_takes_the_undecodable_branch(tmp_path):
     # a data_root dataset whose planner support holds a blank clip: with the
     # reset frame as frame 0 it shows the lid in one frame only
-    dataset, thetas = build_dataset(EnvKind.OPEN_BOX)
+    dataset = build_dataset(EnvKind.OPEN_BOX)
     blank = Video(np.zeros((8, 32, 32), dtype=np.float32))
     tuples = [*dataset.tuples, ExperienceTuple(blank, "openbox/lift", True)]
-    save_dataset(tmp_path / "openbox", "openbox", tuples, [*thetas, "lift"])
+    save_dataset(tmp_path / "openbox", "openbox", tuples)
     config = ExperimentConfig(tasks=("openbox",), data_root=str(tmp_path), n_candidates=3)
     assets = build_task_assets(config, "openbox")
     assert assets.plans.actions[-1] == "object visible in fewer than two frames"

@@ -176,6 +176,46 @@ def test_episode_csv_schema_check(tmp_path):
         read_episodes_csv(bad)
 
 
+BAD_CELLS = {  # column -> (a cell the reader refuses, what the column must hold)
+    "trial": ("1.0", "an integer"),
+    "seed": ("x", "an integer"),
+    "replans": ("", "an integer"),
+    "succeeded": ("yes", "true or false"),
+    "mean_psnr": ("high", "a number or empty"),
+    "mean_ssim": ("0,5", "a number or empty"),
+    **{f"wall_ms_{phase}": ("1ms", "a number or empty") for phase in WALL_PHASES},
+}
+
+
+@pytest.mark.parametrize("column", BAD_CELLS)
+def test_a_bad_episode_cell_is_named(tmp_path, column):
+    # the second data row (line 3) of a timed CSV, one cell rewritten
+    path = tmp_path / "episodes.csv"
+    write_episodes_csv(sample_rows(), path, timing=True)
+    lines = path.read_text().splitlines()
+    header, row = lines[0].split(","), lines[2].split(",")
+    text, need = BAD_CELLS[column]
+    row[header.index(column)] = f'"{text}"' if "," in text else text
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: line 3 column {column!r} must be {need}, got {text!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_episodes_csv(path)
+
+
+@pytest.mark.parametrize("cells", [-1, 1])
+def test_an_episode_row_without_one_cell_per_column_is_named(tmp_path, cells):
+    # a row cut short, or one with a cell too many, is not read as a row with empty cells
+    path = tmp_path / "episodes.csv"
+    write_episodes_csv(sample_rows(), path, timing=True)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] if cells < 0 else lines[2] + ",9"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: line 3 does not hold one cell per column"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_episodes_csv(path)
+
+
 def test_summary_csv_layout(tmp_path):
     rows = [
         EpisodeRow("t1", "ours", i, 0, 0.0, r, True, None, None, {})
@@ -243,6 +283,17 @@ def test_embedding_rows_two_object_task():
     xs = sorted(r[2] for r in rows)
     assert xs[0] == pytest.approx(-xs[1], rel=1e-9)
     assert xs[1] > 0
+
+
+def test_embedding_rows_one_object_task(tmp_path):
+    # one canonical embedding supports no component; the object sits at the origin
+    from replan import EnvKind, build_dataset, save_dataset
+
+    dataset = build_dataset(EnvKind.TURN_FAUCET, per_theta_fail=2)
+    save_dataset(tmp_path / "turnfaucet", "turnfaucet",
+                 [t for t in dataset.tuples if t.object_id == "turnfaucet/cw"])
+    config = ExperimentConfig(tasks=("turnfaucet",), data_root=str(tmp_path))
+    assert embedding_rows(config) == [("turnfaucet", "turnfaucet/cw", 0.0, 0.0)]
 
 
 def test_embedding_csv(tmp_path):

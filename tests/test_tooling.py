@@ -221,3 +221,24 @@ def test_readme_lists_every_run_field_in_order():
                        readme)
     assert listed is not None
     assert listed.group(1).replace(",", " ").split() == list(ExperimentConfig.__dataclass_fields__)
+
+
+def test_readme_manifest_example_lists_the_entry_keys_save_dataset_writes(tmp_path):
+    # the README's manifest example is kept by hand
+    import json
+    import re
+
+    import numpy as np
+
+    from replan import ExperienceTuple, Video, save_dataset
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"\*\*Dataset manifest\*\*.*?```json\n(.*?)```", readme, re.DOTALL)
+    assert example is not None
+    clip = Video(np.zeros((2, 8, 8), dtype=np.float32))
+    written = json.loads(save_dataset(tmp_path, "openbox", [ExperienceTuple(
+        clip, "openbox/lift", True)]).read_text())
+    documented = json.loads(example.group(1))
+    assert list(documented) == list(written)
+    assert [list(entry) for entry in documented["entries"]] == [
+        list(entry) for entry in written["entries"]]
