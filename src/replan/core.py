@@ -211,41 +211,43 @@ def window_means(pixels: np.ndarray) -> np.ndarray:
 
 
 def window_moments(pixels: np.ndarray) -> np.ndarray:
-    """(2, T, windows) float64 moments of a (T, H, W) clip for ``ssim``: each window's
-    mean mu and variance W(x^2) - mu^2, where W is ``window_means``.  W(x^2) is one
-    (T, H, W) product, as the cross moment in ``ssim`` is, so a clip against its own
+    """(3, T, windows) float64 moments of a (T, H, W) clip for ``ssim``: each window's
+    mean mu, mu^2 and variance W(x^2) - mu^2, where W is ``window_means``.  W(x^2) is one
+    (T, H, W) product, as the cross moment in ``held_ssim`` is, so a clip against its own
     bytes scores exactly 1."""
     x = np.asarray(pixels, dtype=np.float64)
+    if min(x.shape[-2:]) < SSIM_WINDOW:
+        raise ValueError(f"frame smaller than SSIM window: {x.shape[-2:]}")
     mu = window_means(x)
-    return np.stack([mu, window_means(x * x) - mu * mu])
+    square = mu * mu
+    return np.stack([mu, square, window_means(x * x) - square])
 
 
-def ssim(
-    a: Video, b: Video, mom_a: np.ndarray | None = None, mom_b: np.ndarray | None = None
-) -> float:
+SsimHold = tuple[np.ndarray, np.ndarray]  # a clip's float64 pixels and its window_moments
+
+
+def held_ssim(a: Video, b: Video, hold_a: SsimHold, hold_b: SsimHold) -> float:
     """Mean SSIM (Wang et al. 2004) over 8x8 stride-1 windows: per-frame window mean,
     then frame mean.  Each window scores
 
         (2 mu_a mu_b + C1) (2 cov_ab + C2) / ((mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2))
 
-    with cov_ab = W(a b) - mu_a mu_b.  mu and var depend on one clip only: they are its
-    ``window_moments``, which a caller that holds them passes as ``mom_a`` or ``mom_b``
-    for the same bits, so a call builds only the cross moment W(a b).  The tail runs in
-    place in that map, the numerator's and the denominator's, with the formula's operands
-    and order; it never writes into the moments.
+    with cov_ab = W(a b) - mu_a mu_b.  Everything but W(a b) depends on one clip only, so
+    it comes from what the caller holds of each clip: its float64 pixels and its
+    ``window_moments``.  Equal bytes score 1.0, what the arithmetic gives.  The tail runs
+    in place in the W(a b) map and the numerator's, with the formula's operands and order;
+    it never writes into a hold.
     """
     _check_same_shape(a, b)
-    t, h, w = a.pixels.shape
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
-        raise ValueError(f"frame smaller than SSIM window: {(h, w)}")
-    windows = (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1)
-    if any(mom is not None and mom.shape != (2, t, windows) for mom in (mom_a, mom_b)):
-        raise ValueError(f"window moments must have shape {(2, t, windows)}")
+    t, h, w = shape = a.pixels.shape
+    moments = (3, t, (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1))
+    if any(x.shape != shape or mom.shape != moments for x, mom in (hold_a, hold_b)):
+        raise ValueError(f"an ssim hold must be pixels of shape {shape} and window moments "
+                         f"of shape {moments}")
     if _same_bytes(a, b):
         return 1.0  # exactly what the arithmetic below gives: num and den are equal
-    mu_a, var_a = window_moments(a.pixels) if mom_a is None else mom_a
-    mu_b, var_b = window_moments(b.pixels) if mom_b is None else mom_b
-    cov = window_means(a.pixels.astype(np.float64) * b.pixels.astype(np.float64))  # W(ab)
+    (x_a, (mu_a, square_a, var_a)), (x_b, (mu_b, square_b, var_b)) = hold_a, hold_b
+    cov = window_means(x_a * x_b)  # W(ab)
     num = mu_a * mu_b
     cov -= num
     cov *= 2.0
@@ -253,14 +255,20 @@ def ssim(
     num *= 2.0
     num += SSIM_C1
     num *= cov
-    den = mu_a * mu_a
-    den += np.multiply(mu_b, mu_b, out=cov)
+    den = square_a + square_b
     den += SSIM_C1
     np.add(var_a, var_b, out=cov)
     cov += SSIM_C2
     den *= cov
     num /= den
-    return float(np.add.reduce(np.add.reduce(num, axis=1) / windows) / t)  # as np.mean
+    return float(np.add.reduce(np.add.reduce(num, axis=1) / moments[2]) / t)  # as np.mean
+
+
+def ssim(a: Video, b: Video) -> float:
+    """``held_ssim`` of two clips, each held here: the oracle of a caller's holds."""
+    _check_same_shape(a, b)
+    wide = (a.pixels.astype(np.float64), b.pixels.astype(np.float64))
+    return held_ssim(a, b, *((x, window_moments(x)) for x in wide))
 
 
 @dataclass(frozen=True)

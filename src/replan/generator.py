@@ -103,16 +103,29 @@ def _log_weights(emb: np.ndarray, bandwidth: float, e: np.ndarray | None) -> np.
     return -(diffs * diffs).sum(axis=-1) / (2.0 * bandwidth * bandwidth)
 
 
+def cumulative_weights(g: KernelGenerator, e: np.ndarray | None) -> np.ndarray:
+    """Cumulative kernel weights over the support: an (n,) row for ``e`` None (uniform
+    weights) or one (k,) embedding, an (m, n) stack for an (m, k) batch."""
+    return np.cumsum(softmax(_log_weights(g.embeddings, g.bandwidth, e)), axis=-1)
+
+
+def draw_indices(cumulative: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` support indices drawn from ``cumulative_weights``: all from one (n,) row,
+    or one per row of a (count, n) stack, by ``rng.random(count)``, the same uniforms as
+    ``count`` single draws.  A stack of another height fails before any draw."""
+    if cumulative.ndim == 2 and len(cumulative) != count:
+        raise ValueError(f"count must be the batch's {len(cumulative)} rows, got {count!r}")
+    draws = rng.random(count)
+    # count of cumulative weights <= u, as searchsorted(side="right") on each row
+    return np.minimum((cumulative <= draws[:, None]).sum(axis=-1), cumulative.shape[-1] - 1)
+
+
 def generate_indices(
     g: KernelGenerator, e: np.ndarray | None, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Support indices of sampled plans: ``count`` of them for ``e`` None (uniform
-    weights) or one (k,) embedding, one per row of an (m, k) batch.  The draws
-    are ``rng.random(count)``, the same uniforms as ``count`` single draws."""
-    cumulative = np.cumsum(softmax(_log_weights(g.embeddings, g.bandwidth, e)), axis=-1)
-    draws = rng.random(len(cumulative) if cumulative.ndim == 2 else count)
-    # count of cumulative weights <= u, as searchsorted(side="right") on each row
-    return np.minimum((cumulative <= draws[:, None]).sum(axis=-1), len(g) - 1)
+    """Support indices of sampled plans, ``draw_indices`` from ``cumulative_weights``:
+    ``count`` of them for ``e`` None or one (k,) embedding, one per row of a (count, k) batch."""
+    return draw_indices(cumulative_weights(g, e), count, rng)
 
 
 def generate(
@@ -123,8 +136,9 @@ def generate(
     rng: np.random.Generator,
 ) -> list[Video]:
     """Candidate plans as ``generate_indices`` draws them: support videos with frame 0
-    replaced bit-exactly by ``first_frame`` (shared when it already matches)."""
-    picks = generate_indices(g, e, config.n_candidates, rng)
+    replaced bit-exactly by ``first_frame`` (shared when it already matches).  An (m, k)
+    batch draws one plan per row, whatever ``config.n_candidates`` says."""
+    picks = generate_indices(g, e, len(e) if np.ndim(e) == 2 else config.n_candidates, rng)
     return [g.videos[pick].with_first_frame(first_frame) for pick in picks]
 
 

@@ -1,16 +1,17 @@
 """Replanning loop, experiment runner, and ablation sweeps.
 
 An episode replans for up to ``max_replans`` rounds: propose candidate plans
-(conditioned on retrieved or refined state embeddings after the first failure),
+(conditioned on retrieved objects or refined state embeddings after the first failure),
 reject candidates near previously failed plans, decode the selected plan to an
 action and judge it by the success rule.  A failed plan joins the episode's
 failed-plan buffer; a round that retrieves or refines reads what it needs of the
 earlier failed rollouts from ``TaskAssets.rollouts``, which renders each (theta,
-plan-table row) pair once per task and keeps no pixels.  Plans are indices into the
-task's ``PlanTable``, whose rows include every ground-truth plan.  A round scores its
-plan against the ground-truth row by PSNR, a lookup in that table, and by SSIM, kept
-per task in ``TaskAssets.ssims``: a plan row and a ground-truth row are scored once in
-either order, with the one-clip moments set-up holds, so they build one product map.
+plan-table row) pair once per task and keeps no pixels.  A round that does not refine
+draws from the task's weight rows of the retrieved objects, or its uniform row.  Plans
+are indices into the task's ``PlanTable``, whose rows include every ground-truth plan.
+A round scores its plan against the ground-truth row by PSNR, a lookup in that table,
+and by SSIM, kept per task in ``TaskAssets.ssims``: a pair is scored once in either
+order, from the one-clip terms the table holds, so it builds one product map.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, manifest_dataset, psnr_table, ssim, window_moments
+from .core import ExperienceDataset, SsimHold, Video, manifest_dataset, psnr_table, window_moments
 from .core import is_number, read_manifest, require_integer
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
@@ -46,20 +47,16 @@ from .envs import (
     succeeds,
 )
 from .actor import PlanDecodeError, plan_to_action as decode_plan
-from .generator import GeneratorMode, KernelGenerator, ObservationTerms, fit_generator
-from .generator import observation_terms
-# the per-round call sites keep the names perfbench/layers.py traces
-from .generator import generate_indices as generate
+from .generator import GeneratorMode, KernelGenerator, ObservationTerms, cumulative_weights
+from .generator import fit_generator, observation_terms
 from .refinement import RefineConfig, refine_embedding
 from .rejection import RejectionMetric, distance_matrix, pixel_sums_of_squares
-from .retrieval import (
-    BufferPolicy,
-    EmbeddingTable,
-    RetrievalConfig,
-    build_table,
-    interaction_logits,
-    retrieve,
-)
+from .retrieval import BufferPolicy, EmbeddingTable, RetrievalConfig, build_table
+from .retrieval import interaction_logits
+# the per-round call sites keep the names perfbench/layers.py traces
+from .core import held_ssim as ssim
+from .generator import draw_indices as generate
+from .retrieval import retrieve_objects as retrieve
 
 ALL_TASKS = tuple(kind.value for kind in EnvKind)
 WALL_PHASES = ("retrieve", "generate", "reject", "act")  # EpisodeRecord.wall_ms keys
@@ -102,14 +99,15 @@ ALL_METHODS = tuple(m.value for m in Method)
 @dataclass(frozen=True)
 class PlanTable:
     """Row i is planner-support entry i as a plan, then each ground-truth plan whose bytes
-    no support entry has: its video (frame 0 the reset frame), its ``core.window_moments``
-    for ``ssim``, row i of ``core.psnr`` against every row, what ``actor.plan_to_action``
-    decodes it to (or the ``PlanDecodeError`` text) and row i of the rejection distances
-    under each metric.  The PSNR and raw-pixel distance rows come from one table of summed
-    squared differences.  Set-up grows as (rows)^2 x T*H*W."""
+    no support entry has: its video (frame 0 the reset frame), what ``core.held_ssim``
+    holds of it (its float64 pixels, widened once for the summed squared differences,
+    and its ``core.window_moments``), row i of ``core.psnr`` against every row, what
+    ``actor.plan_to_action`` decodes it to (or the ``PlanDecodeError`` text) and row i of
+    the rejection distances under each metric.  The PSNR and raw-pixel distance rows come
+    from one table of summed squared differences.  Set-up grows as (rows)^2 x T*H*W."""
 
     videos: tuple[Video, ...]
-    moments: np.ndarray  # (rows, 2, T, windows) float64
+    holds: tuple[SsimHold, ...]  # (T, H, W) float64 pixels, (3, T, windows) moments
     psnr: np.ndarray  # (rows, rows) float64
     actions: tuple[EnvAction | str, ...]
     distances: dict[RejectionMetric, np.ndarray]
@@ -119,7 +117,7 @@ def select_plan(distances: np.ndarray, candidates: np.ndarray, failed: list[int]
     """The candidate farthest from every failed plan under one metric's ``PlanTable``
     distances, as ``rejection.select_plan`` picks it: ties, and an empty ``failed``,
     go to the first candidate."""
-    scores = distances[np.ix_(candidates, failed)].min(axis=1, initial=math.inf)
+    scores = distances[candidates][:, failed].min(axis=1, initial=math.inf)
     return int(candidates[np.argmax(scores)])
 
 
@@ -135,7 +133,8 @@ class TaskAssets:
     """Everything an episode needs for one task, fit on its dataset.  Each hidden value's
     scripted plan is the plan-table row ``gt_rows[theta]``: the planner-support entry with
     its bytes, or a row appended after the support when none has them (only a
-    ``data_root`` dataset can lack one), where ``generate_indices`` never draws.
+    ``data_root`` dataset can lack one), where generation never draws.  ``weights`` row o,
+    and ``uniform``, are the planner's ``cumulative_weights`` at object o's and no embedding.
     ``rollouts`` keeps each pushed failed rollout under its (theta, plan-table row) as what
     its readers (``Method.reads``) need, ``interaction_logits`` under ``table`` and
     ``observation_terms`` against ``identifier``, from one ``execute`` render for every reader
@@ -152,6 +151,8 @@ class TaskAssets:
     gt_rows: dict[float | str, int]
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
+    weights: np.ndarray  # (objects, support)
+    uniform: np.ndarray  # (support,)
     rollouts: dict[tuple[float | str, int], dict[str, np.ndarray | ObservationTerms]] = field(
         default_factory=dict)
     ssims: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -184,15 +185,17 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset) -> TaskAssets:
             actions.append(decode_plan(kind, video))
         except PlanDecodeError as err:
             actions.append(str(err))
-    sums = pixel_sums_of_squares(videos)
+    wide = [video.pixels.astype(np.float64) for video in videos]
+    sums = pixel_sums_of_squares(wide)
     distances = {RejectionMetric.RAW_PIXEL: np.sqrt(sums),
                  RejectionMetric.EMBEDDING: distance_matrix(videos, RejectionMetric.EMBEDDING)}
     # one clip per product, as ssim's own: a stacked product may round otherwise
-    moments = np.stack([window_moments(video.pixels) for video in videos])
-    plans = PlanTable(tuple(videos), moments, psnr_table(sums, videos[0].pixels.size),
+    holds = tuple((x, window_moments(x)) for x in wide)
+    plans = PlanTable(tuple(videos), holds, psnr_table(sums, videos[0].pixels.size),
                       tuple(actions), distances)
     return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, gt_rows, plans,
-                      candidate_actions(kind))
+                      candidate_actions(kind), cumulative_weights(planner, table.canonical),
+                      cumulative_weights(planner, None))
 
 
 @dataclass(frozen=True)
@@ -256,11 +259,13 @@ def run_episode(
         else:
             # Until a plan has executed and failed there is no interaction to
             # condition on (round 1, or rounds whose plans did not decode), and
-            # all n candidates come from uniform weights; else one per embedding.
+            # all n candidates come from uniform weights; else one per retrieved
+            # object's weights row, or per refined embedding.
             t0 = time.perf_counter()
-            embeddings: np.ndarray | None = None
+            weights, embeddings = assets.uniform, None
             if interactions and method.uses_retrieval:
-                embeddings = retrieve(assets.table, interactions, retr_config, rng, count=n)
+                objects = retrieve(assets.table, interactions, retr_config, rng, count=n)
+                weights = assets.weights[objects]
             elif interactions and method.uses_refinement:
                 refined = refine_embedding(
                     assets.identifier, interactions[-1], None, refine_config, rng, count=n
@@ -269,7 +274,9 @@ def run_episode(
             wall["retrieve"] += 1e3 * (time.perf_counter() - t0)
 
             t0 = time.perf_counter()
-            candidates = generate(assets.planner, embeddings, n, rng)
+            if embeddings is not None:
+                weights = cumulative_weights(assets.planner, embeddings)
+            candidates = generate(weights, n, rng)
             wall["generate"] += 1e3 * (time.perf_counter() - t0)
 
             t0 = time.perf_counter()
@@ -279,10 +286,10 @@ def run_episode(
             wall["reject"] += 1e3 * (time.perf_counter() - t0)
 
             plan_psnr = float(plans.psnr[pick, gt])
-            pair = (pick, gt) if pick <= gt else (gt, pick)  # core.ssim is symmetric
+            pair = (pick, gt) if pick <= gt else (gt, pick)  # held_ssim is symmetric
             if (plan_ssim := assets.ssims.get(pair)) is None:
                 plan_ssim = assets.ssims[pair] = ssim(
-                    plans.videos[pick], plans.videos[gt], plans.moments[pick], plans.moments[gt])
+                    plans.videos[pick], plans.videos[gt], plans.holds[pick], plans.holds[gt])
 
             t0 = time.perf_counter()
             try:

@@ -47,11 +47,13 @@ def _rejection_metric(metric: RejectionMetric | str) -> RejectionMetric:
         raise ValueError(f"metric must be one of {choices}, got {metric!r}") from None
 
 
-def _rows(plans: Sequence[Video], metric: RejectionMetric) -> Sequence[np.ndarray]:
-    """One row per plan: stacked features, or a list of pixel rows widened to float64."""
+def _rows(plans: Sequence[Video | np.ndarray], metric: RejectionMetric) -> Sequence[np.ndarray]:
+    """One row per plan: stacked features, or a list of pixel rows widened to float64 (a
+    plan given as pixels already widened is read in place)."""
     if metric is RejectionMetric.EMBEDDING:
         return np.stack([encode_video(plan) for plan in plans])
-    return [plan.pixels.reshape(-1).astype(np.float64) for plan in plans]
+    return [(plan.pixels if isinstance(plan, Video) else plan).reshape(-1)
+            .astype(np.float64, copy=False) for plan in plans]
 
 
 def _sums_of_squares(rows: Sequence[np.ndarray], others: Sequence[np.ndarray]) -> np.ndarray:
@@ -86,11 +88,11 @@ def _nearest_failed_distances(
     return _distances(_rows(plans, metric), _rows(buffer.plans, metric), metric).min(axis=1)
 
 
-def pixel_sums_of_squares(plans: Sequence[Video]) -> np.ndarray:
+def pixel_sums_of_squares(plans: Sequence[Video | np.ndarray]) -> np.ndarray:
     """(n, n) matrix whose entry (i, j) is the summed squared pixel difference of
-    ``plans[i]`` and ``plans[j]``, as ``pixel_l2`` sums it before its square root.  Each
-    plan is taken against the earlier ones only: a difference squares to the same bits
-    either way."""
+    ``plans[i]`` and ``plans[j]`` (Videos, or their pixels widened to float64), as
+    ``pixel_l2`` sums it before its square root.  Each plan is taken against the earlier
+    ones only: a difference squares to the same bits either way."""
     rows = _rows(plans, RejectionMetric.RAW_PIXEL)
     out = np.zeros((len(rows), len(rows)))
     for j in range(1, len(rows)):

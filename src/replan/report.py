@@ -89,16 +89,17 @@ def _number_or(default: float | None):
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeRow]:
-    """The rows of an episode CSV.  A row without one cell per column, or a cell that does
-    not read as its column's type, raises ``ValueError`` naming the path and the line (and
-    the column): ``succeeded`` must be ``true`` or ``false``, and an empty
+    """The rows of an episode CSV.  A header without every column raises ``ValueError``
+    naming the path and the missing columns; a row without one cell per column, or a cell
+    that does not read as its column's type, names the path and the line (and the
+    column): ``succeeded`` must be ``true`` or ``false``, and an empty
     ``mean_*``/``wall_ms_*`` cell reads as None/0."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(EPISODE_COLUMNS) - set(reader.fieldnames or ())
         if missing:
-            raise ValueError(f"episode CSV missing columns: {sorted(missing)}")
+            raise ValueError(f"{path}: episode CSV missing columns: {sorted(missing)}")
 
         def cell(rec: dict, column: str, read, need: str):
             try:

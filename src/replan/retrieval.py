@@ -4,11 +4,11 @@ The table stores one projected embedding per dataset video plus one
 canonical state embedding per object (the first successful entry of that
 object in manifest order).  A query video is scored against every entry
 by negative distance; a softmax at temperature tau turns the scores into
-a categorical the retrieval samples from, returning the canonical
-embedding of the sampled entry's object.  A round draws all of its
-samples from one softmax.  A failed interaction is read only through its
-``interaction_logits`` row, so a caller that keeps the row, as the loop's
-per-task store does, scores each interaction once.
+a categorical the retrieval samples from, returning the sampled entry's
+object (``retrieve_objects``) or its canonical embedding (``retrieve``).
+A round draws all of its samples from one softmax.  A failed interaction
+is read only through its ``interaction_logits`` row, so a caller that
+keeps the row, as the loop's per-task store does, scores it once.
 """
 
 from __future__ import annotations
@@ -183,7 +183,27 @@ def retrieval_probabilities(
     tau = config.tau if config.tau is not None else default_tau(table)
     logits = [item if isinstance(item, np.ndarray) else
               interaction_logits(table, item, config.metric, encoder) for item in query]
-    return softmax(np.mean(logits, axis=0) / tau)
+    # one kept row is read as it is: its mean would be the same bits, x / 1 = x
+    return softmax((logits[0] if len(logits) == 1 else np.mean(logits, axis=0)) / tau)
+
+
+def retrieve_objects(
+    table: EmbeddingTable,
+    query: Video | Sequence[Video | np.ndarray],
+    config: RetrievalConfig,
+    rng: np.random.Generator,
+    count: int | None = None,
+    encoder: Callable[[Video], np.ndarray] = encode_video,
+) -> np.ndarray:
+    """The object indices of entries sampled from the retrieval softmax of ``query``, as
+    ``retrieval_probabilities`` takes it and computes it once: ``count`` of them from
+    ``rng.random(count)``, the same uniforms as ``count`` single draws, or one for None."""
+    if count is not None and count < 1:
+        raise ValueError(f"count must be None or >= 1, got {count!r}")
+    probs = retrieval_probabilities(table, query, config, encoder)
+    draws = rng.random(1 if count is None else count)
+    entries = np.searchsorted(np.cumsum(probs), draws, side="right")
+    return table.entry_object_index[np.minimum(entries, len(probs) - 1)]
 
 
 def retrieve(
@@ -194,19 +214,7 @@ def retrieve(
     encoder: Callable[[Video], np.ndarray] = encode_video,
     count: int | None = None,
 ) -> np.ndarray:
-    """Sample entries from the retrieval softmax; return their objects'
-    canonical embeddings.
-
-    ``query`` is as ``retrieval_probabilities`` takes it, and the
-    probabilities are computed once.  ``count`` draws that many
-    entries from ``rng.random(count)``, the same uniforms as ``count``
-    single calls in turn, and returns a (count, k) array; None draws one
-    and returns its (k,) embedding.
-    """
-    if count is not None and count < 1:
-        raise ValueError(f"count must be None or >= 1, got {count!r}")
-    probs = retrieval_probabilities(table, query, config, encoder)
-    draws = rng.random(1 if count is None else count)
-    entries = np.searchsorted(np.cumsum(probs), draws, side="right")
-    picked = table.canonical[table.entry_object_index[np.minimum(entries, len(probs) - 1)]]
+    """The canonical embeddings of the objects ``retrieve_objects`` samples: a (count, k)
+    array, or the (k,) embedding of one draw for ``count`` None."""
+    picked = table.canonical[retrieve_objects(table, query, config, rng, count, encoder)]
     return picked[0] if count is None else picked

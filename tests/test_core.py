@@ -32,6 +32,7 @@ from replan.core import (
     ExperienceDataset,
     ExperienceTuple,
     _window_band,
+    held_ssim,
     load_video,
     save_video,
     window_means,
@@ -408,18 +409,19 @@ def plan_pairs():
 
 
 def ssim_bit_mismatches():
-    """Plan pairs of all five tasks where ssim with held moments, ssim without them and
-    ``moment_ssim`` differ in any bit, and plan-table or ground-truth moments that are
-    not ``window_moments``."""
+    """Plan pairs of all five tasks where ``held_ssim`` on the plan table's holds (in
+    either order, as the loop keys a pair unordered), ``ssim`` and ``moment_ssim`` differ
+    in any bit, and plan-table holds that are not the row's float64 pixels and
+    ``window_moments``."""
     bad = []
     for task, assets, i, theta in plan_pairs():
-        plans, gt = assets.plans, assets.gt_plans[theta]
-        plan, gt_moments = plans.videos[i], plans.moments[assets.gt_rows[theta]]
-        if i == 0 and gt_moments.tobytes() != window_moments(gt.pixels).tobytes():
-            bad.append(f"{task} gt moments {theta}")
-        if plans.moments[i].tobytes() != window_moments(plan.pixels).tobytes():
-            bad.append(f"{task} moments {i}")
-        scores = (ssim(plan, gt, plans.moments[i], gt_moments), ssim(plan, gt),
+        plans, gt, row = assets.plans, assets.gt_plans[theta], assets.gt_rows[theta]
+        plan, (wide, moments) = plans.videos[i], plans.holds[i]
+        if (wide.tobytes() != plan.pixels.astype(np.float64).tobytes()
+                or moments.tobytes() != window_moments(plan.pixels).tobytes()):
+            bad.append(f"{task} hold {i}")
+        scores = (held_ssim(plan, gt, plans.holds[i], plans.holds[row]),
+                  held_ssim(gt, plan, plans.holds[row], plans.holds[i]), ssim(plan, gt),
                   moment_ssim(plan, gt))
         if len({struct.pack("<d", score) for score in scores}) != 1:
             bad.append(f"{task} plan {i} theta {theta}: {scores}")
@@ -449,7 +451,7 @@ def test_moment_ssim_differs_from_the_four_map_form_by_rounding_only():
     # the variances as two moments, not one a^2 + b^2 map: every pair the loop can
     # score lands within 2.3e-16 of the old arithmetic
     def gap(plans, i, gt):
-        held = ssim(plans.videos[i], plans.videos[gt], plans.moments[i], plans.moments[gt])
+        held = held_ssim(plans.videos[i], plans.videos[gt], plans.holds[i], plans.holds[gt])
         return abs(held - four_map_ssim(plans.videos[i], plans.videos[gt]))
 
     gaps = [gap(assets.plans, i, assets.gt_rows[theta]) for _, assets, i, theta in plan_pairs()]
@@ -461,7 +463,7 @@ def test_moment_ssim_differs_from_the_four_map_form_by_rounding_only():
 def test_held_moment_ssim_is_the_moment_oracle_on_random_clips(shape):
     # random clips reach windows no plan pair has; the in-place tail must give the
     # oracle's bits in either order (TaskAssets.ssims keys a pair unordered) and leave
-    # the held moments, views of one stack as in PlanTable, alone
+    # the holds alone
     rng = np.random.default_rng(sum(shape))
     a = Video(rng.random(shape, dtype=np.float32))
     others = [Video(rng.random(shape, dtype=np.float32)),
@@ -469,35 +471,42 @@ def test_held_moment_ssim_is_the_moment_oracle_on_random_clips(shape):
               const_video(0.5, shape),
               Video(a.pixels.copy())]  # byte-equal: 1.0 without the arithmetic
     for b in others:
-        moments = np.stack([window_moments(a.pixels), window_moments(b.pixels)])
-        held = moments.tobytes()
-        scores = (ssim(a, b, moments[0], moments[1]), ssim(a, b, None, moments[1]),
-                  ssim(a, b), moment_ssim(a, b), ssim(b, a, moments[1], moments[0]))
+        hold_a, hold_b = ((x, window_moments(x)) for x in (a.pixels.astype(np.float64),
+                                                           b.pixels.astype(np.float64)))
+        held = [array.tobytes() for array in (*hold_a, *hold_b)]
+        scores = (held_ssim(a, b, hold_a, hold_b), ssim(a, b), moment_ssim(a, b),
+                  held_ssim(b, a, hold_b, hold_a), ssim(b, a))
         assert len({struct.pack("<d", score) for score in scores}) == 1, scores
-        assert moments.tobytes() == held
+        assert [array.tobytes() for array in (*hold_a, *hold_b)] == held
     assert ssim(a, others[-1]) == 1.0 and ssim(a, others[0]) < 1.0
 
 
 def test_ssim_rejects_moments_of_another_shape():
     a, b = const_video(0.2, (2, 9, 10)), const_video(0.4, (2, 9, 10))
-    assert window_moments(a.pixels).shape == (2, 2, 6)
-    assert ssim(a, b, window_moments(a.pixels), window_moments(b.pixels)) == ssim(a, b)
-    with pytest.raises(ValueError, match=r"window moments must have shape \(2, 2, 6\)"):
-        ssim(a, b, None, window_moments(b.pixels)[:, :1])
-    with pytest.raises(ValueError, match="window moments must have shape"):
-        ssim(a, b, window_means(a.pixels), None)  # means alone are not moments
+    assert window_moments(a.pixels).shape == (3, 2, 6)
+    hold_a, hold_b = ((v.pixels.astype(np.float64), window_moments(v.pixels)) for v in (a, b))
+    assert held_ssim(a, b, hold_a, hold_b) == ssim(a, b)
+    message = (r"an ssim hold must be pixels of shape \(2, 9, 10\) and window moments of "
+               r"shape \(3, 2, 6\)")
+    with pytest.raises(ValueError, match=message):
+        held_ssim(a, b, hold_a, (hold_b[0], hold_b[1][:, :1]))
+    with pytest.raises(ValueError, match=message):
+        held_ssim(a, b, (hold_a[0], window_means(a.pixels)), hold_b)  # means are not moments
+    with pytest.raises(ValueError, match=message):
+        held_ssim(a, b, hold_a, (hold_b[0][:1], hold_b[1]))  # pixels of another clip
 
 
 def test_window_moments_are_window_mean_and_variance():
     rng = np.random.default_rng(11)
     pixels = rng.random((3, 10, 12), dtype=np.float32)
-    mu, var = window_moments(pixels)
+    mu, square, var = window_moments(pixels)
     windows = np.lib.stride_tricks.sliding_window_view(pixels.astype(np.float64), (8, 8),
                                                        axis=(1, 2))
     # window_means lists each frame's windows column-major
     expected_mu = windows.mean(axis=(3, 4)).transpose(0, 2, 1).reshape(3, -1)
     expected_var = windows.var(axis=(3, 4)).transpose(0, 2, 1).reshape(3, -1)
     assert mu.tobytes() == window_means(pixels).tobytes()
+    assert square.tobytes() == (mu * mu).tobytes()
     assert np.allclose(mu, expected_mu, rtol=0, atol=1e-15)
     assert np.allclose(var, expected_var, rtol=0, atol=1e-15)
 

@@ -646,8 +646,8 @@ def test_a_sweep_renders_a_pair_again_only_for_a_reader_it_lacks(monkeypatch, fi
 
 def recorded_run(monkeypatch, config):
     """``run_experiment(config)`` with call-site wrappers: returns each task's assets
-    (with a copy of its moments' bytes taken at build), its ``replan.loop.ssim`` calls
-    and the (plan row, ground-truth row) pair of every planned round."""
+    (with a copy of its plan-table holds' bytes taken at build), its ``replan.loop.ssim``
+    calls and the (plan row, ground-truth row) pair of every planned round."""
     import replan.loop
 
     tasks = []
@@ -656,7 +656,7 @@ def recorded_run(monkeypatch, config):
 
     def build(config, task):
         assets = real_build(config, task)
-        tasks.append({"assets": assets, "moments": assets.plans.moments.tobytes(),
+        tasks.append({"assets": assets, "holds": hold_bytes(assets.plans),
                       "calls": 0, "rounds": []})
         return assets
 
@@ -703,14 +703,19 @@ def test_each_pair_is_scored_once_per_task(monkeypatch):
     assert swapped > 0
 
 
+def hold_bytes(plans):
+    """The bytes of every array a plan table holds for ``held_ssim``, in row order."""
+    return b"".join(x.tobytes() + moments.tobytes() for x, moments in plans.holds)
+
+
 def test_a_run_leaves_the_plan_table_moments_alone(monkeypatch):
-    # ssim's in-place tail reads the held moments, views of PlanTable.moments, and
+    # ssim's in-place tail reads the held pixels and moments of PlanTable.holds, and
     # must not write into them
     config = ExperimentConfig(tasks=("pickbar", "turnfaucet"), methods=ALL_METHODS, trials=4)
     tasks = recorded_run(monkeypatch, config)
     for task in tasks:
         assert task["calls"] > 0
-        assert task["assets"].plans.moments.tobytes() == task["moments"]
+        assert hold_bytes(task["assets"].plans) == task["holds"]
 
 
 def test_experiment_logs_one_line_per_cell(caplog, capsys):

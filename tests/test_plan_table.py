@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import replan.loop as loop
 from replan import (
@@ -50,6 +52,7 @@ from replan import (
 )
 from replan.core import PSNR_CAP_DB
 from replan.envs import rollout_success, succeeds
+from replan.generator import cumulative_weights, draw_indices, generate_indices
 from replan.loop import RoundRecord
 
 METRICS = [m.value for m in RejectionMetric]
@@ -141,6 +144,78 @@ def test_select_plan_picks_as_the_video_level_oracle(metric):
         buffer = FailedPlanBuffer([plans.videos[i] for i in failed])
         best, _ = select_plan([plans.videos[i] for i in candidates], buffer, metric)
         assert loop.select_plan(distances, candidates, failed) == candidates[best]
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric=st.sampled_from(METRICS), candidates=st.lists(st.integers(0, 999), min_size=1,
+       max_size=5), failed=st.lists(st.integers(0, 999), max_size=6))
+@example(metric="raw_pixel", candidates=[4], failed=[])
+@example(metric="embedding", candidates=[3, 3, 7, 3, 7], failed=[7, 7, 3])
+def test_select_plan_gathers_as_the_ix_form_and_picks_as_the_video_level_oracle(
+    metric, candidates, failed
+):
+    # a row gather, then a column gather: the same entries as np.ix_, and the minimum is
+    # exact, so the scores and the pick are the same bits; repeated rows included
+    plans = task_assets("pushbar").plans
+    distances = plans.distances[RejectionMetric(metric)]
+    candidates = np.array(candidates) % len(plans.videos)
+    failed = [row % len(plans.videos) for row in failed]
+    ix = distances[np.ix_(candidates, failed)].min(axis=1, initial=np.inf)
+    gathered = distances[candidates][:, failed].min(axis=1, initial=np.inf)
+    assert gathered.tobytes() == ix.tobytes()
+    pick = loop.select_plan(distances, candidates, failed)
+    assert pick == int(candidates[np.argmax(ix)])
+    buffer = FailedPlanBuffer([plans.videos[i] for i in failed])
+    best, _ = select_plan([plans.videos[i] for i in candidates], buffer, metric)
+    assert pick == candidates[best]
+
+
+@pytest.mark.parametrize("task", ALL_TASKS)
+def test_weights_rows_are_the_generators_cumulative_weights(task):
+    # row o is the weights generate_indices builds at object o's canonical embedding, and
+    # the uniform row those at no embedding, bit for bit; a draw from gathered rows is the
+    # draw generate_indices makes at the gathered embeddings, from the same uniforms
+    assets = task_assets(task)
+    planner, canonical = assets.planner, assets.table.canonical
+    assert assets.weights.shape == (len(canonical), len(planner))
+    for o, embedding in enumerate(canonical):
+        assert assets.weights[o].tobytes() == cumulative_weights(planner, embedding).tobytes()
+    assert assets.uniform.tobytes() == cumulative_weights(planner, None).tobytes()
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3, 5):
+        objects = rng.integers(len(canonical), size=n)
+        for rows, conditioning in ((assets.weights[objects], canonical[objects]),
+                                   (assets.uniform, None)):
+            state = rng.bit_generator.state
+            drawn = draw_indices(rows, n, rng)
+            after, rng.bit_generator.state = rng.bit_generator.state, state
+            assert drawn.tolist() == generate_indices(planner, conditioning, n, rng).tolist()
+            assert rng.bit_generator.state == after
+
+
+def test_rows_with_equal_bytes_score_exactly_one(monkeypatch):
+    # per_theta_success=2 gives each object two successful clips with one set of bytes:
+    # distinct rows, a ground-truth row among them, that the held ssim scores 1.0 without
+    # a product map, as its arithmetic would
+    import replan.core
+
+    for task in ("pushbar", "openbox"):
+        assets = build_task_assets(ExperimentConfig(tasks=(task,), per_theta_success=2), task)
+        plans = assets.plans
+        pairs = [(i, j) for i, a in enumerate(plans.videos) for j, b in enumerate(plans.videos)
+                 if i != j and a.pixels.tobytes() == b.pixels.tobytes()]
+        assert any(j in assets.gt_rows.values() for _, j in pairs)
+
+        def scores():
+            return {loop.ssim(plans.videos[i], plans.videos[j], plans.holds[i], plans.holds[j])
+                    for i, j in pairs}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(replan.core, "window_means", lambda *args: pytest.fail("a map"))
+            assert scores() == {1.0}
+        with monkeypatch.context() as patch:
+            patch.setattr(replan.core, "_same_bytes", lambda a, b: False)
+            assert scores() == {1.0}
 
 
 def video_level_rounds(env, method, assets, config, rng):
@@ -239,7 +314,7 @@ def data_root_assets(tmp_path, keep=lambda theta: True):
 
 def assert_ground_truth_rows(assets):
     """Each ground-truth plan is the plan-table row with the bytes of a fresh scripted
-    rollout, held as that row's video, and shares the row's moments and PSNR entries;
+    rollout, held as that row's video, and shares the row's ssim hold and PSNR entries;
     returns the rows appended after the planner support."""
     from replan.core import window_moments
 
@@ -251,7 +326,9 @@ def assert_ground_truth_rows(assets):
         assert gt is plans.videos[row]
         env = EnvInstance(assets.kind, theta)
         assert execute(env, scripted_action(env)).video.pixels.tobytes() == gt.pixels.tobytes()
-        assert plans.moments[row].tobytes() == window_moments(gt.pixels).tobytes()
+        wide, moments = plans.holds[row]
+        assert wide.tobytes() == gt.pixels.astype(np.float64).tobytes()
+        assert moments.tobytes() == window_moments(gt.pixels).tobytes()
         assert [psnr(video, gt) for video in plans.videos] == plans.psnr[:, row].tolist()
     appended = sorted(row for row in set(assets.gt_rows.values()) if row >= support)
     assert appended == list(range(support, len(plans.videos)))

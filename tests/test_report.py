@@ -216,6 +216,19 @@ def test_an_episode_row_without_one_cell_per_column_is_named(tmp_path, cells):
         read_episodes_csv(path)
 
 
+@pytest.mark.parametrize("dropped", [("theta",), ("mean_ssim", "wall_ms_act")])
+def test_an_episode_csv_without_a_column_is_named(tmp_path, dropped):
+    # the header error names the path, as every other error of the reader does
+    path = tmp_path / "episodes.csv"
+    write_episodes_csv(sample_rows(), path, timing=True)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, column in enumerate(header) if column not in dropped]
+    path.write_text("".join(",".join(line[i] for i in keep) + "\n" for line in [header, *rows]))
+    message = f"{path}: episode CSV missing columns: {sorted(dropped)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_episodes_csv(path)
+
+
 def test_summary_csv_layout(tmp_path):
     rows = [
         EpisodeRow("t1", "ours", i, 0, 0.0, r, True, None, None, {})

@@ -26,7 +26,7 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
-from replan.retrieval import _median_pairwise_distance
+from replan.retrieval import _median_pairwise_distance, retrieve_objects
 
 from oracles import embedding_distance
 
@@ -332,6 +332,34 @@ def test_round_draws_match_single_calls(metric, policy):
             assert picked.shape == (count, 2)
             assert np.array_equal(picked, np.array(singles))
             assert rng_round.bit_generator.state == rng_single.bit_generator.state
+
+
+@pytest.mark.parametrize("policy", list(BufferPolicy))
+def test_retrieve_is_the_canonicals_of_the_objects_retrieve_objects_draws(policy):
+    # entries of one object share its canonical embedding; the objects are those of the
+    # entries one searchsorted over the softmax picks, from the same uniforms
+    table = make_table(ROUND_POINTS, object_ids=["obj/a", "obj/b", "obj/a", "obj/c", "obj/b"])
+    config = RetrievalConfig(tau=0.5, buffer_policy=policy)
+    for query in (ROUND_QUERIES, ROUND_QUERIES[:1], ROUND_QUERIES[2]):
+        for count in (None, 1, 3, 8):
+            rngs = [np.random.default_rng(36) for _ in range(3)]
+            picked = retrieve(table, query, config, rngs[0], encoder=coord_encoder, count=count)
+            objects = retrieve_objects(table, query, config, rngs[1], count, coord_encoder)
+            probs = retrieval_probabilities(table, query, config, encoder=coord_encoder)
+            uniforms = rngs[2].random(1 if count is None else count)
+            entries = np.searchsorted(np.cumsum(probs), uniforms, side="right")
+            assert objects.tolist() == table.entry_object_index[entries].tolist()
+            expected = table.canonical[objects]
+            assert picked.tobytes() == (expected[0] if count is None else expected).tobytes()
+            assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_retrieve_objects_rejects_bad_count(count):
+    table = make_table([(1, 0), (2, 0)])
+    with pytest.raises(ValueError, match=rf"^count must be None or >= 1, got {count}$"):
+        retrieve_objects(table, coord_video(0, 0), RetrievalConfig(), np.random.default_rng(0),
+                         count, coord_encoder)
 
 
 @pytest.mark.parametrize("count", [0, -1])
