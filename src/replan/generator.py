@@ -173,12 +173,13 @@ def observation_terms(g: KernelGenerator, observed: Video) -> ObservationTerms:
 
 def _identification_loss(
     g: KernelGenerator, observed: Video | ObservationTerms
-) -> tuple[float, float, float, Callable[..., tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[float, float, float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """L(e) = video_mse(observed, id_generate(g, observed[0], e)) over the ``groups``, from
-    a video or its ``observation_terms``: |obs|^2, N = T*H*W, 2h^2 and ``terms(z, coef)``,
-    which at (m, G) group logits returns the raw loss terms, L = (|obs|^2 + term) / N, and
-    coef (written to ``coef`` when given), with dL/de = (coef @ E) 4 / (N 2h^2).  Frame 0
-    of the kernel mean is the observation's, so the Gram covers frames 1..T-1."""
+    a video or its ``observation_terms``: |obs|^2, N = T*H*W, 2h^2, the folded Gram A =
+    gram - 1 cross^T and ``loss_terms(wts, wu)``.  At weights W = softmax(z), which sum to
+    1, u = W @ A is W @ gram - cross, dL/de = (W (u - W.u) @ E) 4 / (N 2h^2) and L =
+    (|obs|^2 + loss_terms(W, W.u)) / N, for any stack of weights.  Frame 0 of the kernel
+    mean is the observation's, so the Gram covers frames 1..T-1."""
     if g.mode is not GeneratorMode.IDENTIFICATION:
         raise ValueError("the identification loss requires a generator in Identification mode")
     if isinstance(observed, Video):
@@ -186,17 +187,11 @@ def _identification_loss(
     const, cross = observed
     gram = g.groups[3]
 
-    def terms(z: np.ndarray, coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        # W = softmax(z), u = W @ gram - c, term = W.(u - c).  dL/dW = 2u / N, so dL/de =
-        # sum_o W_o (dL/dW_o - W.dL/dW) 2 (E_o - e) / 2h^2, where the e term vanishes
-        # because the W_o (...) sum to zero
-        wts = softmax(z)
-        u = wts @ gram - cross
-        wu = np.vecdot(wts, u)
-        return wu - wts @ cross, np.multiply(wts, u - wu[:, None], out=coef)
+    def loss_terms(wts: np.ndarray, wu: np.ndarray) -> np.ndarray:
+        return wu - np.vecdot(wts, cross)
 
     bw2 = 2.0 * g.bandwidth * g.bandwidth
-    return const, float(g.videos[0].pixels.size), bw2, terms
+    return const, float(g.videos[0].pixels.size), bw2, gram - cross, loss_terms
 
 
 def mse_objective(
@@ -206,11 +201,17 @@ def mse_objective(
     and its closed-form gradient, over the distinct embeddings of ``groups`` (equal
     to the direct definition to floating-point accuracy).  Takes a (k,) embedding or
     an (m, k) batch; returns (m,) losses and (m, k) grads."""
-    const, total, bw2, terms = _identification_loss(g, observed)
+    const, total, bw2, folded, loss_terms = _identification_loss(g, observed)
     emb = g.groups[0]
 
     def objective(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        loss_terms, coef = terms(_group_logits(g, np.atleast_2d(batch)))
-        return np.maximum((const + loss_terms) / total, 0.0), (coef @ emb) * (4.0 / (total * bw2))
+        # dL/dW = 2u / N, so dL/de = sum_o W_o (dL/dW_o - W.dL/dW) 2 (E_o - e) / 2h^2 (the e
+        # term drops as the W_o (...) sum to 0); vecdot rounds a lone row as a batch's rows
+        wts = softmax(_group_logits(g, np.atleast_2d(batch)))
+        u = wts @ folded
+        wu = np.vecdot(wts, u)
+        coef = wts * (u - wu[:, None])
+        losses = np.maximum((const + loss_terms(wts, wu)) / total, 0.0)
+        return losses, np.vecdot(coef[:, :, None], emb, axis=-2) * (4.0 / (total * bw2))
 
     return objective

@@ -3,18 +3,23 @@
 Minimizes L(e) = video_mse(observed, id_generate(g, observed[0], e)) by plain gradient
 descent with the closed-form gradient of ``mse_objective``, all starts as one batch.
 A step moves the group logits z = log n_o + (2 e.E_o - ||E_o||^2) / 2h^2 by a fixed
-G x G map of its coefficients, so the loop updates z alone and records each step's
-loss term and coefficients.  Each chain then keeps its first step with the lowest loss
-(the start included, so it never scores worse), rebuilt from the coefficients before it.
+G x G map of its coefficients, so the loop updates z alone, in nine in-place numpy calls.
+The logits are shifted once so that each chain's top group's is 0, which its own step
+map keeps exactly: the weights are exp(z) over their sum, and z stays bounded as it
+moves with the embedding.  A step reads the folded Gram and keeps its weights, w.u and
+coefficients; ``loss_terms`` scores all steps at once after the loop.  Each chain then
+keeps its first step with the lowest loss (the start included, so it never scores
+worse), rebuilt from the coefficients before it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Video, require_integer
+from .core import Video, is_number, require_integer
 # mse_objective, unused here, stays importable from this module for perfbench/layers.py
 from .generator import KernelGenerator, mse_objective  # noqa: F401
 from .generator import ObservationTerms, _group_logits, _identification_loss
@@ -47,18 +52,31 @@ def _descend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descend every row of ``starts`` at once; best rows, their losses and the
     (steps + 1, chains) best-so-far trace."""
-    const, total, bw2, terms = _identification_loss(g, observed)
+    const, total, bw2, folded, loss_terms = _identification_loss(g, observed)
     emb = g.groups[0]
     scale = lr * 4.0 / (total * bw2)             # e <- e - scale * (coef @ E)
     step = (2.0 * scale / bw2) * (emb @ emb.T)   # z <- z - coef @ step
     z = _group_logits(g, starts)
-    losses = np.empty((steps + 1, len(starts)))
+    top, chains = z.argmax(axis=1), np.arange(len(starts))
+    # once: a chain's own step map, its top group's column zeroed, keeps that logit 0
+    z -= z[chains, top, None]
+    step = step - step.T[top][:, :, None]
+    wts = np.empty((steps + 1, *z.shape))
     coefs = np.zeros((steps + 2, *z.shape))      # coefs[t + 1] moves step t
-    for t, coef in enumerate(coefs[1:]):
-        losses[t] = terms(z, coef)[0]
-        z -= coef @ step
-    losses = np.maximum((const + losses) / total, 0.0)
-    best, chains = losses.argmin(axis=0), np.arange(len(starts))
+    wus = np.empty((steps + 1, len(z), 1))
+    norm, (u, dz) = np.empty((len(z), 1)), np.empty((2, *z.shape))
+    for w, wu, coef, coef_row in zip(wts, wus, coefs[1:], coefs[1:, :, None]):
+        np.exp(z, out=w)
+        np.add.reduce(w, axis=1, keepdims=True, out=norm)
+        np.divide(w, norm, out=w)
+        np.matmul(w, folded, out=u)
+        np.vecdot(w, u, out=wu, keepdims=True)
+        np.subtract(u, wu, out=u)
+        np.multiply(w, u, out=coef)
+        np.matmul(coef_row, step, out=dz[:, None])
+        np.subtract(z, dz, out=z)
+    losses = np.maximum((const + loss_terms(wts, wus[..., 0])) / total, 0.0)
+    best = losses.argmin(axis=0)
     moved = np.cumsum(coefs, axis=0)[best, chains]
     return starts - scale * (moved @ emb), losses[best, chains], np.minimum.accumulate(losses)
 
@@ -84,8 +102,8 @@ def refine_embedding(
     """
     if init is not None:
         raise ValueError("refine_embedding's init must be None: starts are drawn from rng")
-    if count is not None and count < 1:
-        raise ValueError(f"count must be None or >= 1, got {count!r}")
+    if count is not None and not (is_number(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"refine_embedding's count must be None or an integer >= 1, got {count!r}")
     if rng is None:
         raise ValueError("refinement draws its starts from an rng, got None")
     n, restarts = 1 if count is None else count, config.restarts

@@ -1,5 +1,7 @@
 """Gradient refinement of state embeddings."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,21 @@ def test_config_counts_must_be_integers(field, value):
     # as ExperimentConfig's integer fields: a float or bool would fail later, in np.empty or range
     with pytest.raises(ValueError, match=rf"^RefineConfig\.{field} must be an integer >= "):
         RefineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("count", [2.5, True, "2", 0, -1, np.float64(2.0)])
+def test_count_must_be_none_or_a_positive_integer(count, identifier, observed):
+    # a float, bool or string failed in the comparison or in rng.normal, naming nothing
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^refine_embedding's count must be None or an "
+                                         rf"integer >= 1, got {re.escape(repr(count))}$"):
+        refine_embedding(identifier, observed, None, RefineConfig(), rng, count=count)
+    assert rng.bit_generator.state == state  # no start was drawn
+    # a numpy integer is an integer
+    results = refine_embedding(identifier, observed, None, RefineConfig(steps=2), rng,
+                               count=np.int64(2))
+    assert len(results) == 2
 
 
 def test_validation_errors(identifier, observed):
@@ -423,6 +440,54 @@ def test_grouped_refinement_matches_the_oracle_descent(case, restarts, steps, co
     assert_matches_oracle_descent(g, observed, config, 72, count)
 
 
+def far_starts(draw, canonicals, bandwidth, chains):
+    """``chains`` starts, each drawn 0-200 bandwidths from a drawn canonical embedding."""
+    rows = draw(st.lists(st.integers(0, len(canonicals) - 1), min_size=chains, max_size=chains))
+    distances = draw(st.lists(st.floats(0.0, 200.0), min_size=chains, max_size=chains))
+    directions = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=(chains, canonicals.shape[1]))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return canonicals[rows] + bandwidth * np.array(distances)[:, None] * directions
+
+
+@pytest.mark.parametrize("case, examples", [("synthetic", 100), *((t, 25) for t in ALL_TASKS)])
+def test_descent_matches_the_oracle_descent_from_far_starts(case, examples, task_identifiers):
+    """The group-space descent, whose logits are shifted once before the first step and
+    whose steps read the folded Gram, against plain descent over ``mse_objective``."""
+
+    @settings(max_examples=examples, deadline=None)
+    @given(data=st.data(), chains=st.integers(1, 64), steps=st.integers(0, 120))
+    def check(data, chains, steps):
+        if case == "synthetic":
+            g, observed, _ = data.draw(grouped_generators())
+        else:
+            g, failures = task_identifiers[case]
+            observed = failures[data.draw(st.integers(0, len(failures) - 1))]
+        starts = far_starts(data.draw, g.groups[0], g.bandwidth, chains)
+        lr = 0.1 * g.bandwidth
+        path, objective = [], mse_objective(g, observed)
+        oracle = oracle_descend(lambda e: path.append((e, *objective(e))) or path[-1][1:],
+                                starts, steps, lr)
+        fast = refinement._descend(g, observed, starts, steps, lr)
+
+        np.testing.assert_allclose(fast[1], oracle[1], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(fast[2], oracle[2], rtol=1e-9, atol=0)
+        # at a flat minimum rounding decides which step is first with the lowest loss:
+        # each chain's row is the oracle's iterate at a step whose loss ties its best
+        iterates, losses = np.stack([e for e, _, _ in path]), np.stack([v for _, v, _ in path])
+        tied = losses <= oracle[1] * (1.0 + 1e-9)
+        matched = (np.abs(iterates - fast[0]).max(axis=2)
+                   <= 1e-9 * np.abs(iterates).max(axis=2))
+        assert np.all((tied & matched).any(axis=0))
+        # the weights at every step are exp(z) over a normalizer, with z the logits less
+        # the start's largest: it neither overflows nor underflows along the path
+        shift = refinement._group_logits(g, starts).max(axis=1, keepdims=True)
+        norms = [np.exp(refinement._group_logits(g, e) - shift).sum(axis=1) for e in iterates]
+        assert np.all(np.isfinite(np.log(norms)))
+
+    check()
+
+
 def test_a_start_that_stays_best_is_returned_bit_for_bit(pushbar):
     g, video = pushbar
     config = RefineConfig(steps=0, restarts=2)
@@ -442,13 +507,12 @@ def floored_identification_loss(floor):
     exact = generator._identification_loss
 
     def identification_loss(g, observed):
-        const, total, bw2, terms = exact(g, observed)
+        const, total, bw2, folded, loss_terms = exact(g, observed)
 
-        def floored(z, coef=None):
-            loss_terms, coef = terms(z, coef)
-            return np.maximum(loss_terms, floor), coef
+        def floored(wts, wu):
+            return np.maximum(loss_terms(wts, wu), floor)
 
-        return const, total, bw2, floored
+        return const, total, bw2, folded, floored
 
     return identification_loss
 
@@ -470,10 +534,13 @@ def test_ties_on_the_lowest_loss_keep_the_first_step(plateau_from, pushbar, monk
     start = np.random.default_rng(74).normal(size=g.embeddings.shape[1])
     lr = 0.1 * g.bandwidth
     _, losses = descent_path(mse_objective(g, video), start, 80, lr)
-    # the loss falls at every step; floor it at its value at step plateau_from
+    # the loss falls at every step; floor it halfway between step plateau_from and the
+    # step before (half a step above step 0 for 0), so that the descent, which rounds
+    # apart from the oracle in the last bits, also first reaches it at plateau_from
     assert np.all(np.diff(losses) < 0)
     const = float(np.square(video.pixels[1:].astype(np.float64)).sum())
-    floor = losses[plateau_from] * video.pixels.size - const
+    above = losses[plateau_from - 1] if plateau_from else 2 * losses[0] - losses[1]
+    floor = (losses[plateau_from] + above) / 2 * video.pixels.size - const
     floored = floored_identification_loss(floor)
     monkeypatch.setattr(generator, "_identification_loss", floored)
     monkeypatch.setattr(refinement, "_identification_loss", floored)
