@@ -39,7 +39,7 @@ def run_example():
 
     # Step 3: normalized aggregate (mean over tasks of each method's
     # ratio to ours) and plan quality against the scripted ground truth.
-    for method, value in table.normalized("ours").items():
+    for method, value in table.normalized().items():
         print(f"  normalized {method}: {value:.3f}")
     for method, (mean_psnr, mean_ssim) in plan_quality(result.rows).items():
         print(f"  {method}: plan psnr {mean_psnr:.2f}, ssim {mean_ssim:.4f}")

@@ -45,6 +45,12 @@ def require_integer(config: object, name: str, low: int) -> None:
         raise ValueError(f"{type(config).__name__}.{name} must be an integer >= {low}, got {value!r}")
 
 
+def require_count(owner: str, count: object) -> None:
+    """Fail with a ``ValueError`` naming ``<owner>'s count`` unless it is None or an int >= 1."""
+    if count is not None and not (is_number(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"{owner}'s count must be None or an integer >= 1, got {count!r}")
+
+
 def _as_frames(pixels: np.ndarray) -> np.ndarray:
     arr = np.asarray(pixels, dtype=np.float32)
     if arr.ndim != 3:
@@ -179,8 +185,6 @@ def _psnr_db(mse: float) -> float:
 
 def psnr(a: Video, b: Video) -> float:
     """Peak signal-to-noise ratio in dB for unit range, capped at 100."""
-    if _same_bytes(a, b):
-        return PSNR_CAP_DB  # what an MSE of 0 gives, without computing it
     return _psnr_db(video_mse(a, b))
 
 

@@ -40,15 +40,11 @@ class PcaProjection:
 
     ``components`` rows are orthonormal, ordered by decreasing explained
     variance, each signed so its largest-magnitude entry is positive.
-    ``degenerate`` flags directions chosen as an arbitrary orthonormal
-    completion because the data had fewer non-zero variance directions
-    than ``k``.
     """
 
     mean: np.ndarray          # (d,)
     components: np.ndarray    # (k, d)
     k: int
-    degenerate: bool = False
     scales: np.ndarray | None = None  # (k,) divisors from rescale_variance=True
 
     def __post_init__(self) -> None:
@@ -81,9 +77,6 @@ def pca_fit(embeddings: np.ndarray, k: int, rescale_variance: bool = False) -> P
     centered = x - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:k].copy()
-    # Zero-variance directions come from SVD's arbitrary orthonormal completion.
-    tol = max(singular[0], 1.0) * 1e-12
-    degenerate = bool(singular[min(k, len(singular)) - 1] <= tol)
     for i in range(k):
         j = int(np.argmax(np.abs(components[i])))
         if components[i, j] < 0:
@@ -91,13 +84,7 @@ def pca_fit(embeddings: np.ndarray, k: int, rescale_variance: bool = False) -> P
     scales = None
     if rescale_variance:
         scales = np.maximum(singular[:k] / np.sqrt(n - 1), 1e-12)
-    return PcaProjection(
-        mean=mean,
-        components=components,
-        k=k,
-        degenerate=degenerate,
-        scales=scales,
-    )
+    return PcaProjection(mean=mean, components=components, k=k, scales=scales)
 
 
 def pca_apply(projection: PcaProjection, embedding: np.ndarray) -> np.ndarray:

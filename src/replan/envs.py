@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Video
+from .core import Video, is_number
 
 IMAGE_SIZE = 32
 ROLLOUT_FRAMES = 8
@@ -116,9 +116,10 @@ def _check_theta(kind: EnvKind, theta: float | str) -> float | str:
         if theta not in hidden_values(kind):
             raise ValueError(f"invalid mode {theta!r} for {kind.value}")
         return theta
+    if not is_number(theta):
+        raise ValueError(f"EnvInstance.theta_value of {kind.value} must be a finite number, "
+                         f"got {theta!r}")
     value = float(theta)
-    if not math.isfinite(value):
-        raise ValueError("theta must be finite")
     if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR) and abs(value) > 0.2:
         raise ValueError(f"bar offset theta {value} outside [-0.2, 0.2]")
     if kind is EnvKind.SLIDE_BRICK and not (0.05 <= value <= 1.0):
@@ -133,6 +134,9 @@ class EnvAction:
 
     def __post_init__(self) -> None:
         kind, value = self.kind, self.value
+        if kind not in (EnvKind.OPEN_BOX, EnvKind.TURN_FAUCET) and not is_number(value):
+            raise ValueError(f"EnvAction.value of {kind.value} must be a finite number, "
+                             f"got {value!r}")
         if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
             value = float(value)
             lo, hi = BAR_ACTION_RANGE

@@ -120,14 +120,6 @@ def draw_indices(cumulative: np.ndarray, count: int, rng: np.random.Generator) -
     return np.minimum((cumulative <= draws[:, None]).sum(axis=-1), cumulative.shape[-1] - 1)
 
 
-def generate_indices(
-    g: KernelGenerator, e: np.ndarray | None, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Support indices of sampled plans, ``draw_indices`` from ``cumulative_weights``:
-    ``count`` of them for ``e`` None or one (k,) embedding, one per row of a (count, k) batch."""
-    return draw_indices(cumulative_weights(g, e), count, rng)
-
-
 def generate(
     g: KernelGenerator,
     first_frame: np.ndarray,
@@ -135,10 +127,11 @@ def generate(
     config: GenerationConfig,
     rng: np.random.Generator,
 ) -> list[Video]:
-    """Candidate plans as ``generate_indices`` draws them: support videos with frame 0
-    replaced bit-exactly by ``first_frame`` (shared when it already matches).  An (m, k)
-    batch draws one plan per row, whatever ``config.n_candidates`` says."""
-    picks = generate_indices(g, e, len(e) if np.ndim(e) == 2 else config.n_candidates, rng)
+    """Candidate plans ``draw_indices`` draws from ``cumulative_weights`` at ``e``: support
+    videos with frame 0 replaced bit-exactly by ``first_frame`` (shared when it already
+    matches).  An (m, k) batch draws one plan per row, whatever ``config.n_candidates`` says."""
+    count = len(e) if np.ndim(e) == 2 else config.n_candidates
+    picks = draw_indices(cumulative_weights(g, e), count, rng)
     return [g.videos[pick].with_first_frame(first_frame) for pick in picks]
 
 

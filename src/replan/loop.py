@@ -147,7 +147,6 @@ class TaskAssets:
     table: EmbeddingTable
     planner: KernelGenerator
     identifier: KernelGenerator
-    gt_plans: dict[float | str, Video]  # plans.videos[gt_rows[theta]]
     gt_rows: dict[float | str, int]
     plans: PlanTable
     hypotheses: list[EnvAction]  # what the random method draws from
@@ -156,6 +155,11 @@ class TaskAssets:
     rollouts: dict[tuple[float | str, int], dict[str, np.ndarray | ObservationTerms]] = field(
         default_factory=dict)
     ssims: dict[tuple[int, int], float] = field(default_factory=dict)
+
+    @property
+    def gt_plans(self) -> dict[float | str, Video]:
+        # read by perfbench/layers.py only; goes with benchmark v2
+        return {theta: self.plans.videos[row] for theta, row in self.gt_rows.items()}
 
 
 def build_assets(kind: EnvKind, dataset: ExperienceDataset) -> TaskAssets:
@@ -178,7 +182,6 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset) -> TaskAssets:
         if row.setdefault(gt.pixels.tobytes(), len(videos)) == len(videos):
             videos.append(gt)
     gt_rows = {theta: row[gt.pixels.tobytes()] for theta, gt in gt_plans.items()}
-    gt_plans = {theta: videos[i] for theta, i in gt_rows.items()}  # not a second copy
     actions = []
     for video in videos:
         try:
@@ -193,7 +196,7 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset) -> TaskAssets:
     holds = tuple((x, window_moments(x)) for x in wide)
     plans = PlanTable(tuple(videos), holds, psnr_table(sums, videos[0].pixels.size),
                       tuple(actions), distances)
-    return TaskAssets(kind, dataset, table, planner, identifier, gt_plans, gt_rows, plans,
+    return TaskAssets(kind, dataset, table, planner, identifier, gt_rows, plans,
                       candidate_actions(kind), cumulative_weights(planner, table.canonical),
                       cumulative_weights(planner, None))
 
@@ -209,10 +212,16 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    rounds: tuple[RoundRecord, ...]
-    replans_until_success: int
-    succeeded: bool
+    rounds: tuple[RoundRecord, ...]  # a failed episode runs every round
     wall_ms: dict[str, float]
+
+    @property
+    def replans_until_success(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def succeeded(self) -> bool:
+        return self.rounds[-1].success
 
     @property
     def mean_plan_psnr(self) -> float | None:
@@ -248,7 +257,6 @@ def run_episode(
     refine_config = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
     wall = dict.fromkeys(WALL_PHASES, 0.0)
     rounds: list[RoundRecord] = []
-    succeeded, replans = False, config.max_replans
 
     for round_index in range(1, config.max_replans + 1):
         plan_psnr = plan_ssim = None
@@ -305,7 +313,6 @@ def run_episode(
         value = None if action is None else action.value
         rounds.append(RoundRecord(round_index, value, success, plan_psnr, plan_ssim))
         if success:
-            succeeded, replans = True, round_index
             break
         # retrieval and refinement read a failed rollout, from the next round on
         if action is not None and reader and round_index < config.max_replans:
@@ -317,12 +324,7 @@ def run_episode(
                                    else interaction_logits(assets.table, video))
             interactions.append(entry[reader])
 
-    return EpisodeRecord(
-        rounds=tuple(rounds),
-        replans_until_success=replans,
-        succeeded=succeeded,
-        wall_ms=wall,
-    )
+    return EpisodeRecord(rounds=tuple(rounds), wall_ms=wall)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +346,6 @@ class ExperimentConfig:
     max_replans: int = 14
     n_candidates: int = 2
     tau: float | None = None
-    noise_std: float = 0.0  # must be 0: nothing perturbs the first frame
     rejection_metric: str = "raw_pixel"
     dataset_fraction: float = 1.0
     master_seed: int = 0
@@ -354,6 +355,9 @@ class ExperimentConfig:
     refine_steps: int = 80
     refine_restarts: int = 1
     data_root: str | None = None
+    # not a field: nothing perturbs the first frame, and perfbench/layers.py reads it;
+    # goes with benchmark v2
+    noise_std = 0.0
 
     def __post_init__(self) -> None:
         """Check every field up front, so a bad config fails before any compute."""
@@ -375,7 +379,6 @@ class ExperimentConfig:
             require_integer(self, name, low)
         tau, fraction = self.tau, self.dataset_fraction
         require("tau", tau is None or is_number(tau) and tau > 0, "None or a number > 0")
-        require("noise_std", is_number(self.noise_std) and self.noise_std == 0, "0")
         require("dataset_fraction", is_number(fraction) and 0 < fraction <= 1, "in (0, 1]")
         require("data_root", self.data_root is None or isinstance(self.data_root, str),
                 "None or a path string")
@@ -434,12 +437,12 @@ class ResultsTable:
     def cell(self, method: str, task: str) -> CellStats:
         return self.cells[(method, task)]
 
-    def normalized(self, baseline: str = "ours") -> dict[str, float]:
-        """Per-method mean over tasks of (method mean / baseline mean); NaN for a method
-        whose cell, or the baseline's, is missing for some task."""
+    def normalized(self) -> dict[str, float]:
+        """Per-method mean over tasks of (method mean / ``ours`` mean); NaN for a method
+        whose cell, or ``ours``', is missing for some task."""
         out = {}
         for method in self.methods:
-            pairs = [(self.cells.get((method, task)), self.cells.get((baseline, task)))
+            pairs = [(self.cells.get((method, task)), self.cells.get(("ours", task)))
                      for task in self.tasks]
             if any(cell is None or base is None for cell, base in pairs):
                 out[method] = float("nan")

@@ -14,12 +14,11 @@ worse), rebuilt from the coefficients before it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Video, is_number, require_integer
+from .core import Video, require_count, require_integer
 # mse_objective, unused here, stays importable from this module for perfbench/layers.py
 from .generator import KernelGenerator, mse_objective  # noqa: F401
 from .generator import ObservationTerms, _group_logits, _identification_loss
@@ -102,8 +101,7 @@ def refine_embedding(
     """
     if init is not None:
         raise ValueError("refine_embedding's init must be None: starts are drawn from rng")
-    if count is not None and not (is_number(count, numbers.Integral) and count >= 1):
-        raise ValueError(f"refine_embedding's count must be None or an integer >= 1, got {count!r}")
+    require_count("refine_embedding", count)
     if rng is None:
         raise ValueError("refinement draws its starts from an rng, got None")
     n, restarts = 1 if count is None else count, config.restarts

@@ -102,11 +102,8 @@ def pixel_sums_of_squares(plans: Sequence[Video | np.ndarray]) -> np.ndarray:
 
 def distance_matrix(plans: Sequence[Video], metric: RejectionMetric | str) -> np.ndarray:
     """(n, n) matrix whose entry (i, j) is, bit for bit, the distance ``select_plan``
-    scores ``plans[i]`` at against a failed ``plans[j]``; under raw pixels, the square
-    root of ``pixel_sums_of_squares``."""
+    scores ``plans[i]`` at against a failed ``plans[j]``."""
     metric = _rejection_metric(metric)
-    if metric is RejectionMetric.RAW_PIXEL:
-        return np.sqrt(pixel_sums_of_squares(plans))
     rows = _rows(plans, metric)
     return _distances(rows, rows, metric)
 

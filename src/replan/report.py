@@ -174,7 +174,7 @@ def _nice_ceiling(value: float) -> float:
     return float(10.0 ** (exp + 1))
 
 
-def results_svg(table: ResultsTable, title: str = "Replans until success") -> str:
+def results_svg(table: ResultsTable) -> str:
     """Grouped bar chart of mean replans per task with SEM whiskers."""
     width, height = 960, 430
     left, right, top, bottom = 70, 20, 50, 70
@@ -195,7 +195,7 @@ def results_svg(table: ResultsTable, title: str = "Replans until success") -> st
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left}" y="24" font-size="16" fill="#222">{title}</text>',
+        f'<text x="{left}" y="24" font-size="16" fill="#222">Replans until success</text>',
     ]
     for i in range(5):
         v = y_max * i / 4

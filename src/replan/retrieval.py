@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, is_number
+from .core import ExperienceDataset, Video, is_number, require_count
 from .encoders import PcaProjection, encode_video, pca_apply
 
 
@@ -198,8 +198,7 @@ def retrieve_objects(
     """The object indices of entries sampled from the retrieval softmax of ``query``, as
     ``retrieval_probabilities`` takes it and computes it once: ``count`` of them from
     ``rng.random(count)``, the same uniforms as ``count`` single draws, or one for None."""
-    if count is not None and count < 1:
-        raise ValueError(f"count must be None or >= 1, got {count!r}")
+    require_count("retrieve_objects", count)
     probs = retrieval_probabilities(table, query, config, encoder)
     draws = rng.random(1 if count is None else count)
     entries = np.searchsorted(np.cumsum(probs), draws, side="right")

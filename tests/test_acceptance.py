@@ -331,7 +331,7 @@ def test_criterion_06_continuous_benchmark():
         need = 2.0 * (avdc.sem + ours.sem)
         per_task = per_task and gap > need
         parts.append(f"{task}: ours {ours.mean:.3f} vs avdc {avdc.mean:.3f} (gap {gap:.3f} > {need:.3f})")
-    norm = table.normalized("ours")
+    norm = table.normalized()
     ordering = norm["ours"] < norm["ours_refine"] < norm["avdc"]
     ok = per_task and ordering and elapsed < 600.0
     assert _verdict(
@@ -359,7 +359,7 @@ def test_criterion_07_ablation_orderings(full_suite):
     raw = _ours_aggregate(by_metric["raw_pixel"])
     emb = _ours_aggregate(by_metric["embedding"])
 
-    norm = full_suite[0].table.normalized("ours")
+    norm = full_suite[0].table.normalized()
     modules_ok = (
         norm["avdc_rejection"] < norm["avdc"]
         and norm["avdc_retrieval"] < norm["avdc"]

@@ -349,11 +349,11 @@ def test_ssim_matches_oracle_on_plan_pairs(task):
     # the loop's own pairs: flat backgrounds and identical frame-0 windows give
     # the near-zero variances that random noise never draws
     assets = build_task_assets(ExperimentConfig(), task)
-    theta = next(iter(assets.gt_plans))
+    theta = next(iter(assets.gt_rows))
     first_frame = reset(EnvInstance(assets.kind, theta))
     for support in assets.planner.videos:
         plan = support.with_first_frame(first_frame)
-        for gt in assets.gt_plans.values():
+        for gt in (assets.plans.videos[row] for row in assets.gt_rows.values()):
             assert ssim(plan, gt) == pytest.approx(reference_ssim(plan, gt), abs=1e-12, rel=0)
 
 
@@ -404,7 +404,7 @@ def plan_pairs():
     for task in ExperimentConfig().tasks:
         assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
         for i in range(len(assets.plans.videos)):
-            for theta in assets.gt_plans:
+            for theta in assets.gt_rows:
                 yield task, assets, i, theta
 
 
@@ -415,7 +415,8 @@ def ssim_bit_mismatches():
     ``window_moments``."""
     bad = []
     for task, assets, i, theta in plan_pairs():
-        plans, gt, row = assets.plans, assets.gt_plans[theta], assets.gt_rows[theta]
+        plans, row = assets.plans, assets.gt_rows[theta]
+        gt = plans.videos[row]
         plan, (wide, moments) = plans.videos[i], plans.holds[i]
         if (wide.tobytes() != plan.pixels.astype(np.float64).tobytes()
                 or moments.tobytes() != window_moments(plan.pixels).tobytes()):

@@ -113,14 +113,6 @@ def test_pca_orthonormal_and_signed():
     assert np.array_equal(refit.mean, proj.mean)
 
 
-def test_pca_degenerate_flag():
-    # rank-1 data cannot support two informative components
-    base = np.outer(np.arange(6, dtype=float), np.array([1.0, 2.0, 3.0]))
-    proj = pca_fit(base, 2)
-    assert proj.degenerate
-    assert not pca_fit(base, 1).degenerate
-
-
 def test_pca_validation():
     x = np.zeros((3, 4))
     with pytest.raises(ValueError):

@@ -93,6 +93,18 @@ def test_param_and_action_validation():
         succeeds(env, EnvAction(EnvKind.PICK_BAR, 0.0))
 
 
+
+@pytest.mark.parametrize("value", [True, False, "0.3", "abc", None, float("nan")])
+def test_continuous_values_must_be_numbers(value):
+    # a bool read as 1.0 or 0.0, a table value, and a numeric string was coerced
+    for kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR, EnvKind.SLIDE_BRICK):
+        for cls, field in ((EnvInstance, "theta_value"), (EnvAction, "value")):
+            with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} of {kind.value} "
+                                                 rf"must be a finite number, got "):
+                cls(kind, value)
+    assert EnvInstance(EnvKind.PUSH_BAR, np.float64(0.03)).theta_value == 0.03
+    assert EnvAction(EnvKind.SLIDE_BRICK, np.float32(0.5)).value == 0.5
+
 def test_physics_worked_examples():
     assert bar_deflection(-0.12, 0.09) == pytest.approx(-1.05, rel=1e-12)
     assert bar_deflection(0.09, 0.09) == 0.0

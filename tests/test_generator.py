@@ -21,7 +21,7 @@ from replan import (
 )
 from replan.core import ExperienceDataset, ExperienceTuple
 from replan.encoders import PcaProjection
-from replan.generator import generate_indices
+from replan.generator import cumulative_weights, draw_indices
 from replan.retrieval import softmax
 
 from oracles import naive_mse_loss
@@ -178,14 +178,15 @@ def test_batched_generate_matches_single_draws(task):
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_generate_indices_rejects_a_batch_of_another_count(planner, count):
-    # an (m, k) batch draws one plan per row; a count that is not m fails before any draw
-    batch = planner.embeddings[[0, 1, 0]]
+    # generation draws its indices with draw_indices: an (m, n) stack of cumulative
+    # weights draws one plan per row, and a count that is not m fails before any draw
+    stack = cumulative_weights(planner, planner.embeddings[[0, 1, 0]])
     rng = np.random.default_rng(58)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=rf"^count must be the batch's 3 rows, got {count}$"):
-        generate_indices(planner, batch, count, rng)
+        draw_indices(stack, count, rng)
     assert rng.bit_generator.state == state
-    assert len(generate_indices(planner, batch, 3, rng)) == 3
+    assert len(draw_indices(stack, 3, rng)) == 3
 
 
 def test_generated_plan_shares_its_support_video_only_when_frame_0_matches(planner):

@@ -778,8 +778,6 @@ def test_results_table_statistics():
     table = results_table(rows)
     assert table.tasks == ("pushbar", "openbox") and ("ours", "openbox") not in table.cells
     assert all(math.isnan(value) for value in table.normalized().values())
-    against_avdc = table.normalized("avdc")
-    assert math.isnan(against_avdc["ours"]) and against_avdc["avdc"] == 1.0
 
 
 def test_plan_quality_aggregation():
@@ -814,11 +812,30 @@ def test_experiment_config_io(tmp_path):
         ExperimentConfig.from_dict({"trails": 3})  # typo rejected
 
 
-@pytest.mark.parametrize("value", [None, 3])
-def test_the_removed_pca_k_key_is_unknown(value):
-    # build_assets works the PCA dimension out from each task's dataset
-    with pytest.raises(ValueError, match=r"^unknown experiment keys: \['pca_k'\]$"):
-        ExperimentConfig.from_dict({"pca_k": value})
+@pytest.mark.parametrize("value", [None, 3, 0.0])
+def test_the_removed_pca_k_key_is_unknown(value, tmp_path, monkeypatch):
+    # build_assets works the PCA dimension out from each task's dataset, and nothing
+    # perturbs the first frame, so noise_std went too; a config.json written before
+    # either went names its key (noise_std as 0.0) and fails before any compute
+    import replan.cli
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a config naming a removed key reached run_experiment")
+
+    monkeypatch.setattr(replan.cli, "run_experiment", no_compute)
+    for key in ("pca_k", "noise_std"):
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'$"):
+            ExperimentConfig(**{key: value})
+        match = rf"^unknown experiment keys: \['{key}'\]$"
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict({key: value})
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**ExperimentConfig(tasks=("openbox",)).to_dict(), key: value}))
+        with pytest.raises(ValueError, match=match):
+            replan.cli.main(["run", "--experiment", str(path), "--out", str(tmp_path / "out")])
+    # what the benchmark reads of a config is a constant, not a field
+    assert ExperimentConfig().noise_std == 0
+    assert "noise_std" not in ExperimentConfig().to_dict()
 
 
 @pytest.mark.parametrize("payload, kind", [
@@ -847,7 +864,6 @@ valid_configs = st.builds(
     max_replans=st.integers(min_value=1),
     n_candidates=st.integers(min_value=1),
     tau=st.none() | finite_floats(min_value=0, exclude_min=True),
-    noise_std=st.just(0.0),
     rejection_metric=st.sampled_from([m.value for m in RejectionMetric]),
     dataset_fraction=finite_floats(min_value=0, max_value=1, exclude_min=True),
     master_seed=st.integers(min_value=0),
@@ -883,9 +899,6 @@ def test_config_json_roundtrip(cfg):
         ("n_candidates", 0),
         ("tau", 0.0),
         ("tau", "auto"),
-        ("noise_std", -0.1),
-        ("noise_std", float("nan")),
-        ("noise_std", 0.1),
         ("rejection_metric", "cosine"),
         ("dataset_fraction", 0.0),
         ("dataset_fraction", 1.5),

@@ -52,7 +52,7 @@ from replan import (
 )
 from replan.core import PSNR_CAP_DB
 from replan.envs import rollout_success, succeeds
-from replan.generator import cumulative_weights, draw_indices, generate_indices
+from replan.generator import cumulative_weights, draw_indices
 from replan.loop import RoundRecord
 
 METRICS = [m.value for m in RejectionMetric]
@@ -172,9 +172,9 @@ def test_select_plan_gathers_as_the_ix_form_and_picks_as_the_video_level_oracle(
 
 @pytest.mark.parametrize("task", ALL_TASKS)
 def test_weights_rows_are_the_generators_cumulative_weights(task):
-    # row o is the weights generate_indices builds at object o's canonical embedding, and
-    # the uniform row those at no embedding, bit for bit; a draw from gathered rows is the
-    # draw generate_indices makes at the gathered embeddings, from the same uniforms
+    # row o is the cumulative weights at object o's canonical embedding, and the uniform
+    # row those at no embedding, bit for bit; a draw from gathered rows is the draw from
+    # the weights at the gathered embeddings, from the same uniforms
     assets = task_assets(task)
     planner, canonical = assets.planner, assets.table.canonical
     assert assets.weights.shape == (len(canonical), len(planner))
@@ -189,9 +189,42 @@ def test_weights_rows_are_the_generators_cumulative_weights(task):
             state = rng.bit_generator.state
             drawn = draw_indices(rows, n, rng)
             after, rng.bit_generator.state = rng.bit_generator.state, state
-            assert drawn.tolist() == generate_indices(planner, conditioning, n, rng).tolist()
+            expected = draw_indices(cumulative_weights(planner, conditioning), n, rng)
+            assert drawn.tolist() == expected.tolist()
             assert rng.bit_generator.state == after
 
+
+
+def draw_batch_mismatches():
+    """Each m from 1 to 800 where ``draw_indices`` on m gathered pushbar
+    ``TaskAssets.weights`` rows differs in any index from each row drawn alone, in turn,
+    from the same uniforms, or leaves the rng elsewhere."""
+    weights = task_assets("pushbar").weights
+    picks, rng = np.random.default_rng(62), np.random.default_rng(63)
+    bad = []
+    for m in range(1, 801):
+        rows = weights[picks.integers(len(weights), size=m)]
+        state = rng.bit_generator.state
+        batch = draw_indices(rows, m, rng)
+        after, rng.bit_generator.state = rng.bit_generator.state, state
+        alone = [int(draw_indices(row, 1, rng)[0]) for row in rows]
+        if batch.tolist() != alone or rng.bit_generator.state != after:
+            bad.append(m)
+    return bad
+
+
+def test_gathered_draws_are_batch_invariant_across_blas_threads():
+    # the batch-invariance harness: a batched draw is its rows drawn alone, at every
+    # batch size the loop could reach and more, in fresh processes under 1 and 2 threads
+    tests, src = Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "src"
+    script = "import json, test_plan_table as t; print(json.dumps(t.draw_batch_mismatches()))"
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), str(tests),
+                                                           os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        assert json.loads(out.splitlines()[-1]) == [], threads
 
 def test_rows_with_equal_bytes_score_exactly_one(monkeypatch):
     # per_theta_success=2 gives each object two successful clips with one set of bytes:
@@ -224,7 +257,7 @@ def video_level_rounds(env, method, assets, config, rng):
     retrieved or refined from its fresh render."""
     first_frame = reset(env)
     buffer, interactions = FailedPlanBuffer(), []
-    gt_plan = assets.gt_plans[env.theta_value]
+    gt_plan = assets.plans.videos[assets.gt_rows[env.theta_value]]
     retrieval = RetrievalConfig(tau=config.tau, buffer_policy=BufferPolicy(config.buffer_policy))
     refine = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
     n = method.candidate_count(config.n_candidates)
@@ -319,11 +352,10 @@ def assert_ground_truth_rows(assets):
     from replan.core import window_moments
 
     plans, support = assets.plans, len(assets.planner)
-    assert assets.gt_rows.keys() == assets.gt_plans.keys()
-    for theta, gt in assets.gt_plans.items():
-        row = assets.gt_rows[theta]
+    assert list(assets.gt_rows) == list(hidden_values(assets.kind))
+    for theta, row in assets.gt_rows.items():
         assert type(row) is int and 0 <= row < len(plans.videos)
-        assert gt is plans.videos[row]
+        gt = plans.videos[row]
         env = EnvInstance(assets.kind, theta)
         assert execute(env, scripted_action(env)).video.pixels.tobytes() == gt.pixels.tobytes()
         wide, moments = plans.holds[row]

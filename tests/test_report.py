@@ -279,9 +279,6 @@ def test_results_svg_contents(tmp_path):
     write_results_svg(table, out)
     assert out.read_text() == svg
 
-    retitled = results_svg(table, title="Mean rounds")
-    assert "Mean rounds" in retitled
-
 
 def test_embedding_rows_two_object_task():
     rows = embedding_rows(ExperimentConfig(tasks=("openbox",)))

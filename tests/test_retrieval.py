@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -354,20 +355,33 @@ def test_retrieve_is_the_canonicals_of_the_objects_retrieve_objects_draws(policy
             assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
 
 
-@pytest.mark.parametrize("count", [0, -1])
+BAD_COUNTS = [0, -1, 2.5, True, "2", np.float64(2.0)]
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS)
 def test_retrieve_objects_rejects_bad_count(count):
+    # refine_embedding's rule: a float, bool or string failed in the comparison or in
+    # the draw, naming nothing
     table = make_table([(1, 0), (2, 0)])
-    with pytest.raises(ValueError, match=rf"^count must be None or >= 1, got {count}$"):
-        retrieve_objects(table, coord_video(0, 0), RetrievalConfig(), np.random.default_rng(0),
-                         count, coord_encoder)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^retrieve_objects's count must be None or an "
+                                         rf"integer >= 1, got {re.escape(repr(count))}$"):
+        retrieve_objects(table, coord_video(0, 0), RetrievalConfig(), rng, count, coord_encoder)
+    assert rng.bit_generator.state == state  # nothing was drawn
+    assert len(retrieve_objects(table, coord_video(0, 0), RetrievalConfig(), rng, np.int64(2),
+                                coord_encoder)) == 2
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", BAD_COUNTS)
 def test_retrieve_rejects_bad_count(count):
     table = make_table([(1, 0), (2, 0)])
-    with pytest.raises(ValueError, match="count must be None or >= 1"):
-        retrieve(table, coord_video(0, 0), RetrievalConfig(), np.random.default_rng(0),
-                 encoder=coord_encoder, count=count)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"count must be None or an integer >= 1"):
+        retrieve(table, coord_video(0, 0), RetrievalConfig(), rng, encoder=coord_encoder,
+                 count=count)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("policy", list(BufferPolicy))
