@@ -22,6 +22,7 @@ from .loop import (
     ALL_TASKS,
     SWEEP_NAMES,
     ExperimentConfig,
+    ExperimentResult,
     ablation_sweep,
     results_table,
     run_experiment,
@@ -53,6 +54,14 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_result(result: ExperimentResult, out: Path, timing: bool = False) -> None:
+    """A result directory: ``episodes.csv``, ``summary.csv`` and the ``config.json`` it ran."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_episodes_csv(result.rows, out / "episodes.csv", timing=timing)
+    write_summary_csv(result.table, out / "summary.csv")
+    (out / "config.json").write_text(json.dumps(result.config.to_dict(), indent=2) + "\n")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(args.experiment)
     # the per-cell progress lines go to stdout, as plain messages
@@ -67,10 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         progress.removeHandler(handler)
         progress.setLevel(level)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_episodes_csv(result.rows, out / "episodes.csv", timing=args.timing)
-    write_summary_csv(result.table, out / "summary.csv")
-    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
+    _write_result(result, out, timing=args.timing)
     print(f"wrote {out / 'episodes.csv'} and {out / 'summary.csv'}")
     for method, value in result.table.normalized().items():
         print(f"normalized {method}: {value:.3f}")
@@ -87,13 +93,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     results = ablation_sweep(args.sweep, base)
     out = Path(args.out)
     for label, result in results.items():
-        sub = out / label.replace("=", "-")
-        sub.mkdir(parents=True, exist_ok=True)
-        write_episodes_csv(result.rows, sub / "episodes.csv")
-        write_summary_csv(result.table, sub / "summary.csv")
-        (sub / "config.json").write_text(
-            json.dumps(result.config.to_dict(), indent=2) + "\n"
-        )
+        _write_result(result, out / label.replace("=", "-"))
         for method in result.table.methods:
             means = [
                 result.table.cell(method, task).mean for task in result.table.tasks

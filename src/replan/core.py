@@ -13,6 +13,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
@@ -38,17 +39,36 @@ def is_number(value: object, kind: type = numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
 
 
-def require_integer(config: object, name: str, low: int) -> None:
-    """Fail with a ``ValueError`` naming ``<class>.<name>`` unless it is an integer >= low."""
-    value = getattr(config, name)
-    if not (is_number(value, numbers.Integral) and value >= low):
-        raise ValueError(f"{type(config).__name__}.{name} must be an integer >= {low}, got {value!r}")
+def require(where: str, value: object, ok: bool, need: str, optional: bool = False) -> object:
+    """``value`` (a numpy scalar as the Python number it equals) if ``ok``, or None if it is
+    None and ``optional``; else a ``ValueError``: ``<where> must be [None or ]<need>, got …``."""
+    if optional and value is None:
+        return None
+    if not ok:
+        raise ValueError(f"{where} must be {'None or ' if optional else ''}{need}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
-def require_count(owner: str, count: object) -> None:
-    """Fail with a ``ValueError`` naming ``<owner>'s count`` unless it is None or an int >= 1."""
-    if count is not None and not (is_number(count, numbers.Integral) and count >= 1):
-        raise ValueError(f"{owner}'s count must be None or an integer >= 1, got {count!r}")
+def require_member(where: str, value: object, enum: type[Enum]) -> Enum:
+    """The member of ``enum`` that ``value`` is or names; else ``require``'s error."""
+    try:
+        return enum(value)
+    except ValueError:
+        return require(where, value, False, f"one of {tuple(m.value for m in enum)}")
+
+
+def require_integer(where: str, value: object, low: int, optional: bool = False) -> int | None:
+    """``require`` of an integer >= ``low``; a bool is not one."""
+    ok = is_number(value, numbers.Integral) and value >= low
+    return require(where, value, ok, f"an integer >= {low}", optional)
+
+
+def require_number(where: str, value: object, low: float, high: float = math.inf,
+                   optional: bool = False) -> float | None:
+    """``require`` of a finite number in (``low``, ``high``]; a bool is not one."""
+    ok = is_number(value) and low < value <= high
+    need = f"a number > {low:g}" if high == math.inf else f"in ({low:g}, {high:g}]"
+    return require(where, value, ok, need, optional)
 
 
 def _as_frames(pixels: np.ndarray) -> np.ndarray:
@@ -161,10 +181,6 @@ def _check_same_shape(a: Video, b: Video) -> None:
         raise ValueError(f"shape mismatch: {a.pixels.shape} vs {b.pixels.shape}")
 
 
-def _same_bytes(a: Video, b: Video) -> bool:
-    return a.pixels.shape == b.pixels.shape and a.pixels.tobytes() == b.pixels.tobytes()
-
-
 def video_mse(a: Video, b: Video) -> float:
     """Mean squared pixel error over all T*H*W pixels."""
     _check_same_shape(a, b)
@@ -230,7 +246,7 @@ def window_moments(pixels: np.ndarray) -> np.ndarray:
 SsimHold = tuple[np.ndarray, np.ndarray]  # a clip's float64 pixels and its window_moments
 
 
-def held_ssim(a: Video, b: Video, hold_a: SsimHold, hold_b: SsimHold) -> float:
+def held_ssim(hold_a: SsimHold, hold_b: SsimHold) -> float:
     """Mean SSIM (Wang et al. 2004) over 8x8 stride-1 windows: per-frame window mean,
     then frame mean.  Each window scores
 
@@ -238,18 +254,15 @@ def held_ssim(a: Video, b: Video, hold_a: SsimHold, hold_b: SsimHold) -> float:
 
     with cov_ab = W(a b) - mu_a mu_b.  Everything but W(a b) depends on one clip only, so
     it comes from what the caller holds of each clip: its float64 pixels and its
-    ``window_moments``.  Equal bytes score 1.0, what the arithmetic gives.  The tail runs
+    ``window_moments``.  Equal bytes score exactly 1.0 by this arithmetic.  The tail runs
     in place in the W(a b) map and the numerator's, with the formula's operands and order;
     it never writes into a hold.
     """
-    _check_same_shape(a, b)
-    t, h, w = shape = a.pixels.shape
+    t, h, w = shape = hold_a[0].shape
     moments = (3, t, (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1))
     if any(x.shape != shape or mom.shape != moments for x, mom in (hold_a, hold_b)):
         raise ValueError(f"an ssim hold must be pixels of shape {shape} and window moments "
                          f"of shape {moments}")
-    if _same_bytes(a, b):
-        return 1.0  # exactly what the arithmetic below gives: num and den are equal
     (x_a, (mu_a, square_a, var_a)), (x_b, (mu_b, square_b, var_b)) = hold_a, hold_b
     cov = window_means(x_a * x_b)  # W(ab)
     num = mu_a * mu_b
@@ -272,7 +285,7 @@ def ssim(a: Video, b: Video) -> float:
     """``held_ssim`` of two clips, each held here: the oracle of a caller's holds."""
     _check_same_shape(a, b)
     wide = (a.pixels.astype(np.float64), b.pixels.astype(np.float64))
-    return held_ssim(a, b, *((x, window_moments(x)) for x in wide))
+    return held_ssim(*((x, window_moments(x)) for x in wide))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ExperienceDataset, ExperienceTuple, Video
+from .core import ExperienceDataset, ExperienceTuple, Video, require_integer, require_number
 from .envs import (
     EnvAction,
     EnvInstance,
@@ -45,10 +45,9 @@ def build_dataset(
     replacement until exhausted, then cycled; a cycled action's entry
     holds the video its first draw rendered).
     """
-    if per_theta_success < 1:
-        raise ValueError(f"per_theta_success must be >= 1, got {per_theta_success}")
-    if per_theta_fail < 0:
-        raise ValueError(f"per_theta_fail must be >= 0, got {per_theta_fail}")
+    for name, value, low in (("per_theta_success", per_theta_success, 1),
+                             ("per_theta_fail", per_theta_fail, 0), ("seed", seed, 0)):
+        require_integer(f"build_dataset's {name}", value, low)
     rng = np.random.default_rng(seed)
     hypotheses = candidate_actions(kind)
     tuples: list[ExperienceTuple] = []
@@ -84,8 +83,8 @@ def subsample_dataset(
     dataset: ExperienceDataset, fraction: float, seed: int = 0
 ) -> ExperienceDataset:
     """Keep each object's first success plus a deterministic fraction of the rest."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
+    require_number("subsample_dataset's fraction", fraction, 0, 1)
+    require_integer("subsample_dataset's seed", seed, 0)
     if fraction == 1.0:
         return dataset
     rng = np.random.default_rng(seed)

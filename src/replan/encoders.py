@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Video
+from .core import Video, require_integer
 from .envs import IMAGE_SIZE
 
 BLOCK = 4
@@ -44,13 +44,12 @@ class PcaProjection:
 
     mean: np.ndarray          # (d,)
     components: np.ndarray    # (k, d)
-    k: int
     scales: np.ndarray | None = None  # (k,) divisors from rescale_variance=True
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
         comps = np.asarray(self.components, dtype=np.float64)
-        if comps.shape != (self.k, mean.shape[0]):
+        if comps.ndim != 2 or comps.shape[1] != mean.shape[0]:
             raise ValueError("components shape does not match (k, d)")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comps)
@@ -65,6 +64,7 @@ def pca_fit(embeddings: np.ndarray, k: int, rescale_variance: bool = False) -> P
     ordering plus a sign convention (largest-|entry| of each component
     made positive; first occurrence wins ties).
     """
+    require_integer("pca_fit's k", k, 1)
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (n, d) embeddings, got shape {x.shape}")
@@ -84,7 +84,7 @@ def pca_fit(embeddings: np.ndarray, k: int, rescale_variance: bool = False) -> P
     scales = None
     if rescale_variance:
         scales = np.maximum(singular[:k] / np.sqrt(n - 1), 1e-12)
-    return PcaProjection(mean=mean, components=components, k=k, scales=scales)
+    return PcaProjection(mean=mean, components=components, scales=scales)
 
 
 def pca_apply(projection: PcaProjection, embedding: np.ndarray) -> np.ndarray:

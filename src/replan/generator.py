@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, is_number, require_integer
+from .core import ExperienceDataset, Video, is_number, require, require_integer
 from .retrieval import EmbeddingTable, softmax
 
 
@@ -35,9 +35,9 @@ class GenerationConfig:
     noise_std: float = 0.0     # must be 0: nothing perturbs the first frame
 
     def __post_init__(self) -> None:
-        require_integer(self, "n_candidates", 1)
-        if not (is_number(self.noise_std) and self.noise_std == 0):
-            raise ValueError(f"GenerationConfig.noise_std must be 0, got {self.noise_std!r}")
+        require_integer("GenerationConfig.n_candidates", self.n_candidates, 1)
+        noise = self.noise_std
+        require("GenerationConfig.noise_std", noise, is_number(noise) and noise == 0, "0")
 
 
 @dataclass(frozen=True)

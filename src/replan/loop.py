@@ -25,12 +25,12 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .core import ExperienceDataset, SsimHold, Video, manifest_dataset, psnr_table, window_moments
-from .core import is_number, read_manifest, require_integer
+from .core import read_manifest, require, require_integer, require_member, require_number
 # psnr, unused here, stays importable from this module for perfbench/layers.py
 from .core import psnr  # noqa: F401
 from .datasets import build_dataset, candidate_actions, kept_others, subsample_dataset
@@ -138,8 +138,8 @@ class TaskAssets:
     ``rollouts`` keeps each pushed failed rollout under its (theta, plan-table row) as what
     its readers (``Method.reads``) need, ``interaction_logits`` under ``table`` and
     ``observation_terms`` against ``identifier``, from one ``execute`` render for every reader
-    of the run that pushes it.  ``ssims`` keeps ``core.ssim`` of each scored (plan row,
-    ground-truth row) pair, sorted, as ``ssim`` is symmetric bit for bit.  Each holds at most
+    of the run that pushes it.  ``ssims`` keeps ``core.ssim`` of each scored pair of distinct
+    (plan, ground-truth) rows, sorted, as ``ssim`` is symmetric bit for bit.  Each holds at most
     ``len(hidden_values(kind)) * len(plans.videos)`` entries."""
 
     kind: EnvKind
@@ -203,7 +203,6 @@ def build_assets(kind: EnvKind, dataset: ExperienceDataset) -> TaskAssets:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    round_index: int            # 1-based
     action: float | str | None  # None when the plan failed to decode
     success: bool
     plan_psnr: float | None
@@ -295,9 +294,10 @@ def run_episode(
 
             plan_psnr = float(plans.psnr[pick, gt])
             pair = (pick, gt) if pick <= gt else (gt, pick)  # held_ssim is symmetric
-            if (plan_ssim := assets.ssims.get(pair)) is None:
-                plan_ssim = assets.ssims[pair] = ssim(
-                    plans.videos[pick], plans.videos[gt], plans.holds[pick], plans.holds[gt])
+            if pick == gt:
+                plan_ssim = 1.0  # what held_ssim's arithmetic gives a row against itself
+            elif (plan_ssim := assets.ssims.get(pair)) is None:
+                plan_ssim = assets.ssims[pair] = ssim(plans.holds[pick], plans.holds[gt])
 
             t0 = time.perf_counter()
             try:
@@ -311,7 +311,7 @@ def run_episode(
         # an undecodable plan (action None) counts as a failed round that rendered nothing
         success = action is not None and succeeds(env, action)
         value = None if action is None else action.value
-        rounds.append(RoundRecord(round_index, value, success, plan_psnr, plan_ssim))
+        rounds.append(RoundRecord(value, success, plan_psnr, plan_ssim))
         if success:
             break
         # retrieval and refinement read a failed rollout, from the next round on
@@ -360,28 +360,28 @@ class ExperimentConfig:
     noise_std = 0.0
 
     def __post_init__(self) -> None:
-        """Check every field up front, so a bad config fails before any compute."""
-        def require(name: str, ok: bool, need: str) -> None:
-            if not ok:
-                value = getattr(self, name)
-                raise ValueError(f"ExperimentConfig.{name} must be {need}, got {value!r}")
+        """Check every field up front, so a bad config fails before any compute.  An enum
+        field takes a member or its name and keeps the name; a numpy scalar is kept as the
+        Python number it equals."""
+        def check(name: str, rule: Callable[..., object], *args: object) -> object:
+            value = rule(f"ExperimentConfig.{name}", getattr(self, name), *args)
+            object.__setattr__(self, name, value)
+            return value
 
         for name, choices in (("tasks", ALL_TASKS), ("methods", ALL_METHODS)):
             value = getattr(self, name)
             ok = isinstance(value, (list, tuple)) and len(value) > 0
             ok = ok and all(v in choices for v in value) and len(set(value)) == len(value)
-            require(name, ok, f"a non-empty list of distinct names from {choices}")
+            check(name, require, ok, f"a non-empty list of distinct names from {choices}")
             object.__setattr__(self, name, tuple(value))
         for name, enum in (("rejection_metric", RejectionMetric), ("buffer_policy", BufferPolicy)):
-            choices = tuple(m.value for m in enum)
-            require(name, getattr(self, name) in choices, f"one of {choices}")
+            object.__setattr__(self, name, check(name, require_member, enum).value)
         for name, low in _INT_FLOORS.items():
-            require_integer(self, name, low)
-        tau, fraction = self.tau, self.dataset_fraction
-        require("tau", tau is None or is_number(tau) and tau > 0, "None or a number > 0")
-        require("dataset_fraction", is_number(fraction) and 0 < fraction <= 1, "in (0, 1]")
-        require("data_root", self.data_root is None or isinstance(self.data_root, str),
-                "None or a path string")
+            check(name, require_integer, low)
+        check("tau", require_number, 0, math.inf, True)
+        check("dataset_fraction", require_number, 0, 1)
+        root = self.data_root
+        check("data_root", require, root is None or isinstance(root, str), "None or a path string")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -505,7 +505,7 @@ def build_task_assets(config: ExperimentConfig, task: str) -> TaskAssets:
     """``task``'s assets: its dataset, loaded from the manifest ``check_task`` read and
     checked before anything renders or encodes, or built from the simulator without
     ``data_root``, then subsampled to ``dataset_fraction``."""
-    kind = EnvKind(task)
+    kind = require_member("build_task_assets's task", task, EnvKind)
     if (manifest := check_task(config, task)) is not None:
         dataset = manifest_dataset(Path(config.data_root) / task, manifest)
     else:

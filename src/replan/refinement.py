@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Video, require_count, require_integer
+from .core import Video, require, require_integer
 # mse_objective, unused here, stays importable from this module for perfbench/layers.py
 from .generator import KernelGenerator, mse_objective  # noqa: F401
 from .generator import ObservationTerms, _group_logits, _identification_loss
@@ -32,10 +32,9 @@ class RefineConfig:
     restarts: int = 3               # starts per result
 
     def __post_init__(self) -> None:
-        if self.init_mode != "random":
-            raise ValueError(f"RefineConfig.init_mode must be 'random', got {self.init_mode!r}")
-        require_integer(self, "steps", 0)
-        require_integer(self, "restarts", 1)
+        require("RefineConfig.init_mode", self.init_mode, self.init_mode == "random", "'random'")
+        require_integer("RefineConfig.steps", self.steps, 0)
+        require_integer("RefineConfig.restarts", self.restarts, 1)
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def refine_embedding(
     """
     if init is not None:
         raise ValueError("refine_embedding's init must be None: starts are drawn from rng")
-    require_count("refine_embedding", count)
+    require_integer("refine_embedding's count", count, 1, optional=True)
     if rng is None:
         raise ValueError("refinement draws its starts from an rng, got None")
     n, restarts = 1 if count is None else count, config.restarts

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Video
+from .core import Video, require_member
 from .encoders import encode_video
 
 
@@ -37,14 +37,6 @@ class FailedPlanBuffer:
     def push(self, plan: Video) -> "FailedPlanBuffer":
         self.plans.append(plan)
         return self
-
-
-def _rejection_metric(metric: RejectionMetric | str) -> RejectionMetric:
-    try:
-        return RejectionMetric(metric)
-    except ValueError:
-        choices = tuple(m.value for m in RejectionMetric)
-        raise ValueError(f"metric must be one of {choices}, got {metric!r}") from None
 
 
 def _rows(plans: Sequence[Video | np.ndarray], metric: RejectionMetric) -> Sequence[np.ndarray]:
@@ -76,10 +68,9 @@ def _distances(
 
 
 def _nearest_failed_distances(
-    plans: Sequence[Video], buffer: FailedPlanBuffer, metric: RejectionMetric | str
+    plans: Sequence[Video], buffer: FailedPlanBuffer, metric: RejectionMetric
 ) -> np.ndarray:
     """(m,) distance from each plan to its closest buffered failure."""
-    metric = _rejection_metric(metric)
     if len(buffer) == 0:
         return np.full(len(plans), math.inf)
     shapes = {plan.pixels.shape for plan in [*plans, *buffer.plans]}
@@ -103,7 +94,7 @@ def pixel_sums_of_squares(plans: Sequence[Video | np.ndarray]) -> np.ndarray:
 def distance_matrix(plans: Sequence[Video], metric: RejectionMetric | str) -> np.ndarray:
     """(n, n) matrix whose entry (i, j) is, bit for bit, the distance ``select_plan``
     scores ``plans[i]`` at against a failed ``plans[j]``."""
-    metric = _rejection_metric(metric)
+    metric = require_member("distance_matrix's metric", metric, RejectionMetric)
     rows = _rows(plans, metric)
     return _distances(rows, rows, metric)
 
@@ -117,6 +108,7 @@ def nearest_failed_distance(
 
     ``metric`` is a ``RejectionMetric`` or its name.
     """
+    metric = require_member("nearest_failed_distance's metric", metric, RejectionMetric)
     return float(_nearest_failed_distances([plan], buffer, metric)[0])
 
 
@@ -133,5 +125,6 @@ def select_plan(
     """
     if not candidates:
         raise ValueError("no candidate plans to select from")
+    metric = require_member("select_plan's metric", metric, RejectionMetric)
     best = int(np.argmax(_nearest_failed_distances(candidates, buffer, metric)))
     return best, candidates[best]

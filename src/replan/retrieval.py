@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ExperienceDataset, Video, is_number, require_count
+from .core import ExperienceDataset, Video, require_integer, require_member, require_number
 from .encoders import PcaProjection, encode_video, pca_apply
 
 
@@ -43,16 +43,9 @@ class RetrievalConfig:
     def __post_init__(self) -> None:
         """Take enum members or their names; retrieval compares members by identity."""
         for name, enum in (("metric", DistanceMetric), ("buffer_policy", BufferPolicy)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, enum(value))
-            except ValueError:
-                choices = tuple(m.value for m in enum)
-                raise ValueError(
-                    f"RetrievalConfig.{name} must be one of {choices}, got {value!r}"
-                ) from None
-        if not (self.tau is None or is_number(self.tau) and self.tau > 0):
-            raise ValueError(f"RetrievalConfig.tau must be None or a number > 0, got {self.tau!r}")
+            object.__setattr__(self, name, require_member(f"RetrievalConfig.{name}",
+                                                          getattr(self, name), enum))
+        require_number("RetrievalConfig.tau", self.tau, 0, optional=True)
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,9 @@ def interaction_logits(
     encoder: Callable[[Video], np.ndarray] = encode_video,
 ) -> np.ndarray:
     """Minus the distance under ``metric`` from the projected encoding of an
-    interaction video to every table entry: the (n,) row retrieval reads of it."""
+    interaction video to every table entry: the (n,) row retrieval reads of it.  ``metric``
+    is a ``DistanceMetric`` or its name."""
+    metric = require_member("interaction_logits's metric", metric, DistanceMetric)
     query = pca_apply(table.projection, encoder(video))
     entries = table.entry_embeddings
     if metric is DistanceMetric.L2:
@@ -198,7 +193,7 @@ def retrieve_objects(
     """The object indices of entries sampled from the retrieval softmax of ``query``, as
     ``retrieval_probabilities`` takes it and computes it once: ``count`` of them from
     ``rng.random(count)``, the same uniforms as ``count`` single draws, or one for None."""
-    require_count("retrieve_objects", count)
+    require_integer("retrieve_objects's count", count, 1, optional=True)
     probs = retrieval_probabilities(table, query, config, encoder)
     draws = rng.random(1 if count is None else count)
     entries = np.searchsorted(np.cumsum(probs), draws, side="right")

@@ -73,7 +73,7 @@ def _flat64(video: Video) -> np.ndarray:
 
 
 def _identity_projection(k: int) -> PcaProjection:
-    return PcaProjection(mean=np.zeros(k), components=np.eye(k), k=k)
+    return PcaProjection(mean=np.zeros(k), components=np.eye(k))
 
 
 def _random_table(rng: np.random.Generator, k: int, entries: int) -> EmbeddingTable:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import replan
 from replan import (
     EnvInstance,
     ExperimentConfig,
@@ -315,21 +316,14 @@ def test_ssim_matches_sliding_window_oracle(t, h, w, noise, seed):
 
 
 @pytest.mark.parametrize("task", ExperimentConfig().tasks)
-def test_byte_equal_shortcut_matches_the_arithmetic(task, monkeypatch):
-    # a plan is scored against a ground-truth plan it is often byte-equal to;
-    # psnr and ssim then return what their arithmetic gives on (video, copy)
-    import replan.core
-
+def test_byte_equal_shortcut_matches_the_arithmetic(task):
+    # a plan is scored against a ground-truth plan it is often byte-equal to, and the
+    # loop scores a row against itself as 1.0 without a product map: what psnr's and
+    # ssim's arithmetic, which has no shortcut, gives on (video, copy)
     assets = build_task_assets(ExperimentConfig(tasks=(task,)), task)
     videos = [*assets.planner.videos, *assets.plans.videos]
-
-    def scores():
-        return [(psnr(v, Video(v.pixels.copy())), ssim(v, Video(v.pixels.copy()))) for v in videos]
-
-    shortcut = scores()
-    assert set(shortcut) == {(PSNR_CAP_DB, 1.0)}
-    monkeypatch.setattr(replan.core, "_same_bytes", lambda a, b: False)
-    assert scores() == shortcut
+    scores = {(psnr(v, Video(v.pixels.copy())), ssim(v, Video(v.pixels.copy()))) for v in videos}
+    assert scores == {(PSNR_CAP_DB, 1.0)}
 
 
 def test_byte_equal_shortcut_needs_equal_bytes_and_shape():
@@ -421,8 +415,8 @@ def ssim_bit_mismatches():
         if (wide.tobytes() != plan.pixels.astype(np.float64).tobytes()
                 or moments.tobytes() != window_moments(plan.pixels).tobytes()):
             bad.append(f"{task} hold {i}")
-        scores = (held_ssim(plan, gt, plans.holds[i], plans.holds[row]),
-                  held_ssim(gt, plan, plans.holds[row], plans.holds[i]), ssim(plan, gt),
+        scores = (held_ssim(plans.holds[i], plans.holds[row]),
+                  held_ssim(plans.holds[row], plans.holds[i]), ssim(plan, gt),
                   moment_ssim(plan, gt))
         if len({struct.pack("<d", score) for score in scores}) != 1:
             bad.append(f"{task} plan {i} theta {theta}: {scores}")
@@ -452,7 +446,7 @@ def test_moment_ssim_differs_from_the_four_map_form_by_rounding_only():
     # the variances as two moments, not one a^2 + b^2 map: every pair the loop can
     # score lands within 2.3e-16 of the old arithmetic
     def gap(plans, i, gt):
-        held = held_ssim(plans.videos[i], plans.videos[gt], plans.holds[i], plans.holds[gt])
+        held = held_ssim(plans.holds[i], plans.holds[gt])
         return abs(held - four_map_ssim(plans.videos[i], plans.videos[gt]))
 
     gaps = [gap(assets.plans, i, assets.gt_rows[theta]) for _, assets, i, theta in plan_pairs()]
@@ -470,13 +464,13 @@ def test_held_moment_ssim_is_the_moment_oracle_on_random_clips(shape):
     others = [Video(rng.random(shape, dtype=np.float32)),
               Video(np.clip(a.pixels + 0.01 * rng.standard_normal(shape), 0, 1)),
               const_video(0.5, shape),
-              Video(a.pixels.copy())]  # byte-equal: 1.0 without the arithmetic
+              Video(a.pixels.copy())]  # byte-equal: exactly 1.0 by the arithmetic
     for b in others:
         hold_a, hold_b = ((x, window_moments(x)) for x in (a.pixels.astype(np.float64),
                                                            b.pixels.astype(np.float64)))
         held = [array.tobytes() for array in (*hold_a, *hold_b)]
-        scores = (held_ssim(a, b, hold_a, hold_b), ssim(a, b), moment_ssim(a, b),
-                  held_ssim(b, a, hold_b, hold_a), ssim(b, a))
+        scores = (held_ssim(hold_a, hold_b), ssim(a, b), moment_ssim(a, b),
+                  held_ssim(hold_b, hold_a), ssim(b, a))
         assert len({struct.pack("<d", score) for score in scores}) == 1, scores
         assert [array.tobytes() for array in (*hold_a, *hold_b)] == held
     assert ssim(a, others[-1]) == 1.0 and ssim(a, others[0]) < 1.0
@@ -486,15 +480,15 @@ def test_ssim_rejects_moments_of_another_shape():
     a, b = const_video(0.2, (2, 9, 10)), const_video(0.4, (2, 9, 10))
     assert window_moments(a.pixels).shape == (3, 2, 6)
     hold_a, hold_b = ((v.pixels.astype(np.float64), window_moments(v.pixels)) for v in (a, b))
-    assert held_ssim(a, b, hold_a, hold_b) == ssim(a, b)
+    assert held_ssim(hold_a, hold_b) == ssim(a, b)
     message = (r"an ssim hold must be pixels of shape \(2, 9, 10\) and window moments of "
                r"shape \(3, 2, 6\)")
     with pytest.raises(ValueError, match=message):
-        held_ssim(a, b, hold_a, (hold_b[0], hold_b[1][:, :1]))
+        held_ssim(hold_a, (hold_b[0], hold_b[1][:, :1]))
     with pytest.raises(ValueError, match=message):
-        held_ssim(a, b, (hold_a[0], window_means(a.pixels)), hold_b)  # means are not moments
+        held_ssim((hold_a[0], window_means(a.pixels)), hold_b)  # means are not moments
     with pytest.raises(ValueError, match=message):
-        held_ssim(a, b, hold_a, (hold_b[0][:1], hold_b[1]))  # pixels of another clip
+        held_ssim(hold_a, (hold_b[0][:1], hold_b[1]))  # pixels of another clip
 
 
 def test_window_moments_are_window_mean_and_variance():
@@ -566,3 +560,57 @@ def test_dataset_save_load_roundtrip(tmp_path):
         assert a.object_id == b.object_id
         assert a.success == b.success
         assert a.video.pixels.tobytes() == b.video.pixels.tobytes()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("bad input reached a render or an encode")
+
+
+def _tiny_table():
+    from replan import EmbeddingTable, PcaProjection
+
+    return EmbeddingTable(("o",), np.ones((1, 2)), np.ones((1, 2)), np.zeros(1, dtype=np.int64),
+                          PcaProjection(mean=np.zeros(2), components=np.eye(2)))
+
+
+BAD_OPTIONS = [  # (the field the error names, its value, a call that passes it)
+    ("build_dataset's per_theta_success", True,
+     lambda v: replan.build_dataset(replan.EnvKind.OPEN_BOX, per_theta_success=v)),
+    ("build_dataset's per_theta_success", 1.5,
+     lambda v: replan.build_dataset(replan.EnvKind.OPEN_BOX, per_theta_success=v)),
+    ("build_dataset's per_theta_fail", np.float64(2.0),
+     lambda v: replan.build_dataset(replan.EnvKind.OPEN_BOX, per_theta_fail=v)),
+    ("build_dataset's seed", -1, lambda v: replan.build_dataset(replan.EnvKind.OPEN_BOX, seed=v)),
+    ("build_dataset's seed", "0", lambda v: replan.build_dataset(replan.EnvKind.OPEN_BOX, seed=v)),
+    ("subsample_dataset's fraction", True,
+     lambda v: replan.subsample_dataset(ExperienceDataset(_toy_tuples()), v)),
+    ("subsample_dataset's fraction", 1.5,
+     lambda v: replan.subsample_dataset(ExperienceDataset(_toy_tuples()), v)),
+    ("subsample_dataset's seed", 0.5,
+     lambda v: replan.subsample_dataset(ExperienceDataset(_toy_tuples()), 0.5, seed=v)),
+    ("pca_fit's k", True, lambda v: replan.pca_fit(np.eye(4), v)),
+    ("pca_fit's k", 2.0, lambda v: replan.pca_fit(np.eye(4), v)),
+    ("interaction_logits's metric", "L2",
+     lambda v: replan.interaction_logits(_tiny_table(), const_video(0.5), v, encoder=_never)),
+    ("build_task_assets's task", "bogus",
+     lambda v: build_task_assets(ExperimentConfig(tasks=("openbox",)), v)),
+    ("ExperimentConfig.rejection_metric", "RAW_PIXEL",
+     lambda v: ExperimentConfig(rejection_metric=v)),
+    ("ExperimentConfig.tau", np.float64(-1.0), lambda v: ExperimentConfig(tau=v)),
+    ("ExperimentConfig.trials", np.bool_(True), lambda v: ExperimentConfig(trials=v)),
+]
+
+
+@pytest.mark.parametrize("field, value, call", BAD_OPTIONS,
+                         ids=[f"{field}={value!r}" for field, value, _ in BAD_OPTIONS])
+def test_a_bad_option_is_named_before_any_render_or_encode(field, value, call, monkeypatch):
+    # one rule per kind of option, in core: an enum name, an integer, a number in a range
+    import replan.datasets
+    import replan.loop
+
+    for module in (replan.datasets, replan.loop):
+        monkeypatch.setattr(module, "execute", _never)
+    monkeypatch.setattr(replan.loop, "encode_video", _never)
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be .*, got "
+                                         rf"{re.escape(repr(value))}$"):
+        call(value)

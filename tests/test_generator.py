@@ -49,7 +49,7 @@ def toy_dataset():
 def toy_table():
     # project the 128-d block features onto their first coordinate, so a
     # constant-shade video embeds to its shade
-    projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128), k=1)
+    projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128))
     return encoded_table(toy_dataset(), projection)
 
 
@@ -85,7 +85,7 @@ def test_bandwidth_from_canonical_distances(planner):
 def test_bandwidth_degenerate_fallback():
     tuples = (ExperienceTuple(shade_video(0.5), "solo", True),)
     dataset = ExperienceDataset(tuples)
-    projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128), k=1)
+    projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128))
     table = encoded_table(dataset, projection)
     g = fit_generator(dataset, table, GeneratorMode.PLANNING)
     assert g.bandwidth == 1.0
@@ -98,7 +98,7 @@ def test_planning_needs_a_success():
         ExperienceDataset(tuples)
     tuples += (ExperienceTuple(shade_video(0.7), "x", True),)
     dataset = ExperienceDataset(tuples)
-    projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128), k=1)
+    projection = PcaProjection(mean=np.zeros(128), components=np.eye(1, 128))
     g = fit_generator(dataset, encoded_table(dataset, projection), GeneratorMode.PLANNING)
     assert g.videos == (tuples[1].video,)
 

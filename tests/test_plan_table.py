@@ -226,29 +226,17 @@ def test_gathered_draws_are_batch_invariant_across_blas_threads():
                              capture_output=True, text=True, timeout=300).stdout
         assert json.loads(out.splitlines()[-1]) == [], threads
 
-def test_rows_with_equal_bytes_score_exactly_one(monkeypatch):
+def test_rows_with_equal_bytes_score_exactly_one():
     # per_theta_success=2 gives each object two successful clips with one set of bytes:
-    # distinct rows, a ground-truth row among them, that the held ssim scores 1.0 without
-    # a product map, as its arithmetic would
-    import replan.core
-
+    # distinct rows, a ground-truth row among them, that the held ssim scores exactly 1.0
+    # by its arithmetic, with no byte shortcut
     for task in ("pushbar", "openbox"):
         assets = build_task_assets(ExperimentConfig(tasks=(task,), per_theta_success=2), task)
         plans = assets.plans
         pairs = [(i, j) for i, a in enumerate(plans.videos) for j, b in enumerate(plans.videos)
                  if i != j and a.pixels.tobytes() == b.pixels.tobytes()]
         assert any(j in assets.gt_rows.values() for _, j in pairs)
-
-        def scores():
-            return {loop.ssim(plans.videos[i], plans.videos[j], plans.holds[i], plans.holds[j])
-                    for i, j in pairs}
-
-        with monkeypatch.context() as patch:
-            patch.setattr(replan.core, "window_means", lambda *args: pytest.fail("a map"))
-            assert scores() == {1.0}
-        with monkeypatch.context() as patch:
-            patch.setattr(replan.core, "_same_bytes", lambda a, b: False)
-            assert scores() == {1.0}
+        assert {loop.ssim(plans.holds[i], plans.holds[j]) for i, j in pairs} == {1.0}
 
 
 def video_level_rounds(env, method, assets, config, rng):
@@ -262,7 +250,7 @@ def video_level_rounds(env, method, assets, config, rng):
     refine = RefineConfig(steps=config.refine_steps, restarts=config.refine_restarts)
     n = method.candidate_count(config.n_candidates)
     rounds = []
-    for round_index in range(1, config.max_replans + 1):
+    for _ in range(config.max_replans):
         embeddings = None
         if interactions and method.uses_retrieval:
             embeddings = retrieve(assets.table, interactions, retrieval, rng, count=n)
@@ -282,10 +270,10 @@ def video_level_rounds(env, method, assets, config, rng):
             action = plan_to_action(env.kind, plan)
         except PlanDecodeError:
             buffer.push(plan)
-            rounds.append(RoundRecord(round_index, None, False, *scores))
+            rounds.append(RoundRecord(None, False, *scores))
             continue
         outcome = execute(env, action)
-        rounds.append(RoundRecord(round_index, action.value, outcome.success, *scores))
+        rounds.append(RoundRecord(action.value, outcome.success, *scores))
         if outcome.success:
             break
         buffer.push(plan)
@@ -410,15 +398,16 @@ def scored_episodes(monkeypatch, assets, config, seeds=range(6)):
 
 def distinct_plans_scored(records):
     """Scored rounds whose plan is not byte-equal to the ground truth: a plan that is
-    scores PSNR at the cap, and SSIM 1 without building a map."""
+    scores PSNR at the cap."""
     return sum(r.plan_psnr is not None and r.plan_psnr < PSNR_CAP_DB
                for record in records for r in record.rounds)
 
 
 def distinct_pairs_scored(assets):
-    """Kept (plan row, ground-truth row) SSIMs whose plan is not byte-equal to the
-    ground truth: each built one product map, on its first round."""
-    return sum(assets.plans.psnr[pair] < PSNR_CAP_DB for pair in assets.ssims)
+    """Kept (plan row, ground-truth row) SSIMs: each built one product map, on its first
+    round.  A plan row scored against itself is 1.0 with no map, and is not kept."""
+    assert all(plan != gt for plan, gt in assets.ssims)
+    return len(assets.ssims)
 
 
 def test_a_simulator_episode_scores_with_one_product_map_per_round(monkeypatch):

@@ -68,7 +68,7 @@ def identification_fixture():
     dataset = ExperienceDataset(tuple(tuples))
     # scale the projection so canonical embeddings are O(1) and unit-variance
     # random inits land within kernel range
-    projection = PcaProjection(mean=np.zeros(128), components=np.eye(2, 128) * 10.0, k=2)
+    projection = PcaProjection(mean=np.zeros(128), components=np.eye(2, 128) * 10.0)
     table = encoded_table(dataset, projection)
     return fit_generator(dataset, table, GeneratorMode.IDENTIFICATION)
 
@@ -186,7 +186,7 @@ def test_validation_errors(identifier, observed):
 
     planner_tuples = (ExperienceTuple(gradient_video(0.5), "p", True),)
     dataset = ExperienceDataset(planner_tuples)
-    projection = PcaProjection(mean=np.zeros(128), components=np.eye(2, 128), k=2)
+    projection = PcaProjection(mean=np.zeros(128), components=np.eye(2, 128))
     planner = fit_generator(dataset, encoded_table(dataset, projection), GeneratorMode.PLANNING)
     with pytest.raises(ValueError):
         refine_embedding(planner, observed, None, RefineConfig(), np.random.default_rng(0))
@@ -403,21 +403,27 @@ def drawn_starts(config, k, rng, count):
 
 def oracle_refine(g, observed, config, seed, count):
     """``refine_embedding`` rebuilt on the oracle descent: each result's first chain
-    with the lowest loss, as (embedding, loss, trace)."""
+    with the lowest loss, as (tied iterates, loss, trace), where the tied iterates are
+    the chain's embeddings at every step whose loss ties its best within 1e-12."""
     starts = drawn_starts(config, g.embeddings.shape[1], np.random.default_rng(seed), count)
-    best_e, best, trace = oracle_descend(
-        mse_objective(g, observed), starts, config.steps, 0.1 * g.bandwidth
-    )
+    path, objective = [], mse_objective(g, observed)
+    _, best, trace = oracle_descend(lambda e: path.append((e, *objective(e))) or path[-1][1:],
+                                    starts, config.steps, 0.1 * g.bandwidth)
+    iterates, losses = np.stack([e for e, _, _ in path]), np.stack([v for _, v, _ in path])
     chains = np.arange(0, len(starts), config.restarts) + best.reshape(count, -1).argmin(axis=1)
-    return [(best_e[c], best[c], trace[:, c]) for c in chains]
+    return [(iterates[losses[:, c] <= best[c] * (1.0 + 1e-12), c], best[c], trace[:, c])
+            for c in chains]
 
 
 def assert_matches_oracle_descent(g, observed, config, seed, count):
+    # on a flat stretch last-bit rounding decides which step is first with the lowest
+    # loss, so the embedding is matched against every step that ties the best
     refined = refine_embedding(g, observed, None, config, np.random.default_rng(seed), count=count)
     expected = oracle_refine(g, observed, config, seed, count)
     assert len(refined) == len(expected)
-    for result, (embedding, loss, trace) in zip(refined, expected):
-        assert np.abs(result.embedding - embedding).max() <= 1e-12 * np.abs(embedding).max()
+    for result, (tied, loss, trace) in zip(refined, expected):
+        gaps = np.abs(tied - result.embedding).max(axis=1)
+        assert np.any(gaps <= 1e-12 * np.abs(tied).max(axis=1))
         assert abs(result.loss - loss) <= 1e-12 * loss
         assert np.all(np.abs(np.array(result.trace) - trace) <= 1e-12 * trace)
 

@@ -45,7 +45,7 @@ def coord_encoder(video: Video) -> np.ndarray:
     return video.pixels.reshape(-1).astype(np.float64) * 16.0
 
 
-IDENTITY_2D = PcaProjection(mean=np.zeros(2), components=np.eye(2), k=2)
+IDENTITY_2D = PcaProjection(mean=np.zeros(2), components=np.eye(2))
 
 
 def make_table(points, successes=None, object_ids=None):
@@ -257,6 +257,19 @@ def test_cosine_logits_are_the_scalar_distances_bit_for_bit():
         assert got.tolist() == want
 
 
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_logits_take_a_metric_name_as_its_member(metric):
+    # a name once fell through to the cosine branch, whatever it named
+    rng = np.random.default_rng(9)
+    table = _table_of(rng.normal(size=(6, 3)))
+    query = Video(rng.uniform(0.05, 0.95, (1, 1, 3)).astype(np.float32))
+    by_member = interaction_logits(table, query, metric, encoder=_flat)
+    assert interaction_logits(table, query, metric.value, encoder=_flat).tobytes() == (
+        by_member.tobytes())
+    other = next(m for m in DistanceMetric if m is not metric)
+    assert by_member.tobytes() != interaction_logits(table, query, other, encoder=_flat).tobytes()
+
+
 @pytest.mark.parametrize("points, query", [([(1, 2), (3, 1)], (0, 0)), ([(1, 2), (0, 0)], (1, 1))],
                          ids=["zero query", "zero entry"])
 def test_cosine_logits_reject_zero_vectors(points, query):
@@ -273,7 +286,7 @@ def _table_of(entries):
     return EmbeddingTable(
         object_ids=("o",), canonical=entries[:1], entry_embeddings=entries,
         entry_object_index=np.zeros(len(entries), dtype=np.int64),
-        projection=PcaProjection(mean=np.zeros(k), components=np.eye(k), k=k),
+        projection=PcaProjection(mean=np.zeros(k), components=np.eye(k)),
     )
 
 
