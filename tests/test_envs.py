@@ -48,6 +48,8 @@ ALL_KINDS = list(EnvKind)
 # sha256 over the pixels of every kind x table theta x hypothesis-set rollout,
 # in table order; any change to a rollout's frames changes it.
 ROLLOUT_DIGEST = "7423b4e7b98ce4a43ec6ed1e2609598de18233f021962d3620153e35f587883b"
+# ``simulator_digest`` as the simulator gave it before its per-kind facts moved into one table.
+SIMULATOR_DIGEST = "1b17d12dbbfff464a098a38376a07af085a2ce320c58d159f36f30ffcceff318"
 
 
 def test_hidden_tables():
@@ -136,6 +138,30 @@ def test_rollout_pixels_golden():
             for action in actions:
                 digest.update(execute(env, action).video.pixels.tobytes())
     assert digest.hexdigest() == ROLLOUT_DIGEST
+
+
+def simulator_digest():
+    """sha256 over, per kind: the reset frame; each table theta's rollout (pixels and
+    success) under every hypothesis-set action; and on every third table theta of a
+    continuous kind, rollouts of 41 evenly spaced actions over its action range."""
+    sweeps = {EnvKind.PUSH_BAR: (-0.2, 0.2), EnvKind.PICK_BAR: (-0.2, 0.2),
+              EnvKind.SLIDE_BRICK: (0.0, 1.0)}
+    digest = hashlib.sha256()
+    for kind in ALL_KINDS:
+        instances = all_instances(kind)
+        digest.update(reset(instances[0]).tobytes())
+        pairs = [(env, action) for env in instances for action in candidate_actions(kind)]
+        if kind in sweeps:
+            sweep = [EnvAction(kind, float(v)) for v in np.linspace(*sweeps[kind], 41)]
+            pairs += [(env, action) for env in instances[::3] for action in sweep]
+        for env, action in pairs:
+            out = execute(env, action)
+            digest.update(out.video.pixels.tobytes() + bytes([out.success]))
+    return digest.hexdigest()
+
+
+def test_simulator_output_is_pinned():
+    assert simulator_digest() == SIMULATOR_DIGEST
 
 
 def test_execute_deterministic():
