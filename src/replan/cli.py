@@ -107,17 +107,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     src = Path(args.in_dir)
     episodes = src / "episodes.csv" if src.is_dir() else src
     rows = read_episodes_csv(episodes)
-    table = results_table(rows)
-    write_summary_csv(table, args.csv)
-    write_results_svg(table, args.svg)
-    print(f"wrote {args.csv} and {args.svg}")
+    embedded = None  # worked out first, so a bad config.json fails before any file is written
     if args.embed_csv is not None:
         config_path = (src if src.is_dir() else src.parent) / "config.json"
         if config_path.exists():
             config = ExperimentConfig.from_json(config_path)
         else:
             config = ExperimentConfig(tasks=tuple(dict.fromkeys(r.task for r in rows)))
-        write_embedding_csv(embedding_rows(config), args.embed_csv)
+        embedded = embedding_rows(config)
+    table = results_table(rows)
+    write_summary_csv(table, args.csv)
+    write_results_svg(table, args.svg)
+    print(f"wrote {args.csv} and {args.svg}")
+    if embedded is not None:
+        write_embedding_csv(embedded, args.embed_csv)
         print(f"wrote {args.embed_csv}")
     return 0
 
@@ -164,8 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  A bad option or file it reads ends the command with one
+    ``error: <message>`` line on stderr and exit code 2, as a malformed command line does."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Video, is_number
+from .core import Video, is_number, require, require_member
 
 IMAGE_SIZE = 32
 ROLLOUT_FRAMES = 8
@@ -91,17 +91,52 @@ HANDLE_CCW_PX = 16.0           # horizontal travel marks a counter-clockwise tur
 _EPS = 1e-9
 
 
+@dataclass(frozen=True)
+class SceneState:
+    """Poses of the movable bodies; ``None`` omits a body from the frame."""
+
+    gripper: tuple[float, float] | None = None      # (row, col) centre
+    bar: tuple[float, float, float] | None = None   # (row, col, angle rad)
+    brick: tuple[float, float] | None = None        # (row, col) centre
+    lid_offset: tuple[float, float] | None = None   # (drow, dcol) from rest
+    handle_offset: tuple[float, float] | None = None
+
+
+@dataclass(frozen=True)
+class _KindFacts:
+    """What one task kind fixes: its hidden-value table, the closed ranges a theta and an
+    action lie in (None where both are entries of the table), its rest scene (every
+    rollout's frame 0) and the (row0, row1, col0, col1) rectangle of its scenery."""
+
+    table: tuple[float | str, ...]
+    theta_range: tuple[float, float] | None
+    action_range: tuple[float, float] | None
+    rest: SceneState
+    scenery: tuple[int, int, int, int]
+
+
+_BAR_REST = (BAR_START_ROW, CENTER_COL, 0.0)
+_BAR_TARGET = (4, 6, 0, IMAGE_SIZE - 1)
+_FACTS = {
+    EnvKind.PUSH_BAR: _KindFacts(BAR_OFFSETS, (-0.2, 0.2), BAR_ACTION_RANGE,
+                                 SceneState(gripper=(29.0, 16.0), bar=_BAR_REST), _BAR_TARGET),
+    EnvKind.PICK_BAR: _KindFacts(BAR_OFFSETS, (-0.2, 0.2), BAR_ACTION_RANGE,
+                                 SceneState(gripper=(2.0, 16.0), bar=_BAR_REST), _BAR_TARGET),
+    EnvKind.SLIDE_BRICK: _KindFacts(
+        BRICK_FRICTIONS, (0.05, 1.0), (0.0, 1.0),
+        SceneState(gripper=(RISE_BASE_ROW, RISE_COL), brick=(TRACK_ROW, TRACK_BASE_COL)),
+        (24, 28, 15, 17)),
+    EnvKind.OPEN_BOX: _KindFacts(BOX_MODES, None, None,
+                                 SceneState(gripper=(2.0, 16.0), lid_offset=(0.0, 0.0)), BOX_BODY),
+    EnvKind.TURN_FAUCET: _KindFacts(FAUCET_MODES, None, None,
+                                    SceneState(gripper=(2.0, 24.0), handle_offset=(0.0, 0.0)),
+                                    FAUCET_BASE),
+}
+
+
 def hidden_values(kind: EnvKind) -> tuple[float | str, ...]:
-    """The hidden-parameter table for a task kind."""
-    if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
-        return BAR_OFFSETS
-    if kind is EnvKind.SLIDE_BRICK:
-        return BRICK_FRICTIONS
-    if kind is EnvKind.OPEN_BOX:
-        return BOX_MODES
-    if kind is EnvKind.TURN_FAUCET:
-        return FAUCET_MODES
-    raise ValueError(f"unknown kind {kind}")
+    """The hidden-parameter table for a task kind, given as an ``EnvKind`` or its name."""
+    return _FACTS[require_member("hidden_values's kind", kind, EnvKind)].table
 
 
 def object_id(kind: EnvKind, theta: float | str) -> str:
@@ -111,60 +146,46 @@ def object_id(kind: EnvKind, theta: float | str) -> str:
     return f"{kind.value}/{theta:g}"
 
 
-def _check_theta(kind: EnvKind, theta: float | str) -> float | str:
-    if kind in (EnvKind.OPEN_BOX, EnvKind.TURN_FAUCET):
-        if theta not in hidden_values(kind):
-            raise ValueError(f"invalid mode {theta!r} for {kind.value}")
-        return theta
-    if not is_number(theta):
-        raise ValueError(f"EnvInstance.theta_value of {kind.value} must be a finite number, "
-                         f"got {theta!r}")
-    value = float(theta)
-    if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR) and abs(value) > 0.2:
-        raise ValueError(f"bar offset theta {value} outside [-0.2, 0.2]")
-    if kind is EnvKind.SLIDE_BRICK and not (0.05 <= value <= 1.0):
-        raise ValueError(f"friction theta {value} out of range")
-    return value
+def _check_fields(obj: EnvAction | EnvInstance, field: str, span: str) -> None:
+    """Set ``obj.kind`` to the ``EnvKind`` it is or names, and ``obj.<field>`` to a float
+    in the kind's closed range ``span``, give or take 1e-9 (a decoded plan can round onto
+    a bound), or to an entry of its table for a kind without ranges; else ``require``'s
+    error, naming the field, the kind and the range or table."""
+    name = type(obj).__name__
+    kind = require_member(f"{name}.kind", obj.kind, EnvKind)
+    facts, value, where = _FACTS[kind], getattr(obj, field), f"{name}.{field} of {kind.value}"
+    if (bounds := getattr(facts, span)) is None:
+        value = require(where, value, value in facts.table, f"one of {facts.table}")
+    else:
+        lo, hi = bounds
+        ok = is_number(value) and lo - _EPS <= value <= hi + _EPS
+        value = float(require(where, value, ok, f"in [{lo:g}, {hi:g}]"))
+    object.__setattr__(obj, "kind", kind)
+    object.__setattr__(obj, field, value)
 
 
 @dataclass(frozen=True)
 class EnvAction:
+    """An action on a task given as an ``EnvKind`` or its name: a bar contact offset or a
+    brick push height as a float in range, or a box or faucet mode from its table."""
+
     kind: EnvKind
     value: float | str
 
     def __post_init__(self) -> None:
-        kind, value = self.kind, self.value
-        if kind not in (EnvKind.OPEN_BOX, EnvKind.TURN_FAUCET) and not is_number(value):
-            raise ValueError(f"EnvAction.value of {kind.value} must be a finite number, "
-                             f"got {value!r}")
-        if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
-            value = float(value)
-            lo, hi = BAR_ACTION_RANGE
-            if not (lo - _EPS <= value <= hi + _EPS):
-                raise ValueError(f"contact offset {value} outside {BAR_ACTION_RANGE}")
-        elif kind is EnvKind.SLIDE_BRICK:
-            value = float(value)
-            if not (-_EPS <= value <= 1.0 + _EPS):
-                raise ValueError(f"push height {value} outside [0, 1]")
-        elif kind is EnvKind.OPEN_BOX:
-            if value not in BOX_MODES:
-                raise ValueError(f"invalid box mode {value!r}")
-        elif kind is EnvKind.TURN_FAUCET:
-            if value not in FAUCET_MODES:
-                raise ValueError(f"invalid faucet mode {value!r}")
-        object.__setattr__(self, "value", value)
+        _check_fields(self, "value", "action_range")
 
 
 @dataclass(frozen=True)
 class EnvInstance:
-    """A task with its hidden parameter: a bar offset or brick friction as a float in
-    range, or a box or faucet mode from its table."""
+    """A task given as an ``EnvKind`` or its name, with its hidden parameter: a bar offset
+    or a brick friction as a float in range, or a box or faucet mode from its table."""
 
     kind: EnvKind
     theta_value: float | str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_value", _check_theta(self.kind, self.theta_value))
+        _check_fields(self, "theta_value", "theta_range")
 
     @property
     def object_id(self) -> str:
@@ -195,17 +216,6 @@ def brick_stop_position(push_height: float, theta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-
-@dataclass(frozen=True)
-class SceneState:
-    """Poses of the movable bodies; ``None`` omits a body from the frame."""
-
-    gripper: tuple[float, float] | None = None      # (row, col) centre
-    bar: tuple[float, float, float] | None = None   # (row, col, angle rad)
-    brick: tuple[float, float] | None = None        # (row, col) centre
-    lid_offset: tuple[float, float] | None = None   # (drow, dcol) from rest
-    handle_offset: tuple[float, float] | None = None
 
 
 _ROWS, _COLS = np.ogrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]
@@ -260,13 +270,7 @@ def _scenery(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
 
 
 # Each kind's static scenery as a (1, 32, 32) frame, painted once at import.
-_SCENERY = {
-    EnvKind.PUSH_BAR: _scenery(4, 6, 0, IMAGE_SIZE - 1),
-    EnvKind.PICK_BAR: _scenery(4, 6, 0, IMAGE_SIZE - 1),
-    EnvKind.SLIDE_BRICK: _scenery(24, 28, 15, 17),
-    EnvKind.OPEN_BOX: _scenery(*BOX_BODY),
-    EnvKind.TURN_FAUCET: _scenery(*FAUCET_BASE),
-}
+_SCENERY = {kind: _scenery(*facts.scenery) for kind, facts in _FACTS.items()}
 
 
 def render(kind: EnvKind, states: Sequence[SceneState]) -> np.ndarray:
@@ -300,23 +304,9 @@ def render(kind: EnvKind, states: Sequence[SceneState]) -> np.ndarray:
     return canvas
 
 
-def _rest_state(kind: EnvKind) -> SceneState:
-    if kind is EnvKind.PUSH_BAR:
-        return SceneState(gripper=(29.0, 16.0), bar=(BAR_START_ROW, CENTER_COL, 0.0))
-    if kind is EnvKind.PICK_BAR:
-        return SceneState(gripper=(2.0, 16.0), bar=(BAR_START_ROW, CENTER_COL, 0.0))
-    if kind is EnvKind.SLIDE_BRICK:
-        return SceneState(gripper=(RISE_BASE_ROW, RISE_COL), brick=(TRACK_ROW, TRACK_BASE_COL))
-    if kind is EnvKind.OPEN_BOX:
-        return SceneState(gripper=(2.0, 16.0), lid_offset=(0.0, 0.0))
-    if kind is EnvKind.TURN_FAUCET:
-        return SceneState(gripper=(2.0, 24.0), handle_offset=(0.0, 0.0))
-    raise ValueError(f"unknown kind {kind}")
-
-
 def reset(env: EnvInstance) -> np.ndarray:
     """Initial observation; identical for every hidden parameter of a kind."""
-    return render(env.kind, [_rest_state(env.kind)])[0]
+    return render(env.kind, [_FACTS[env.kind].rest])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +406,7 @@ def execute(env: EnvInstance, action: EnvAction) -> ExecutionOutcome:
         states = _box_states(str(value), success)
     else:
         states = _faucet_states(str(value), success)
-    return ExecutionOutcome(Video(render(kind, (_rest_state(kind), *states))), success)
+    return ExecutionOutcome(Video(render(kind, (_FACTS[kind].rest, *states))), success)
 
 
 def succeeds(env: EnvInstance, action: EnvAction) -> bool:

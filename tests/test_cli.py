@@ -43,11 +43,38 @@ def test_gen_data(tmp_path, capsys):
     assert set(dataset.by_object) == {"openbox/lift", "openbox/slide"}
 
 
-def test_gen_data_rejects_negative_fail_count(tmp_path):
+def cli_error(capsys, *argv):
+    """The message of the one ``error:`` line ``main`` prints to stderr for ``argv``,
+    which it must end with exit code 2 and nothing on stdout."""
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return err.removeprefix("error: ").removesuffix("\n")
+
+
+def test_gen_data_rejects_negative_fail_count(tmp_path, capsys):
     data = tmp_path / "openbox"
-    with pytest.raises(ValueError, match="per_theta_fail"):
-        run_cli("gen-data", "--env", "openbox", "--out", data, "--per-theta-fail", "-3")
+    message = cli_error(capsys, "gen-data", "--env", "openbox", "--out", data,
+                        "--per-theta-fail", "-3")
+    assert message == "build_dataset's per_theta_fail must be an integer >= 0, got -3"
     assert not data.exists()
+
+
+def test_run_with_a_bad_config_prints_one_error_line_and_no_traceback(tmp_path):
+    exp = tmp_path / "bad.json"
+    exp.write_text(json.dumps({"trials": 0}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "replan.cli", "run", "--experiment", str(exp),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: ExperimentConfig.trials must be an integer >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def experiment_json(tmp_path, data_root=None, **overrides):
@@ -87,10 +114,10 @@ def test_report_embed_csv_rejects_a_config_that_names_pca_k(tmp_path, capsys):
     config = {**ExperimentConfig(tasks=("openbox",)).to_dict(), "pca_k": None}
     (tmp_path / "config.json").write_text(json.dumps(config))
     embed_csv = tmp_path / "embed.csv"
-    with pytest.raises(ValueError, match=r"^unknown experiment keys: \['pca_k'\]$"):
-        run_cli("report", "--in", tmp_path, "--csv", tmp_path / "summary.csv",
-                "--svg", tmp_path / "chart.svg", "--embed-csv", embed_csv)
-    assert not embed_csv.exists()
+    message = cli_error(capsys, "report", "--in", tmp_path, "--csv", tmp_path / "summary.csv",
+                        "--svg", tmp_path / "chart.svg", "--embed-csv", embed_csv)
+    assert message == "unknown experiment keys: ['pca_k']"
+    assert not embed_csv.exists() and not (tmp_path / "summary.csv").exists()
 
 
 def test_run_and_report_workflow(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ ALL_KINDS = list(EnvKind)
 # sha256 over the pixels of every kind x table theta x hypothesis-set rollout,
 # in table order; any change to a rollout's frames changes it.
 ROLLOUT_DIGEST = "7423b4e7b98ce4a43ec6ed1e2609598de18233f021962d3620153e35f587883b"
-# ``simulator_digest`` as the simulator gave it before its per-kind facts moved into one table.
+# ``simulator_digest``: any change to a reset frame, a rollout or a success flag changes it.
 SIMULATOR_DIGEST = "1b17d12dbbfff464a098a38376a07af085a2ce320c58d159f36f30ffcceff318"
 
 
@@ -76,16 +77,21 @@ def test_object_id_formatting():
 
 
 def test_param_and_action_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^EnvInstance\.theta_value of openbox must be one "
+                                         r"of \('lift', 'slide'\), got 'pry'$"):
         EnvInstance(EnvKind.OPEN_BOX, "pry")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^EnvInstance\.theta_value of pushbar must be in "
+                                         r"\[-0\.2, 0\.2\], got 0\.25$"):
         EnvInstance(EnvKind.PUSH_BAR, 0.25)
     assert EnvInstance(EnvKind.SLIDE_BRICK, 1).theta_value == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^EnvAction\.value of pushbar must be in "
+                                         r"\[-0\.2, 0\.2\], got 0\.21$"):
         EnvAction(EnvKind.PUSH_BAR, 0.21)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^EnvAction\.value of slidebrick must be in "
+                                         r"\[0, 1\], got 1\.2$"):
         EnvAction(EnvKind.SLIDE_BRICK, 1.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^EnvAction\.value of turnfaucet must be one of "
+                                         r"\('cw', 'ccw'\), got 'lift'$"):
         EnvAction(EnvKind.TURN_FAUCET, "lift")
     # kind mismatch between instance and action
     env = EnvInstance(EnvKind.PUSH_BAR, 0.0)
@@ -95,17 +101,80 @@ def test_param_and_action_validation():
         succeeds(env, EnvAction(EnvKind.PICK_BAR, 0.0))
 
 
+# The closed range each continuous kind's rejection names, as (low, high, its text).
+RANGES = {
+    (EnvInstance, EnvKind.PUSH_BAR): (-0.2, 0.2, "[-0.2, 0.2]"),
+    (EnvInstance, EnvKind.PICK_BAR): (-0.2, 0.2, "[-0.2, 0.2]"),
+    (EnvInstance, EnvKind.SLIDE_BRICK): (0.05, 1.0, "[0.05, 1]"),
+    (EnvAction, EnvKind.PUSH_BAR): (-0.2, 0.2, "[-0.2, 0.2]"),
+    (EnvAction, EnvKind.PICK_BAR): (-0.2, 0.2, "[-0.2, 0.2]"),
+    (EnvAction, EnvKind.SLIDE_BRICK): (0.0, 1.0, "[0, 1]"),
+}
+FIELD = {EnvInstance: "theta_value", EnvAction: "value"}
+
+
+def rejection(cls, kind, need):
+    return rf"^{cls.__name__}\.{FIELD[cls]} of {kind.value} must be {re.escape(need)}, got "
+
 
 @pytest.mark.parametrize("value", [True, False, "0.3", "abc", None, float("nan")])
 def test_continuous_values_must_be_numbers(value):
     # a bool read as 1.0 or 0.0, a table value, and a numeric string was coerced
-    for kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR, EnvKind.SLIDE_BRICK):
-        for cls, field in ((EnvInstance, "theta_value"), (EnvAction, "value")):
-            with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} of {kind.value} "
-                                                 rf"must be a finite number, got "):
-                cls(kind, value)
+    for (cls, kind), (_, _, text) in RANGES.items():
+        with pytest.raises(ValueError, match=rejection(cls, kind, f"in {text}")):
+            cls(kind, value)
     assert EnvInstance(EnvKind.PUSH_BAR, np.float64(0.03)).theta_value == 0.03
     assert EnvAction(EnvKind.SLIDE_BRICK, np.float32(0.5)).value == 0.5
+
+
+def test_every_kind_has_one_facts_entry():
+    assert list(envs._FACTS) == ALL_KINDS
+    for kind in ALL_KINDS:
+        assert envs._FACTS[kind].table is hidden_values(kind) is hidden_values(kind.value)
+    with pytest.raises(ValueError, match=r"^hidden_values's kind must be one of \('pushbar', "):
+        hidden_values("shelf")
+
+
+def test_every_table_value_and_policy_action_is_in_its_domain():
+    for kind in ALL_KINDS:
+        for theta in hidden_values(kind):
+            env = EnvInstance(kind, theta)
+            assert env.theta_value == theta
+            action = scripted_action(env)
+            assert EnvAction(kind, action.value) == action
+        for action in candidate_actions(kind):
+            assert EnvAction(kind, action.value) == action
+
+
+@pytest.mark.parametrize("cls, kind", list(RANGES))
+def test_closed_range_ends_are_accepted_and_a_step_past_them_is_named(cls, kind):
+    low, high, text = RANGES[cls, kind]
+    for end, past in ((low, low - 1e-6), (high, high + 1e-6)):
+        assert getattr(cls(kind, end), FIELD[cls]) == end
+        with pytest.raises(ValueError, match=rejection(cls, kind, f"in {text}") + re.escape(
+                repr(past)) + "$"):
+            cls(kind, past)
+
+
+@pytest.mark.parametrize("cls", [EnvInstance, EnvAction])
+@pytest.mark.parametrize("kind, table", [(EnvKind.OPEN_BOX, "('lift', 'slide')"),
+                                         (EnvKind.TURN_FAUCET, "('cw', 'ccw')")])
+def test_a_mode_rejection_names_its_table(cls, kind, table):
+    for value in ("pry", 0.0, None, "LIFT"):
+        with pytest.raises(ValueError, match=rejection(cls, kind, f"one of {table}")):
+            cls(kind, value)
+
+
+@pytest.mark.parametrize("cls", [EnvInstance, EnvAction])
+def test_a_kind_is_a_member_or_its_name(cls):
+    assert cls("pushbar", 0.0) == cls(EnvKind.PUSH_BAR, 0.0)
+    assert cls("openbox", "lift").kind is EnvKind.OPEN_BOX
+    for kind in ("shelf", None, 0):
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.kind must be one of "
+                                             r"\('pushbar', 'pickbar', 'slidebrick', "
+                                             r"'openbox', 'turnfaucet'\), got "):
+            cls(kind, 0.0)
+
 
 def test_physics_worked_examples():
     assert bar_deflection(-0.12, 0.09) == pytest.approx(-1.05, rel=1e-12)
@@ -345,7 +414,7 @@ def oracle_render(kind, state):
 
 
 def _rollout(kind, states):
-    return kind, (envs._rest_state(kind), *states)
+    return kind, (envs._FACTS[kind].rest, *states)
 
 
 bar_offsets = st.floats(-0.2, 0.2)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 from enum import Enum
 
@@ -41,6 +42,7 @@ from replan import (
 )
 from replan import envs
 from replan.loop import WALL_PHASES, CellStats, EpisodeRow
+from test_cli import cli_error
 
 
 @pytest.fixture(scope="module")
@@ -816,7 +818,7 @@ def test_experiment_config_io(tmp_path):
 
 
 @pytest.mark.parametrize("value", [None, 3, 0.0])
-def test_the_removed_pca_k_key_is_unknown(value, tmp_path, monkeypatch):
+def test_the_removed_pca_k_key_is_unknown(value, tmp_path, monkeypatch, capsys):
     # build_assets works the PCA dimension out from each task's dataset, and nothing
     # perturbs the first frame, so noise_std went too; a config.json written before
     # either went names its key (noise_std as 0.0) and fails before any compute
@@ -834,8 +836,8 @@ def test_the_removed_pca_k_key_is_unknown(value, tmp_path, monkeypatch):
             ExperimentConfig.from_dict({key: value})
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({**ExperimentConfig(tasks=("openbox",)).to_dict(), key: value}))
-        with pytest.raises(ValueError, match=match):
-            replan.cli.main(["run", "--experiment", str(path), "--out", str(tmp_path / "out")])
+        assert re.search(match, cli_error(capsys, "run", "--experiment", path,
+                                          "--out", tmp_path / "out"))
     # what the benchmark reads of a config is a constant, not a field
     assert ExperimentConfig().noise_std == 0
     assert "noise_std" not in ExperimentConfig().to_dict()
@@ -929,7 +931,7 @@ def test_config_json_roundtrip(cfg):
         ("data_root", 3),
     ],
 )
-def test_invalid_config_fails_before_compute(field, value, tmp_path, monkeypatch):
+def test_invalid_config_fails_before_compute(field, value, tmp_path, monkeypatch, capsys):
     import dataclasses
 
     import replan.cli
@@ -947,8 +949,8 @@ def test_invalid_config_fails_before_compute(field, value, tmp_path, monkeypatch
         dataclasses.replace(ExperimentConfig(tasks=("openbox",)), **{field: value})
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({field: value}))
-    with pytest.raises(ValueError, match=match):
-        replan.cli.main(["run", "--experiment", str(path), "--out", str(tmp_path / "out")])
+    assert re.match(match, cli_error(capsys, "run", "--experiment", path,
+                                     "--out", tmp_path / "out"))
 
 
 def test_ablation_sweep_grids():
@@ -1276,16 +1278,13 @@ def test_a_run_reads_each_manifest_once_up_front_and_once_to_build(tmp_path, mon
 
 @pytest.mark.parametrize("reader", ["run_experiment", "embedding_rows", "report --embed-csv"])
 def test_a_data_root_thinned_below_two_clips_fails_before_any_build(tmp_path, monkeypatch,
-                                                                    reader):
+                                                                    capsys, reader):
     # turnfaucet keeps its success and round(0.25 * 2) = 0 of its failures (half to even);
     # unchecked, openbox would build and run first and pca_fit would then fail on
     # turnfaucet's one clip with a message naming no field
-    import re
-
     import replan.loop
     import replan.report
     from replan import write_episodes_csv
-    from replan.cli import main
 
     save_one_object_turnfaucet(tmp_path)
     calls = []
@@ -1300,17 +1299,16 @@ def test_a_data_root_thinned_below_two_clips_fails_before_any_build(tmp_path, mo
     write_episodes_csv([EpisodeRow("openbox", "avdc", 0, 1, "lift", 1, True, None, None,
                                    dict.fromkeys(WALL_PHASES, 0.0))], out / "episodes.csv")
     (out / "config.json").write_text(json.dumps(config.to_dict()))
-    run = {"run_experiment": lambda: run_experiment(config),
-           "embedding_rows": lambda: embedding_rows(config),
-           "report --embed-csv": lambda: main(["report", "--in", str(out),
-                                               "--csv", str(out / "summary.csv"),
-                                               "--svg", str(out / "chart.svg"),
-                                               "--embed-csv", str(out / "embed.csv")])}[reader]
     path = tmp_path / "turnfaucet" / "manifest.json"
     message = (f"ExperimentConfig.data_root {str(tmp_path)!r}, task 'turnfaucet': {path} "
                "keeps 1 clip at dataset_fraction 0.25, and a task needs at least 2")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run()
+    if reader == "report --embed-csv":
+        assert cli_error(capsys, "report", "--in", out, "--csv", out / "summary.csv",
+                         "--svg", out / "chart.svg", "--embed-csv", out / "embed.csv") == message
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            {"run_experiment": lambda: run_experiment(config),
+             "embedding_rows": lambda: embedding_rows(config)}[reader]()
     assert calls == []
     assert not (out / "embed.csv").exists()
 

@@ -309,6 +309,26 @@ def test_episodes_match_the_video_level_loop(task, metric):
     assert_episodes_match_video_level(task_assets(task), config, range(4))
 
 
+@settings(max_examples=300, deadline=None)
+@given(task=st.sampled_from(ALL_TASKS), method=st.sampled_from(PLANNING_METHODS),
+       n_candidates=st.integers(1, 5), tau=st.none() | st.floats(0.01, 100.0),
+       buffer_policy=st.sampled_from([p.value for p in BufferPolicy]),
+       metric=st.sampled_from(METRICS), max_replans=st.integers(1, 14),
+       refine_steps=st.integers(0, 20), refine_restarts=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_config_runs_episodes_as_the_video_level_loop(
+    task, method, n_candidates, tau, buffer_policy, metric, max_replans, refine_steps,
+    refine_restarts, seed,
+):
+    # the oracle across the fields an episode reads, on each task's one build
+    config = ExperimentConfig(
+        tasks=(task,), methods=(method.value,), n_candidates=n_candidates, tau=tau,
+        buffer_policy=buffer_policy, rejection_metric=metric, max_replans=max_replans,
+        refine_steps=refine_steps, refine_restarts=refine_restarts,
+    )
+    assert_episodes_match_video_level(task_assets(task), config, [seed], [method])
+
+
 def test_one_build_serves_every_rejection_metric():
     # ``ours`` episodes under both metrics from one build, each as its oracle runs them
     assets = build_task_assets(ExperimentConfig(tasks=("pushbar",)), "pushbar")
