@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Video
+from .core import Video, require_member
 from .envs import (
     BAR_ACTION_RANGE,
     CENTER_COL,
@@ -81,18 +81,18 @@ def _decode_discrete(kind: EnvKind, plan: Video) -> EnvAction:
     return EnvAction(kind, "cw" if vertical else "ccw")
 
 
-def plan_to_action(kind: EnvKind, plan: Video) -> EnvAction:
+def plan_to_action(kind: EnvKind | str, plan: Video) -> EnvAction:
     """Extract the action a plan video depicts.
 
     Bar tasks read the gripper centroid column at the contact frame and map
     it through the renderer's affine pixel-to-world transform; the brick
     task reads the gripper's apex row; box/faucet classify the net object
     displacement direction (vertical => lift/cw, horizontal => slide/ccw).
+    ``kind`` is an ``EnvKind`` or its name.
     """
+    kind = require_member("plan_to_action's kind", kind, EnvKind)
     if kind in (EnvKind.PUSH_BAR, EnvKind.PICK_BAR):
         return _decode_bar(kind, plan)
     if kind is EnvKind.SLIDE_BRICK:
         return _decode_brick(plan)
-    if kind in (EnvKind.OPEN_BOX, EnvKind.TURN_FAUCET):
-        return _decode_discrete(kind, plan)
-    raise ValueError(f"unknown kind {kind}")
+    return _decode_discrete(kind, plan)

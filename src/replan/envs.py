@@ -23,7 +23,6 @@ from .core import Video, is_number, require, require_member
 IMAGE_SIZE = 32
 ROLLOUT_FRAMES = 8
 
-BACKGROUND_SHADE = 0.0
 TARGET_SHADE = 0.3
 OBJECT_SHADE = 0.6
 GRIPPER_SHADE = 1.0
@@ -276,9 +275,10 @@ _SCENERY = {kind: _scenery(*facts.scenery) for kind, facts in _FACTS.items()}
 def render(kind: EnvKind, states: Sequence[SceneState]) -> np.ndarray:
     """Raster a rollout's scenes to a (T, 32, 32) float32 stack in [0, 1].
 
-    Static scenery paints at 0.3, movable objects at 0.6, the gripper at
-    1.0; overlaps keep the brightest value.  Bars and bricks are painted in
-    all frames at once, in one broadcast pass.  Deterministic.
+    The background is 0; static scenery paints at 0.3, movable objects at
+    0.6, the gripper at 1.0; overlaps keep the brightest value.  Bars and
+    bricks are painted in all frames at once, in one broadcast pass.
+    Deterministic.
     """
     canvas = np.repeat(_SCENERY[kind], len(states), axis=0)
     bars = [t for t, state in enumerate(states) if state.bar is not None]

@@ -53,9 +53,11 @@ from .refinement import RefineConfig, refine_embedding
 from .rejection import RejectionMetric, distance_matrix, pixel_sums_of_squares
 from .retrieval import BufferPolicy, EmbeddingTable, RetrievalConfig, build_table
 from .retrieval import interaction_logits
-# the per-round call sites keep the names perfbench/layers.py traces
+# the per-round call sites keep the names perfbench/layers.py traces: ssim, generate,
+# retrieve and select_plan
 from .core import held_ssim as ssim
 from .generator import draw_indices as generate
+from .rejection import select_row as select_plan
 from .retrieval import retrieve_objects as retrieve
 
 ALL_TASKS = tuple(kind.value for kind in EnvKind)
@@ -111,14 +113,6 @@ class PlanTable:
     psnr: np.ndarray  # (rows, rows) float64
     actions: tuple[EnvAction | str, ...]
     distances: dict[RejectionMetric, np.ndarray]
-
-
-def select_plan(distances: np.ndarray, candidates: np.ndarray, failed: list[int]) -> int:
-    """The candidate farthest from every failed plan under one metric's ``PlanTable``
-    distances, as ``rejection.select_plan`` picks it: ties, and an empty ``failed``,
-    go to the first candidate."""
-    scores = distances[candidates][:, failed].min(axis=1, initial=math.inf)
-    return int(candidates[np.argmax(scores)])
 
 
 def plan_to_action(plans: PlanTable, index: int) -> EnvAction:

@@ -11,9 +11,11 @@ from replan import (
     EnvAction,
     EnvInstance,
     EnvKind,
+    ExperimentConfig,
     PlanDecodeError,
     Video,
     all_instances,
+    build_task_assets,
     candidate_actions,
     execute,
     plan_to_action,
@@ -145,6 +147,22 @@ def test_undecodable_plans_raise():
     static = Video(np.stack([frame] * 8))
     with pytest.raises(PlanDecodeError):
         plan_to_action(EnvKind.OPEN_BOX, static)
+
+
+def test_kind_may_be_named():
+    # every pushbar plan-table row decodes the same under the kind's name; an unknown
+    # name is refused as the kind
+    def decoded(kind, video):
+        try:
+            return plan_to_action(kind, video)
+        except PlanDecodeError as err:
+            return str(err)
+
+    videos = build_task_assets(ExperimentConfig(), "pushbar").plans.videos
+    for video in videos:
+        assert decoded("pushbar", video) == decoded(EnvKind.PUSH_BAR, video)
+    with pytest.raises(ValueError, match=r"^plan_to_action's kind must be one of"):
+        plan_to_action("shelf", videos[0])
 
 
 def test_decode_error_is_value_error():

@@ -17,7 +17,7 @@ from replan import (
     pixel_l2,
     select_plan,
 )
-from replan.rejection import _nearest_failed_distances, distance_matrix, pixel_sums_of_squares
+from replan.rejection import distance_matrix, pixel_sums_of_squares
 
 
 def vid(fill=0.0):
@@ -224,16 +224,22 @@ def test_batched_scores_match_per_pair_oracle(task_assets, metric):
                 failed.append(failures[int(i)])
                 buffer.push(failures[int(i)])
             expected = [per_pair_nearest(c, failed, metric) for c in candidates]
-            scores = _nearest_failed_distances(candidates, buffer, metric)
-            assert scores.tolist() == expected, assets.kind
+            scores = [nearest_failed_distance(c, buffer, metric) for c in candidates]
+            assert scores == expected, assets.kind
             best = max(range(len(candidates)), key=lambda j: (expected[j], -j))
             assert select_plan(candidates, buffer, metric) == (best, candidates[best])
 
 
 def test_raw_pixel_scores_refuse_mismatched_shapes():
     buffer = FailedPlanBuffer().push(vid(0.5))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        select_plan([Video(np.zeros((2, 32, 32), dtype=np.float32))], buffer)
+    wrong = Video(np.zeros((2, 32, 32), dtype=np.float32))
+    message = r"^shape mismatch: \[\(1, 32, 32\), \(2, 32, 32\)\]$"
+    with pytest.raises(ValueError, match=message):
+        select_plan([wrong], buffer)
+    with pytest.raises(ValueError, match=message):
+        nearest_failed_distance(wrong, buffer)
+    with pytest.raises(ValueError, match=message):
+        distance_matrix([vid(0.5), wrong], "raw_pixel")
 
 
 def per_pair_distance_matrix(plans):
